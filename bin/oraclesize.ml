@@ -198,7 +198,7 @@ let shards_conv =
 let shards_arg =
   Arg.(
     value
-    & opt (some shards_conv) None
+    & opt shards_conv 1
     & info [ "shards" ] ~docv:"N"
         ~env:
           (Cmd.Env.info "ORACLE_SIZE_SHARDS"
@@ -206,10 +206,9 @@ let shards_arg =
         ~doc:
           "Execute one run across $(docv) domains (synchronous scheduler only; asynchronous \
            schedulers always run sequentially).  Defaults to $(b,ORACLE_SIZE_SHARDS) when \
-           set, else 1.  Traces, statistics and verdicts are bit-identical for every \
-           $(docv); only the wall time changes.")
-
-let resolve_shards = function Some k -> k | None -> Sim.Shard.default_shards ()
+           set, else 1.  Runs with $(b,--trace-out) or $(b,--fault) execute sequentially \
+           whatever $(docv) says.  Statistics, traces and verdicts are bit-identical for \
+           every $(docv); only the wall time changes.")
 
 let suite_flag =
   Arg.(
@@ -223,12 +222,12 @@ let suite_flag =
 
 (* The adversarial path shared by wakeup and broadcast: run the hardened
    harness under the plan and report the verdict. *)
-let run_faulty protocol plan ~protect ~retry ~shards family g ~source ~scheduler sinks =
+let run_faulty protocol plan ~protect ~retry family g ~source ~scheduler sinks =
   if retry < 0 then begin
     Printf.eprintf "oraclesize: --retry must be non-negative\n";
     exit 2
   end;
-  let o = Fault.Harness.run ~scheduler ~plan ~sinks ~protect ~retry ~shards protocol g ~source in
+  let o = Fault.Harness.run ~scheduler ~plan ~sinks ~protect ~retry protocol g ~source in
   let b = Fault.Harness.budgets ~retry protocol g in
   let stats = o.Fault.Harness.result.Sim.Runner.stats in
   Printf.printf "network:      %s, %d nodes, %d edges\n" (Families.name family) (Graph.n g)
@@ -372,7 +371,6 @@ let wakeup_cmd =
   let run family n seed source scheduler encoding fault protect retry suite jobs shards
       trace_out =
     let g = build family n seed in
-    let shards = resolve_shards shards in
     match fault with
     | Some plan when suite ->
       if trace_out <> None then begin
@@ -383,7 +381,7 @@ let wakeup_cmd =
         family g ~source
     | Some plan ->
       with_trace_sinks trace_out (fun sinks ->
-          run_faulty Fault.Harness.Wakeup plan ~protect ~retry ~shards family g ~source
+          run_faulty Fault.Harness.Wakeup plan ~protect ~retry family g ~source
             ~scheduler sinks)
     | None when suite ->
       Printf.eprintf "oraclesize: --suite is only meaningful together with --fault\n";
@@ -431,7 +429,6 @@ let broadcast_cmd =
   let run family n seed source scheduler (tree_name, tree) fault protect retry suite jobs
       shards trace_out =
     let g = build family n seed in
-    let shards = resolve_shards shards in
     match fault with
     | Some plan when suite ->
       if trace_out <> None then begin
@@ -442,7 +439,7 @@ let broadcast_cmd =
         family g ~source
     | Some plan ->
       with_trace_sinks trace_out (fun sinks ->
-          run_faulty Fault.Harness.Broadcast plan ~protect ~retry ~shards family g ~source
+          run_faulty Fault.Harness.Broadcast plan ~protect ~retry family g ~source
             ~scheduler sinks)
     | None when suite ->
       Printf.eprintf "oraclesize: --suite is only meaningful together with --fault\n";

@@ -53,8 +53,9 @@ val run :
     oracle size.  Telemetry events stream into [sinks] (see
     {!Sim.Runner.run}); one protocol record named ["broadcast"] is noted
     into [registry] (default: {!Obs.Registry.default}).  [shards]
-    (default 1) executes the run across that many domains via
-    {!Sim.Shard.run} — output is bit-identical at any shard count. *)
+    (default 1) is handed to {!Sim.Shard.run}, which runs untraced
+    synchronous runs across that many domains; output is bit-identical
+    at any shard count. *)
 
 val decode_known_ports : encoding -> Bitstring.Bitbuf.t -> int list
 (** The advice decoder (exposed for tests): the ports Scheme B starts out

@@ -51,8 +51,9 @@ val run :
     oracle size.  Telemetry events stream into [sinks] (see
     {!Sim.Runner.run}); one protocol record named ["wakeup"] is noted into
     [registry] (default: {!Obs.Registry.default}).  [shards] (default 1)
-    executes the run across that many domains via {!Sim.Shard.run} —
-    output is bit-identical at any shard count. *)
+    is handed to {!Sim.Shard.run}, which runs untraced synchronous runs
+    across that many domains; output is bit-identical at any shard
+    count. *)
 
 val decode_ports : encoding -> Bitstring.Bitbuf.t -> int list
 (** The advice decoder (exposed for tests). *)

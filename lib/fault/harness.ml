@@ -64,7 +64,7 @@ let advise protocol g ~source =
   oracle.Oracles.Oracle.advise g ~source
 
 let run ?(scheduler = Sim.Scheduler.Async_fifo) ?(plan = Plan.none) ?(sinks = []) ?max_messages
-    ?(protect = Bitstring.Ecc.Raw) ?(retry = 0) ?(shards = 1) ?raw_advice protocol g ~source =
+    ?(protect = Bitstring.Ecc.Raw) ?(retry = 0) ?raw_advice protocol g ~source =
   let n = Graph.n g in
   (* [raw_advice] is the sweep cache hook: advice is a pure function of
      (protocol, graph, source), so a caller sweeping many plans or
@@ -108,7 +108,7 @@ let run ?(scheduler = Sim.Scheduler.Async_fifo) ?(plan = Plan.none) ?(sinks = []
     | Broadcast -> Oracle_core.Broadcast.hardened_scheme ~protect ~on_fallback ~on_corrected ()
   in
   let result =
-    Sim.Shard.run ~scheduler ?max_messages ~sinks:all_sinks ~faults:plan ~retry ~shards
+    Sim.Runner.run ~scheduler ?max_messages ~sinks:all_sinks ~faults:plan ~retry
       ~advice:(Advice.get corrupted) g ~source factory
   in
   let events = collected () in

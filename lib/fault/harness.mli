@@ -61,7 +61,6 @@ val run :
   ?max_messages:int ->
   ?protect:Bitstring.Ecc.level ->
   ?retry:int ->
-  ?shards:int ->
   ?raw_advice:Oracles.Advice.t ->
   protocol ->
   Netgraph.Graph.t ->
@@ -71,10 +70,6 @@ val run :
     [scheduler] (default [Async_fifo]), with advice protection [protect]
     (default [Raw]: none) and retransmission budget [retry] (default
     [0]: recovery off — bit-for-bit the PR 2 behaviour).
-
-    [shards] (default 1) executes the run across that many domains via
-    {!Sim.Shard.run}; the stream, verdict and outcome are bit-identical
-    at any shard count.
 
     [raw_advice] (default: computed with {!advise}) lets sweeps reuse one
     advice assignment across the plan × scheduler × protection axes; the

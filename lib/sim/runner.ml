@@ -67,8 +67,14 @@ let telemetry ~protocol ~scheduler ?completed ~advice_bits r =
     completed = (match completed with Some c -> c | None -> r.all_informed);
   }
 
-let run ?(scheduler = Scheduler.Async_fifo) ?(max_messages = 1_000_000) ?(record_trace = false)
-    ?(sinks = []) ?loss ?(faults = Fault_plan.none) ?(retry = 0) ~advice g ~source factory =
+(* Four sends per node and edge covers every budget a harness verdict
+   accepts (at most 4m + 3n); the floor keeps small graphs' cutoffs
+   where they always were. *)
+let default_max_messages g = max 1_000_000 (4 * (Graph.n g + Graph.m g))
+
+let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(record_trace = false) ?(sinks = [])
+    ?loss ?(faults = Fault_plan.none) ?(retry = 0) ~advice g ~source factory =
+  let max_messages = match max_messages with Some m -> m | None -> default_max_messages g in
   let n = Graph.n g in
   if source < 0 || source >= n then invalid_arg "Runner.run: source out of range";
   if retry < 0 then invalid_arg "Runner.run: negative retry budget";

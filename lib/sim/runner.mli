@@ -69,7 +69,7 @@ val run :
     with its advice/status/label/degree, lets the source (and, for
     broadcast schemes, everyone) transmit, and drives deliveries under the
     scheduler (default [Async_fifo]) until quiescence or [max_messages]
-    (default [1_000_000]) sends.
+    sends (default {!default_max_messages}).
 
     A node becomes {e informed} when it is the source or when it receives a
     message sent by an informed node (the source message can always ride
@@ -141,6 +141,12 @@ val run :
     before the run — see [Fault.Corrupt]).
 
     Raises [Invalid_argument] if a scheme emits an out-of-range port. *)
+
+val default_max_messages : Netgraph.Graph.t -> int
+(** The cutoff [run] applies when [max_messages] is not given:
+    [max 1_000_000 (4 (n + m))].  Every budget the paper's schemes and
+    their hardened variants are held to (at most [4m + 3n] sends) fits
+    under it, so a run within its bound is never cut off. *)
 
 val telemetry :
   protocol:string ->

@@ -1,50 +1,36 @@
 (** Domain-sharded execution of a single run.
 
-    [run] has the contract of {!Runner.run} plus a [?shards] knob: with
-    [shards > 1] and the {!Scheduler.Synchronous} scheduler, the node
-    array is partitioned into [shards] contiguous blocks and each round
-    of one run executes as two barrier-separated phases (deliver, then
-    emit) across that many OCaml domains.  The output — trace, stats,
-    verdict inputs, every sink event and its order — is bit-identical
-    to the sequential runner at any shard count; the shard-determinism
-    grid test asserts byte equality of JSONL traces across
-    [shards ∈ {1, 2, 7}], fault plans included.
+    [run] has the contract of {!Runner.run} plus a [?shards] knob.  One
+    kind of run executes across domains: [shards > 1], the
+    {!Scheduler.Synchronous} scheduler, no sinks, no [record_trace], no
+    fault plan and no active [?loss].  The node array is then
+    partitioned into [shards] contiguous blocks and each round executes
+    as two barrier-separated phases (deliver, then emit) across that
+    many OCaml domains.  Deliveries commute because a node's scheme
+    state is owner-exclusive and counters are per-domain
+    {!Obs.Counting} states merged with [absorb]; responses are placed at
+    offsets from an exclusive prefix sum over the batch, so they keep
+    the sequential engine's send order.  Every field of the result is
+    identical to {!Runner.run}'s at any shard count.
 
-    How much runs in parallel depends on what the caller asked to
-    observe (DESIGN.md §14 spells out the model):
-
-    - {b fast} (no sinks, no trace, no faults, no loss): both phases of
-      every large round are fully parallel.  Deliveries commute because
-      a node's scheme state is owner-exclusive and counters are
-      per-domain {!Obs.Counting} states merged with [absorb]; sequence
-      numbers are assigned by an exclusive prefix sum over the batch, so
-      they match the sequential engine's exactly.
-    - {b traced} (sinks or trace, still fault-free): scheme calls run on
-      the owners; the coordinator then replays the batch in slot order
-      to emit events and build the trace — a global order cannot be
-      produced anywhere else.
-    - {b faulted} (a plan or [?loss]): scheme calls still run on the
-      owners, but every RNG draw, timer-wheel operation and reorder
-      stage mutation happens on the coordinator in the sequential
-      engine's order.
+    Every other call delegates to {!Runner.run}: [shards = 1], the
+    asynchronous schedulers (one global delivery order, no round
+    boundary to cut), and any run that observes or perturbs that order —
+    sinks, traces, fault plans, loss (DESIGN.md §14).
 
     Rounds smaller than [?min_parallel_batch] (default 256) are
     processed inline on the coordinator — same arithmetic, no barrier
     traffic — so tiny runs never pay for domains; worker domains are
     spawned lazily on the first large phase and joined before [run]
-    returns.  [shards = 1], and any asynchronous scheduler (whose
-    delivery order is a single global sequence with no round boundary to
-    cut), delegate to {!Runner.run} unchanged.  [shards] is clamped to
-    64; [invalid_arg] if it is not positive.
+    returns.  [shards] is clamped to 64; [invalid_arg] if it is not
+    positive.
 
-    Concurrency requirements on the caller: with no sinks attached,
-    [advice] and [factory] are called in parallel from several domains
-    (at most once per node) and must be safe to call concurrently — the
-    built-in schemes only read shared immutable advice, which is safe.
-    With sinks attached, instantiation stays sequential (factories may
-    carry caller side effects, e.g. the fault harness's fallback
-    callbacks).  Scheme callbacks are only ever invoked by the owner of
-    their node, never two nodes of one owner concurrently. *)
+    Concurrency requirements on the caller: on the parallel path
+    [advice] and [factory] are called from several domains (at most
+    once per node) and must be safe to call concurrently — the built-in
+    schemes only read shared immutable advice, which is safe.  Scheme
+    callbacks are only ever invoked by the owner of their node, never
+    two nodes of one owner concurrently. *)
 
 val run :
   ?scheduler:Scheduler.t ->
@@ -61,8 +47,3 @@ val run :
   source:int ->
   Scheme.factory ->
   Runner.result
-
-val default_shards : unit -> int
-(** The shard count used when the caller does not say: the
-    [ORACLE_SIZE_SHARDS] environment variable if set to a positive
-    integer, else 1 (sequential). *)

@@ -243,3 +243,22 @@ let suite =
       Alcotest.test_case "pure paper-style scheme matches stateful" `Quick
         test_pure_paper_scheme_matches_stateful;
     ]
+
+(* A path of 600 000 nodes needs ~1.2M messages, within Theorem 3.1's
+   3n but past the old fixed 10^6 cutoff: the default cap must grow
+   with the graph so a run within its bound is never cut off. *)
+let test_default_cap_scales_with_graph () =
+  let n = 600_000 in
+  let g = Netgraph.Gen.path n in
+  let o = Broadcast.run ~scheduler:Sim.Scheduler.Synchronous g ~source:0 in
+  let r = o.Broadcast.result in
+  check_bool "all informed" true r.Sim.Runner.all_informed;
+  check_bool "quiescent" true r.Sim.Runner.quiescent;
+  check_bool "past the old 10^6 cap" true (r.Sim.Runner.stats.Sim.Runner.sent > 1_000_000)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "default message cap scales with the graph" `Slow
+        test_default_cap_scales_with_graph;
+    ]

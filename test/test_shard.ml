@@ -1,10 +1,11 @@
-(* The sharded engine's contract is bit-identity: at any shard count,
-   one run produces byte-for-byte the JSONL trace, the stats, and the
-   verdict inputs of the sequential runner.  The grids below pin that
-   across protocols, graph families, schedulers, shard counts and fault
-   plans — with [min_parallel_batch:1] where the engine is driven
-   directly, so the parallel phases really execute even on test-sized
-   graphs instead of falling back to the coordinator's inline path. *)
+(* The sharded engine's contract is bit-identity with the sequential
+   runner at any shard count.  Only untraced, fault-free synchronous
+   runs execute across domains; the grids below drive that path with
+   [min_parallel_batch:1], so the parallel phases really execute even
+   on test-sized graphs, and compare it field by field with
+   [Runner.run].  The traced and faulted grids pin the delegation: any
+   sink, trace or fault plan hands the run to [Runner.run], whose bytes
+   must not move with the shard count. *)
 
 open Oracle_core
 module Graph = Netgraph.Graph
@@ -25,9 +26,26 @@ let families =
 
 let shard_counts = [ 1; 2; 7 ]
 
-(* Protocol runs through the public [Oracle_core] entry points: the
-   sequential trace and stats are the reference, every shard count must
-   reproduce them byte for byte. *)
+(* Every field the parallel engine computes, against the reference. *)
+let check_same name (r0 : Sim.Runner.result) (r : Sim.Runner.result) =
+  check_bool (name ^ ": stats") true (r0.Sim.Runner.stats = r.Sim.Runner.stats);
+  check_bool (name ^ ": informed") true (r0.Sim.Runner.informed = r.Sim.Runner.informed);
+  check_bool (name ^ ": per-node load") true
+    (r0.Sim.Runner.per_node_sent = r.Sim.Runner.per_node_sent);
+  check_bool (name ^ ": quiescent") true (r0.Sim.Runner.quiescent = r.Sim.Runner.quiescent)
+
+(* The paper's schemes with their oracles' advice. *)
+let paper_schemes =
+  [
+    ("wakeup", Wakeup.oracle (), Sim.Scheme.check_wakeup (Wakeup.scheme ()));
+    ("broadcast", Broadcast.oracle (), Broadcast.scheme ());
+  ]
+
+(* Two legs.  Through the public [Oracle_core] entry points with a
+   collector attached (delegated to [Runner.run]): trace bytes, stats,
+   informed and load must not move with the shard count.  And the
+   parallel engine itself, with no sinks: the paper's schemes on real
+   oracle advice must reproduce [Runner.run] field by field. *)
 let test_protocol_grid () =
   List.iter
     (fun (fam, build) ->
@@ -66,13 +84,42 @@ let test_protocol_grid () =
                   let r = o.Broadcast.result in
                   (r.Sim.Runner.stats, r.Sim.Runner.informed, r.Sim.Runner.per_node_sent) );
             ])
-        [ Sim.Scheduler.Synchronous; Sim.Scheduler.Async_fifo ])
+        [ Sim.Scheduler.Synchronous; Sim.Scheduler.Async_fifo ];
+      (* Uncut, and cut off at n/2 sends: a cut run can leave a partly
+         informed network, where the informed flag each message carries
+         decides who counts as informed. *)
+      let n = Graph.n g in
+      List.iter
+        (fun (proto, oracle, factory) ->
+          let advice = Oracles.Advice.get (oracle.Oracles.Oracle.advise g ~source:0) in
+          let seq =
+            Sim.Runner.run ~scheduler:Sim.Scheduler.Synchronous ~advice g ~source:0 factory
+          in
+          let cut =
+            Sim.Runner.run ~scheduler:Sim.Scheduler.Synchronous ~max_messages:(n / 2) ~advice g
+              ~source:0 factory
+          in
+          let name = proto ^ "/" ^ fam in
+          check_bool (name ^ ": reference informs everyone") true seq.Sim.Runner.all_informed;
+          check_bool (name ^ ": reference cut off") false cut.Sim.Runner.quiescent;
+          List.iter
+            (fun shards ->
+              let run ?max_messages () =
+                Sim.Shard.run ~scheduler:Sim.Scheduler.Synchronous ?max_messages ~sinks:[] ~shards
+                  ~min_parallel_batch:1 ~advice g ~source:0 factory
+              in
+              let name = Printf.sprintf "%s/sinks=[]/shards=%d" name shards in
+              check_same name seq (run ());
+              check_same (name ^ " cutoff") cut (run ~max_messages:(n / 2) ()))
+            shard_counts)
+        paper_schemes)
     families
 
 (* The engine driven directly with [min_parallel_batch:1], so every
    round of every run crosses the domain barriers, however small the
-   batch.  Covers the fully-parallel fast path (no sinks), the traced
-   path, and their agreement with each other and with [Runner.run]. *)
+   batch.  The untraced run is the parallel engine; the traced one
+   delegates, and its delivery trace must match [Runner.run]'s record
+   for record, sequence numbers included. *)
 let test_forced_parallel_phases () =
   List.iter
     (fun (fam, build) ->
@@ -85,21 +132,11 @@ let test_forced_parallel_phases () =
       List.iter
         (fun shards ->
           let name = Printf.sprintf "%s/shards=%d" fam shards in
-          (* Fast path: no sinks, no trace. *)
           let fast =
             Sim.Shard.run ~scheduler:Sim.Scheduler.Synchronous ~shards ~min_parallel_batch:1
               ~advice g ~source:0 Sim.Scheme.flooding
           in
-          check_bool (name ^ " fast: stats") true (fast.Sim.Runner.stats = seq.Sim.Runner.stats);
-          check_bool (name ^ " fast: informed") true
-            (fast.Sim.Runner.informed = seq.Sim.Runner.informed);
-          check_bool (name ^ " fast: load") true
-            (fast.Sim.Runner.per_node_sent = seq.Sim.Runner.per_node_sent);
-          check_bool (name ^ " fast: quiescent") true
-            (fast.Sim.Runner.quiescent = seq.Sim.Runner.quiescent);
-          (* Traced path: the in-memory delivery trace must match the
-             sequential one record for record, sequence numbers
-             included. *)
+          check_same (name ^ " fast") seq fast;
           let traced =
             Sim.Shard.run ~scheduler:Sim.Scheduler.Synchronous ~shards ~min_parallel_batch:1
               ~record_trace:true ~advice g ~source:0 Sim.Scheme.flooding
@@ -111,10 +148,9 @@ let test_forced_parallel_phases () =
         shard_counts)
     families
 
-(* Shards composed with fault plans: the coordinator owns every RNG
-   draw, wheel tick and reorder-stage mutation, so the event stream —
-   faults, recoveries, deliveries — is byte-identical at any shard
-   count, across plans that exercise each fault channel and the
+(* Shards composed with fault plans delegate to [Runner.run]: the event
+   stream — faults, recoveries, deliveries — is byte-identical at any
+   shard count, across plans that exercise each fault channel and the
    retransmit machinery. *)
 let test_fault_grid () =
   let g =
@@ -152,30 +188,7 @@ let test_fault_grid () =
       ("dead=3,dead=5,dead=11,seed=17", 1);
     ]
 
-(* The fault harness end to end (tamper, hardened schemes, verdict):
-   [?shards] must not move the verdict or the recorded stream. *)
-let test_harness_shards () =
-  let g =
-    Netgraph.Gen.random_connected ~n:600 ~p:(4.0 /. 600.0) (Random.State.make [| 600 |])
-  in
-  let plan = Fault.Plan.of_string_exn "drop=0.1,advice-flip=4,seed=21" in
-  let reference = ref None in
-  List.iter
-    (fun shards ->
-      let o =
-        Fault.Harness.run ~scheduler:Sim.Scheduler.Synchronous ~plan ~retry:2 ~shards
-          Fault.Harness.Broadcast g ~source:0
-      in
-      let trace = jsonl o.Fault.Harness.events in
-      match !reference with
-      | None -> reference := Some (trace, o.Fault.Harness.verdict)
-      | Some (t0, v0) ->
-        let name = Printf.sprintf "harness/shards=%d" shards in
-        check_string (name ^ ": event bytes") t0 trace;
-        check_bool (name ^ ": verdict") true (v0 = o.Fault.Harness.verdict))
-    shard_counts
-
-(* Input validation and the environment fallback. *)
+(* Input validation. *)
 let test_validation () =
   let g = Netgraph.Gen.path 8 in
   let advice _ = Bitstring.Bitbuf.create () in
@@ -192,6 +205,5 @@ let suite =
     Alcotest.test_case "protocol grid: shards 1/2/7 byte-identical" `Slow test_protocol_grid;
     Alcotest.test_case "forced parallel phases bit-identical" `Slow test_forced_parallel_phases;
     Alcotest.test_case "fault plans x shards byte-identical" `Slow test_fault_grid;
-    Alcotest.test_case "fault harness under shards" `Slow test_harness_shards;
     Alcotest.test_case "shard count validation" `Quick test_validation;
   ]
