@@ -904,18 +904,6 @@ let smoke () =
 
 let stress_out = ref "stress.jsonl"
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* One adversarial run of the stress grid: returns the serialized JSONL
    row plus the aggregates the summary table needs.  Runs on a pool
    worker, so it touches no shared mutable state: the graph is immutable,
@@ -940,13 +928,69 @@ let stress_journal = ref None
 
 let resilience_journal = ref None
 
-let bench_journal name journal_ref =
-  Option.map (fun path -> (path, { Sim.Journal.spec = name; extra = "" })) !journal_ref
-
 let acceptable_entry (e : Sim.Journal.entry) =
   match e.Sim.Journal.verdict_class with
   | Sim.Journal.Completed | Sim.Journal.Degraded -> true
   | Sim.Journal.Stalled | Sim.Journal.Violated -> false
+
+(* The journaled-grid driver shared by stress and resilience: run [tasks]
+   over a domain pool through [Sim.Sweep.map_journaled] (journaled under
+   the spec bench-<name>-v1 when [journal] is set), write one [row] per
+   task to [out] in task order, and return the entries grouped by
+   [tally_key], the graceful count and a timing note.  A journal error
+   or a failed task exits 1.  Rows are a pure function of (task, entry),
+   so replayed and freshly executed points print the same bytes. *)
+let journaled_grid ~name ~out ~journal ~key ~entry ~row ~tally_key ~label tasks =
+  let jobs = Sim.Pool.default_jobs () in
+  let wall0 = Unix.gettimeofday () in
+  let cpu0 = Sys.time () in
+  let oc = open_out out in
+  let graceful = ref 0 in
+  let tally = Hashtbl.create 64 in
+  let outcome =
+    Sim.Sweep.map_journaled ~jobs
+      ?journal:
+        (Option.map
+           (fun path -> (path, { Sim.Journal.spec = "bench-" ^ name ^ "-v1"; extra = "" }))
+           journal)
+      ~key
+      ~local:(fun () -> Sim.Sweep.Cache.create ())
+      ~f:(fun cache _i t -> entry cache t)
+      ~emit:(fun _i t e ->
+        if acceptable_entry e then incr graceful;
+        Hashtbl.add tally (tally_key t) e;
+        output_string oc (row t e);
+        output_char oc '\n')
+      tasks
+  in
+  let wall = Unix.gettimeofday () -. wall0 in
+  let cpu = Sys.time () -. cpu0 in
+  close_out oc;
+  let stats =
+    match outcome with
+    | Error msg ->
+      Printf.eprintf "%s: journal: %s\n" name msg;
+      exit 1
+    | Ok stats -> stats
+  in
+  List.iter
+    (fun (i, msg) -> Printf.eprintf "%s: task %d (%s) failed: %s\n" name i (label tasks.(i)) msg)
+    stats.Sim.Sweep.failed;
+  if stats.Sim.Sweep.failed <> [] then exit 1;
+  (match (journal, stats.Sim.Sweep.recovery) with
+  | Some path, Some r ->
+    Printf.eprintf "%s: journal %s: replayed %d, skipped %d, executed %d\n" name path
+      r.Sim.Journal.replayed stats.Sim.Sweep.skipped stats.Sim.Sweep.executed
+  | _ -> ());
+  (Hashtbl.find_all tally, !graceful, Printf.sprintf "jobs=%d wall=%.2fs cpu=%.2fs" jobs wall cpu)
+
+(* Completed, degraded, stalled and violated counts, as table cells. *)
+let verdict_cells entries =
+  List.map
+    (fun cls ->
+      let of_class (e : Sim.Journal.entry) = e.Sim.Journal.verdict_class = cls in
+      Table.i (List.length (List.filter of_class entries)))
+    [ Sim.Journal.Completed; Degraded; Stalled; Violated ]
 
 let stress_entry advice_cache t =
   let raw_advice =
@@ -970,20 +1014,17 @@ let stress_key t =
       Sim.Scheduler.name t.st_sched;
     ]
 
-(* The row is a pure function of (task, entry): a replayed point and a
-   freshly executed one print the same bytes, which the resume gate
-   checks with cmp. *)
 let stress_row t (e : Sim.Journal.entry) =
   Printf.sprintf
     {|{"protocol":"%s","graph":"%s","n":%d,"m":%d,"scheduler":"%s","plan":"%s","sent":%d,"faults":%d,"fallbacks":%d,"tampered":%d,"retransmits":%d,"corrected_bits":%d,"informed":%d,"class":"%s","verdict":"%s"}|}
     (Fault.Harness.protocol_name t.st_proto)
-    (json_escape t.st_gname) e.Sim.Journal.n e.Sim.Journal.m
-    (json_escape (Sim.Scheduler.name t.st_sched))
-    (json_escape t.st_plan_name) e.Sim.Journal.messages e.Sim.Journal.faults
+    (Obs.Jsonl.escape t.st_gname) e.Sim.Journal.n e.Sim.Journal.m
+    (Obs.Jsonl.escape (Sim.Scheduler.name t.st_sched))
+    (Obs.Jsonl.escape t.st_plan_name) e.Sim.Journal.messages e.Sim.Journal.faults
     e.Sim.Journal.fallbacks e.Sim.Journal.tampered e.Sim.Journal.retransmits
     e.Sim.Journal.corrected_bits e.Sim.Journal.informed
     (Sim.Journal.class_name e.Sim.Journal.verdict_class)
-    (json_escape e.Sim.Journal.verdict)
+    (Obs.Jsonl.escape e.Sim.Journal.verdict)
 
 let stress () =
   let graphs =
@@ -1020,82 +1061,22 @@ let stress () =
       protocols
     |> Array.of_list
   in
-  let jobs = Sim.Pool.default_jobs () in
-  let wall0 = Unix.gettimeofday () in
-  let cpu0 = Sys.time () in
-  (* Single ordered pass after the join: JSONL rows and table aggregates
-     both replay canonical task order on the main domain. *)
-  let oc = open_out !stress_out in
-  let runs = ref 0 in
-  let graceful = ref 0 in
-  let counters = Hashtbl.create 32 in
-  let count key cls =
-    let completed, degraded, stalled, violated =
-      match Hashtbl.find_opt counters key with Some c -> c | None -> (0, 0, 0, 0)
-    in
-    Hashtbl.replace counters key
-      (match cls with
-      | "completed" -> (completed + 1, degraded, stalled, violated)
-      | "degraded" -> (completed, degraded + 1, stalled, violated)
-      | "stalled" -> (completed, degraded, stalled + 1, violated)
-      | _ -> (completed, degraded, stalled, violated + 1))
-  in
-  let outcome =
-    Sim.Sweep.map_journaled ~jobs
-      ?journal:(bench_journal "bench-stress-v1" stress_journal)
-      ~key:stress_key
-      ~local:(fun () -> Sim.Sweep.Cache.create ())
-      ~f:(fun cache _i t -> stress_entry cache t)
-      ~emit:(fun _i t e ->
-        incr runs;
-        if acceptable_entry e then incr graceful;
-        count
-          (Fault.Harness.protocol_name t.st_proto, t.st_plan_name)
-          (Sim.Journal.class_name e.Sim.Journal.verdict_class);
-        output_string oc (stress_row t e);
-        output_char oc '\n')
+  let entries, graceful, timing =
+    journaled_grid ~name:"stress" ~out:!stress_out ~journal:!stress_journal ~key:stress_key
+      ~entry:stress_entry ~row:stress_row
+      ~tally_key:(fun t -> (Fault.Harness.protocol_name t.st_proto, t.st_plan_name))
+      ~label:(fun t ->
+        Printf.sprintf "%s/%s/%s" (Fault.Harness.protocol_name t.st_proto) t.st_gname
+          t.st_plan_name)
       tasks
   in
-  let wall = Unix.gettimeofday () -. wall0 in
-  let cpu = Sys.time () -. cpu0 in
-  close_out oc;
-  let stats =
-    match outcome with
-    | Error msg ->
-      Printf.eprintf "stress: journal: %s\n" msg;
-      exit 1
-    | Ok stats -> stats
-  in
-  List.iter
-    (fun (i, msg) ->
-      Printf.eprintf "stress: task %d (%s/%s/%s) failed: %s\n" i
-        (Fault.Harness.protocol_name tasks.(i).st_proto)
-        tasks.(i).st_gname tasks.(i).st_plan_name msg)
-    stats.Sim.Sweep.failed;
-  if stats.Sim.Sweep.failed <> [] then exit 1;
-  (match (!stress_journal, stats.Sim.Sweep.recovery) with
-  | Some path, Some r ->
-    Printf.eprintf "stress: journal %s: replayed %d, skipped %d, executed %d\n" path
-      r.Sim.Journal.replayed stats.Sim.Sweep.skipped stats.Sim.Sweep.executed
-  | _ -> ());
   let rows =
     List.concat_map
       (fun proto ->
         List.map
           (fun (plan_name, _) ->
-            let completed, degraded, stalled, violated =
-              match Hashtbl.find_opt counters (Fault.Harness.protocol_name proto, plan_name) with
-              | Some c -> c
-              | None -> (0, 0, 0, 0)
-            in
-            [
-              Fault.Harness.protocol_name proto;
-              plan_name;
-              Table.i completed;
-              Table.i degraded;
-              Table.i stalled;
-              Table.i violated;
-            ])
+            let name = Fault.Harness.protocol_name proto in
+            name :: plan_name :: verdict_cells (entries (name, plan_name)))
           Fault.Plan.builtins)
       protocols
   in
@@ -1106,10 +1087,9 @@ let stress () =
     ~header:[ "protocol"; "plan"; "completed"; "degraded"; "stalled"; "violated" ]
     ~aligns:[ Table.L; L; R; R; R; R ]
     rows;
-  Printf.printf
-    "stress: %d adversarial runs -> %s; graceful (completed or degraded): %d/%d (jobs=%d \
-     wall=%.2fs cpu=%.2fs)\n"
-    !runs !stress_out !graceful !runs jobs wall cpu
+  let runs = Array.length tasks in
+  Printf.printf "stress: %d adversarial runs -> %s; graceful (completed or degraded): %d/%d (%s)\n"
+    runs !stress_out graceful runs timing
 
 (* {1 Resilience — the recovery frontier: corruption x protection x retry} *)
 
@@ -1158,8 +1138,8 @@ let resilience_row t (e : Sim.Journal.entry) =
   Printf.sprintf
     {|{"protocol":"%s","graph":"%s","n":%d,"m":%d,"plan":"%s","protect":"%s","retry":%d,"raw_bits":%d,"protected_bits":%d,"overhead":%.3f,"sent":%d,"retransmits":%d,"corrected_bits":%d,"fallbacks":%d,"class":"%s"}|}
     (Fault.Harness.protocol_name t.rt_proto)
-    (json_escape t.rt_gname) e.Sim.Journal.n e.Sim.Journal.m
-    (json_escape t.rt_plan_name)
+    (Obs.Jsonl.escape t.rt_gname) e.Sim.Journal.n e.Sim.Journal.m
+    (Obs.Jsonl.escape t.rt_plan_name)
     (Bitstring.Ecc.name t.rt_protect) t.rt_retry e.Sim.Journal.raw_advice_bits
     e.Sim.Journal.advice_bits (resilience_overhead e) e.Sim.Journal.messages
     e.Sim.Journal.retransmits e.Sim.Journal.corrected_bits e.Sim.Journal.fallbacks
@@ -1213,58 +1193,15 @@ let resilience () =
       plans
     |> Array.of_list
   in
-  let jobs = Sim.Pool.default_jobs () in
-  let wall0 = Unix.gettimeofday () in
-  let cpu0 = Sys.time () in
-  let oc = open_out !resilience_out in
-  let runs = ref 0 in
-  let graceful = ref 0 in
-  let counters = Hashtbl.create 64 in
-  let outcome =
-    Sim.Sweep.map_journaled ~jobs
-      ?journal:(bench_journal "bench-resilience-v1" resilience_journal)
-      ~key:resilience_key
-      ~local:(fun () -> Sim.Sweep.Cache.create ())
-      ~f:(fun cache _i t -> resilience_entry cache t)
-      ~emit:(fun _i t e ->
-        incr runs;
-        if acceptable_entry e then incr graceful;
-        let key = (t.rt_plan_name, t.rt_protect, t.rt_retry) in
-        let completed, degraded, stalled, violated, worst =
-          match Hashtbl.find_opt counters key with Some c -> c | None -> (0, 0, 0, 0, 1.0)
-        in
-        let worst = max worst (resilience_overhead e) in
-        Hashtbl.replace counters key
-          (match Sim.Journal.class_name e.Sim.Journal.verdict_class with
-          | "completed" -> (completed + 1, degraded, stalled, violated, worst)
-          | "degraded" -> (completed, degraded + 1, stalled, violated, worst)
-          | "stalled" -> (completed, degraded, stalled + 1, violated, worst)
-          | _ -> (completed, degraded, stalled, violated + 1, worst));
-        output_string oc (resilience_row t e);
-        output_char oc '\n')
+  let entries, graceful, timing =
+    journaled_grid ~name:"resilience" ~out:!resilience_out ~journal:!resilience_journal
+      ~key:resilience_key ~entry:resilience_entry ~row:resilience_row
+      ~tally_key:(fun t -> (t.rt_plan_name, t.rt_protect, t.rt_retry))
+      ~label:(fun t ->
+        Printf.sprintf "%s/%s/%s" (Fault.Harness.protocol_name t.rt_proto) t.rt_gname
+          t.rt_plan_name)
       tasks
   in
-  let wall = Unix.gettimeofday () -. wall0 in
-  let cpu = Sys.time () -. cpu0 in
-  let stats =
-    match outcome with
-    | Error msg ->
-      Printf.eprintf "resilience: journal: %s\n" msg;
-      exit 1
-    | Ok stats -> stats
-  in
-  List.iter
-    (fun (i, msg) ->
-      Printf.eprintf "resilience: task %d (%s/%s/%s) failed: %s\n" i
-        (Fault.Harness.protocol_name tasks.(i).rt_proto)
-        tasks.(i).rt_gname tasks.(i).rt_plan_name msg)
-    stats.Sim.Sweep.failed;
-  if stats.Sim.Sweep.failed <> [] then exit 1;
-  (match (!resilience_journal, stats.Sim.Sweep.recovery) with
-  | Some path, Some r ->
-    Printf.eprintf "resilience: journal %s: replayed %d, skipped %d, executed %d\n" path
-      r.Sim.Journal.replayed stats.Sim.Sweep.skipped stats.Sim.Sweep.executed
-  | _ -> ());
   let rows =
     List.concat_map
       (fun plan_name ->
@@ -1272,26 +1209,16 @@ let resilience () =
           (fun protect ->
             List.map
               (fun retry ->
-                let completed, degraded, stalled, violated, worst_overhead =
-                  match Hashtbl.find_opt counters (plan_name, protect, retry) with
-                  | Some c -> c
-                  | None -> (0, 0, 0, 0, 1.0)
+                let es = entries (plan_name, protect, retry) in
+                let worst_overhead =
+                  List.fold_left (fun w e -> max w (resilience_overhead e)) 1.0 es
                 in
-                [
-                  plan_name;
-                  Bitstring.Ecc.name protect;
-                  Table.i retry;
-                  Table.f2 worst_overhead;
-                  Table.i completed;
-                  Table.i degraded;
-                  Table.i stalled;
-                  Table.i violated;
-                ])
+                [ plan_name; Bitstring.Ecc.name protect; Table.i retry; Table.f2 worst_overhead ]
+                @ verdict_cells es)
               retries)
           levels)
       plans
   in
-  close_out oc;
   Table.render
     ~title:
       "Resilience frontier: verdicts per corruption x protection x retry (wakeup + broadcast,\n\
@@ -1300,8 +1227,9 @@ let resilience () =
       [ "plan"; "protect"; "retry"; "bit overhead"; "completed"; "degraded"; "stalled"; "violated" ]
     ~aligns:[ Table.L; L; R; R; R; R; R; R ]
     rows;
-  Printf.printf "resilience: %d adversarial runs -> %s; graceful: %d/%d (jobs=%d wall=%.2fs cpu=%.2fs)\n"
-    !runs !resilience_out !graceful !runs jobs wall cpu
+  let runs = Array.length tasks in
+  Printf.printf "resilience: %d adversarial runs -> %s; graceful: %d/%d (%s)\n" runs
+    !resilience_out graceful runs timing
 
 (* {1 Micro-benchmarks (Bechamel)} *)
 

@@ -302,6 +302,11 @@ let () =
   let max_n = ref 10_000_000 in
   let baseline = ref "" in
   let jobs_arg = ref None in
+  let usage () =
+    Printf.eprintf "usage: perf [--out=FILE] [--max-n=N] [--baseline=FILE] [--jobs=N]\n";
+    exit 2
+  in
+  let int_value v = match int_of_string_opt v with Some n -> n | None -> usage () in
   List.iter
     (fun a ->
       let with_prefix p f =
@@ -314,13 +319,10 @@ let () =
       if
         not
           (with_prefix "--out=" (fun v -> out := v)
-          || with_prefix "--max-n=" (fun v -> max_n := int_of_string v)
+          || with_prefix "--max-n=" (fun v -> max_n := int_value v)
           || with_prefix "--baseline=" (fun v -> baseline := v)
-          || with_prefix "--jobs=" (fun v -> jobs_arg := Some (int_of_string v)))
-      then begin
-        Printf.eprintf "usage: perf [--out=FILE] [--max-n=N] [--baseline=FILE] [--jobs=N]\n";
-        exit 2
-      end)
+          || with_prefix "--jobs=" (fun v -> jobs_arg := Some (int_value v)))
+      then usage ())
     (List.tl (Array.to_list Sys.argv));
   (* Pinned GC configuration — see the header comment.  Set before any
      row runs so warmups and measurements agree. *)

@@ -1,12 +1,72 @@
 (* Command-line interface to the library: generate networks, run wakeup and
    broadcast with their oracles, measure the separation, and play the
-   edge-discovery adversary. *)
+   edge-discovery adversary.
+
+   Every value check lives in its flag's Cmdliner converter (exit 124);
+   only the checks that span several flags or need the built graph are
+   left, and they go through [usage_error] (exit 2). *)
 
 open Cmdliner
 module Graph = Netgraph.Graph
 module Families = Netgraph.Families
 
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline msg;
+      exit 2)
+    fmt
+
 (* {1 Shared arguments} *)
+
+(* The one ranged-integer converter: [min] (and [max], if given) bound
+   the value; unparsable text and out-of-range values are errors naming
+   [what] and the offending text. *)
+let int_parser ?max ~min what s =
+  let must, expected =
+    match max with
+    | Some hi ->
+      (Printf.sprintf "be in %d..%d" min hi, Printf.sprintf "an integer in %d..%d" min hi)
+    | None when min = 0 -> ("be non-negative", "a non-negative integer")
+    | None when min = 1 -> ("be at least 1", "a positive integer")
+    | None -> (Printf.sprintf "be at least %d" min, Printf.sprintf "an integer of at least %d" min)
+  in
+  match int_of_string_opt (String.trim s) with
+  | Some v when v >= min && Option.fold max ~none:true ~some:(fun hi -> v <= hi) -> Ok v
+  | Some v -> Error (`Msg (Printf.sprintf "%s must %s, got %d" what must v))
+  | None -> Error (`Msg (Printf.sprintf "invalid %s %S (expected %s)" what s expected))
+
+let int_conv ?max ~min what = Arg.conv (int_parser ?max ~min what, Format.pp_print_int)
+
+(* A converter over a library parser and printer. *)
+let result_conv of_string to_string =
+  Arg.conv
+    ( (fun s -> Result.map_error (fun m -> `Msg m) (of_string s)),
+      fun fmt v -> Format.pp_print_string fmt (to_string v) )
+
+(* A [NAME] choice where one name may also carry a seed, [SEEDED:SEED];
+   a bare [SEEDED] leaves the seed to [--seed].  The parsed text rides
+   along with the typed value so the default prints as written. *)
+let seeded_choice_conv ~what choices (seeded, of_seed) =
+  let parse s =
+    let typed =
+      match (List.assoc_opt s choices, String.split_on_char ':' s) with
+      | Some v, _ -> Some v
+      | None, [ name ] when name = seeded -> Some (of_seed None)
+      | None, [ name; k ] when name = seeded ->
+        Option.map (fun k -> of_seed (Some k)) (int_of_string_opt k)
+      | None, _ -> None
+    in
+    match typed with
+    | Some v -> Ok (s, v)
+    | None ->
+      Error
+        (`Msg
+          (Printf.sprintf "unknown %s %S (expected %s, %s or %s:SEED)" what s
+             (String.concat ", " (List.map fst choices))
+             seeded seeded))
+  in
+  Arg.conv (parse, fun fmt (s, _) -> Format.pp_print_string fmt s)
 
 let family_conv =
   let parse s =
@@ -30,7 +90,10 @@ let n_arg = Arg.(value & opt int 64 & info [ "n" ] ~docv:"N" ~doc:"Requested nod
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
 let source_arg =
-  Arg.(value & opt int 0 & info [ "s"; "source" ] ~docv:"NODE" ~doc:"Source node index.")
+  Arg.(
+    value & opt int 0
+    & info [ "s"; "source" ] ~docv:"NODE"
+        ~doc:"Source node index, in 0..n-1 for the graph actually built (families round $(b,-n)).")
 
 let scheduler_conv =
   let parse = function
@@ -51,9 +114,7 @@ let scheduler_arg =
     & info [ "scheduler" ] ~docv:"SCHED"
         ~doc:"Delivery discipline: sync, fifo, lifo, or an integer seed for random.")
 
-let fault_conv =
-  let parse s = match Fault.Plan.of_string s with Ok p -> Ok p | Error msg -> Error (`Msg msg) in
-  Arg.conv (parse, fun fmt p -> Format.pp_print_string fmt (Fault.Plan.to_string p))
+let fault_conv = result_conv Fault.Plan.of_string Fault.Plan.to_string
 
 let fault_arg =
   Arg.(
@@ -67,11 +128,7 @@ let fault_arg =
            (exit 0 on completed/degraded, 1 on stalled/violated).  See DESIGN.md, section \
            'Fault model and verdicts'.")
 
-let protect_conv =
-  let parse s =
-    match Bitstring.Ecc.of_name s with Ok l -> Ok l | Error msg -> Error (`Msg msg)
-  in
-  Arg.conv (parse, fun fmt l -> Format.pp_print_string fmt (Bitstring.Ecc.name l))
+let protect_conv = result_conv Bitstring.Ecc.of_name Bitstring.Ecc.name
 
 let protect_arg =
   Arg.(
@@ -87,30 +144,16 @@ let protect_arg =
 
 let retry_arg =
   Arg.(
-    value & opt int 0
+    value
+    & opt (int_conv ~min:0 "retry count") 0
     & info [ "retry" ] ~docv:"N"
         ~doc:
           "Arm the runner's ack/retransmit channel: each message may be retransmitted up \
            to $(docv) times with exponential backoff, and a crashed receiver triggers a \
            link timeout that the hardened schemes answer by re-flooding.  Default 0: \
-           recovery off.  Only meaningful together with $(b,--fault).")
+           recovery off; a negative $(docv) is rejected even where the flag has no \
+           effect.  $(b,wakeup) and $(b,broadcast) only use it together with $(b,--fault).")
 
-(* Job counts are validated at the CLI edge: -j 0, negatives, and
-   unparsable ORACLE_SIZE_JOBS values are Cmdliner errors with the
-   offending text, not silent clamps. *)
-let jobs_conv =
-  let parse s =
-    match int_of_string_opt (String.trim s) with
-    | Some j when j >= 1 -> Ok j
-    | Some j -> Error (`Msg (Printf.sprintf "job count must be at least 1, got %d" j))
-    | None -> Error (`Msg (Printf.sprintf "invalid job count %S (expected a positive integer)" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
-(* The same edge-validation stance for the distributed-sweep knobs:
-   nonsense values are Cmdliner parse errors (exit 124) with the
-   offending text, caught before any worker is spawned or socket
-   bound, not deep inside Dispatch. *)
 let positive_float_conv what =
   let parse s =
     match float_of_string_opt (String.trim s) with
@@ -124,29 +167,16 @@ let batch_conv =
   let parse s =
     match String.trim s with
     | "auto" -> Ok `Auto
-    | s -> (
-      match int_of_string_opt s with
-      | Some b when b >= 1 -> Ok (`Fixed b)
-      | Some b -> Error (`Msg (Printf.sprintf "batch size must be at least 1, got %d" b))
-      | None ->
-        Error
-          (`Msg
-            (Printf.sprintf "invalid batch size %S (expected a positive integer or 'auto')" s)))
+    | s when int_of_string_opt s = None ->
+      Error
+        (`Msg (Printf.sprintf "invalid batch size %S (expected a positive integer or 'auto')" s))
+    | s -> Result.map (fun b -> `Fixed b) (int_parser ~min:1 "batch size" s)
   in
   let print fmt = function
     | `Auto -> Format.pp_print_string fmt "auto"
     | `Fixed b -> Format.pp_print_int fmt b
   in
   Arg.conv (parse, print)
-
-let port_conv =
-  let parse s =
-    match int_of_string_opt (String.trim s) with
-    | Some p when p >= 1 && p <= 0xffff -> Ok p
-    | Some p -> Error (`Msg (Printf.sprintf "port must be in 1..65535, got %d" p))
-    | None -> Error (`Msg (Printf.sprintf "invalid port %S (expected an integer in 1..65535)" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
 
 let token_conv =
   let parse s =
@@ -157,20 +187,12 @@ let token_conv =
   in
   Arg.conv (parse, Format.pp_print_string)
 
-let count_conv what =
-  let parse s =
-    match int_of_string_opt (String.trim s) with
-    | Some v when v >= 0 -> Ok v
-    | Some v -> Error (`Msg (Printf.sprintf "%s must be non-negative, got %d" what v))
-    | None ->
-      Error (`Msg (Printf.sprintf "invalid %s %S (expected a non-negative integer)" what s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
+let chaos_conv = result_conv Fault.Chaos.of_string Fault.Chaos.to_string
 
 let jobs_arg =
   Arg.(
     value
-    & opt (some jobs_conv) None
+    & opt (some (int_conv ~min:1 "job count")) None
     & info [ "j"; "jobs" ] ~docv:"N"
         ~env:
           (Cmd.Env.info "ORACLE_SIZE_JOBS"
@@ -182,23 +204,10 @@ let jobs_arg =
 
 let resolve_jobs = function Some j -> j | None -> Sim.Pool.default_jobs ()
 
-(* Same edge-validation stance as [-j] for the intra-run shard count:
-   --shards 0, negatives, and unparsable ORACLE_SIZE_SHARDS values are
-   Cmdliner errors (exit 124) with the offending text. *)
-let shards_conv =
-  let parse s =
-    match int_of_string_opt (String.trim s) with
-    | Some k when k >= 1 -> Ok k
-    | Some k -> Error (`Msg (Printf.sprintf "shard count must be at least 1, got %d" k))
-    | None ->
-      Error (`Msg (Printf.sprintf "invalid shard count %S (expected a positive integer)" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
 let shards_arg =
   Arg.(
     value
-    & opt shards_conv 1
+    & opt (int_conv ~min:1 "shard count") 1
     & info [ "shards" ] ~docv:"N"
         ~env:
           (Cmd.Env.info "ORACLE_SIZE_SHARDS"
@@ -223,10 +232,6 @@ let suite_flag =
 (* The adversarial path shared by wakeup and broadcast: run the hardened
    harness under the plan and report the verdict. *)
 let run_faulty protocol plan ~protect ~retry family g ~source ~scheduler sinks =
-  if retry < 0 then begin
-    Printf.eprintf "oraclesize: --retry must be non-negative\n";
-    exit 2
-  end;
   let o = Fault.Harness.run ~scheduler ~plan ~sinks ~protect ~retry protocol g ~source in
   let b = Fault.Harness.budgets ~retry protocol g in
   let stats = o.Fault.Harness.result.Sim.Runner.stats in
@@ -262,10 +267,6 @@ let run_faulty protocol plan ~protect ~retry family g ~source ~scheduler sinks =
    own copy.  Per-run trace sinks are single-writer, so suite mode runs
    without them and prints one verdict row per scheduler instead. *)
 let run_faulty_suite protocol plan ~protect ~retry ~jobs family g ~source =
-  if retry < 0 then begin
-    Printf.eprintf "oraclesize: --retry must be non-negative\n";
-    exit 2
-  end;
   let advs = List.map (fun s -> Sim.Adversary.make ~plan s) Sim.Scheduler.default_suite in
   let raw_advice = Fault.Harness.advise protocol g ~source in
   let results =
@@ -311,21 +312,49 @@ let trace_out_arg =
 (* The JSONL sink for [--trace-out], if any; the caller's run function
    receives it open and we close (flush) it afterwards. *)
 let with_trace_sinks trace_out f =
-  match trace_out with
+  let sink =
+    match trace_out with
+    | None -> None
+    | Some "-" -> Some (Obs.Jsonl.channel_sink stdout)
+    | Some file -> (
+      try Some (Obs.Jsonl.file_sink file)
+      with Sys_error msg -> usage_error "oraclesize: cannot open trace file: %s" msg)
+  in
+  match sink with
   | None -> f []
-  | Some "-" ->
-    let sink = Obs.Jsonl.channel_sink stdout in
-    Fun.protect ~finally:(fun () -> Obs.Sink.close sink) (fun () -> f [ sink ])
-  | Some file ->
-    let sink =
-      try Obs.Jsonl.file_sink file
-      with Sys_error msg ->
-        Printf.eprintf "oraclesize: cannot open trace file: %s\n" msg;
-        exit 2
-    in
-    Fun.protect ~finally:(fun () -> Obs.Sink.close sink) (fun () -> f [ sink ])
+  | Some sink -> Fun.protect ~finally:(fun () -> Obs.Sink.close sink) (fun () -> f [ sink ])
 
 let build family n seed = Families.build family ~n ~seed
+
+(* The graph a source-taking command runs on.  Families round [-n], so
+   the source can only be checked against the graph actually built. *)
+let build_with_source family n seed source =
+  let g = build family n seed in
+  if source < 0 || source >= Graph.n g then
+    usage_error "oraclesize: --source %d is outside the %d-node graph (valid: 0..%d)" source
+      (Graph.n g) (Graph.n g - 1);
+  g
+
+(* wakeup and broadcast differ only in their clean run.  With --fault the
+   hardened [protocol] runs through the harness (under every scheduler
+   with --suite); without it, [clean sinks] runs under the --trace-out
+   sinks and returns its report, printed once the sinks are closed. *)
+let harness_term =
+  let dispatch fault protect retry suite jobs trace_out protocol family g ~source ~scheduler
+      ~clean =
+    match fault with
+    | Some plan when suite ->
+      if trace_out <> None then
+        usage_error "oraclesize: --suite and --trace-out cannot be combined";
+      run_faulty_suite protocol plan ~protect ~retry ~jobs:(resolve_jobs jobs) family g ~source
+    | Some plan ->
+      with_trace_sinks trace_out
+        (run_faulty protocol plan ~protect ~retry family g ~source ~scheduler)
+    | None when suite -> usage_error "oraclesize: --suite is only meaningful together with --fault"
+    | None -> with_trace_sinks trace_out clean ()
+  in
+  Term.(
+    const dispatch $ fault_arg $ protect_arg $ retry_arg $ suite_flag $ jobs_arg $ trace_out_arg)
 
 (* {1 graph} *)
 
@@ -352,60 +381,36 @@ let graph_cmd =
 (* {1 wakeup} *)
 
 let wakeup_cmd =
-  let encoding_conv =
-    let parse = function
-      | "paper" -> Ok Oracle_core.Wakeup.Paper
-      | "minimal" -> Ok Oracle_core.Wakeup.Paper_minimal
-      | "gamma" -> Ok Oracle_core.Wakeup.Gamma
-      | s -> Error (`Msg (Printf.sprintf "unknown encoding %S (paper|minimal|gamma)" s))
-    in
-    Arg.conv
-      (parse, fun fmt e -> Format.pp_print_string fmt (Oracle_core.Wakeup.encoding_name e))
-  in
   let encoding_arg =
     Arg.(
       value
-      & opt encoding_conv Oracle_core.Wakeup.Paper
+      & opt
+          (enum
+             Oracle_core.Wakeup.
+               [ ("paper", Paper); ("minimal", Paper_minimal); ("gamma", Gamma) ])
+          Oracle_core.Wakeup.Paper
       & info [ "encoding" ] ~docv:"ENC" ~doc:"Advice encoding: paper, minimal, or gamma.")
   in
-  let run family n seed source scheduler encoding fault protect retry suite jobs shards
-      trace_out =
-    let g = build family n seed in
-    match fault with
-    | Some plan when suite ->
-      if trace_out <> None then begin
-        Printf.eprintf "oraclesize: --suite and --trace-out cannot be combined\n";
-        exit 2
-      end;
-      run_faulty_suite Fault.Harness.Wakeup plan ~protect ~retry ~jobs:(resolve_jobs jobs)
-        family g ~source
-    | Some plan ->
-      with_trace_sinks trace_out (fun sinks ->
-          run_faulty Fault.Harness.Wakeup plan ~protect ~retry family g ~source
-            ~scheduler sinks)
-    | None when suite ->
-      Printf.eprintf "oraclesize: --suite is only meaningful together with --fault\n";
-      exit 2
-    | None ->
-      let o =
-        with_trace_sinks trace_out (fun sinks ->
-            Oracle_core.Wakeup.run ~encoding ~scheduler ~sinks ~shards g ~source)
-      in
-      let stats = o.Oracle_core.Wakeup.result.Sim.Runner.stats in
-      Printf.printf "network:      %s, %d nodes, %d edges\n" (Families.name family) (Graph.n g)
-        (Graph.m g);
-      Printf.printf "oracle bits:  %d  (Theorem 2.1 budget %d)\n" o.Oracle_core.Wakeup.advice_bits
-        (Oracle_core.Bounds.wakeup_advice_upper ~n:(Graph.n g));
-      Printf.printf "messages:     %d  (optimal: %d)\n" stats.Sim.Runner.sent (Graph.n g - 1);
-      Printf.printf "all awake:    %b\n" o.Oracle_core.Wakeup.result.Sim.Runner.all_informed;
-      if not o.Oracle_core.Wakeup.result.Sim.Runner.all_informed then exit 1
+  let run family n seed source scheduler encoding shards dispatch =
+    let g = build_with_source family n seed source in
+    dispatch Fault.Harness.Wakeup family g ~source ~scheduler ~clean:(fun sinks ->
+        let o = Oracle_core.Wakeup.run ~encoding ~scheduler ~sinks ~shards g ~source in
+        fun () ->
+          let stats = o.Oracle_core.Wakeup.result.Sim.Runner.stats in
+          Printf.printf "network:      %s, %d nodes, %d edges\n" (Families.name family)
+            (Graph.n g) (Graph.m g);
+          Printf.printf "oracle bits:  %d  (Theorem 2.1 budget %d)\n"
+            o.Oracle_core.Wakeup.advice_bits
+            (Oracle_core.Bounds.wakeup_advice_upper ~n:(Graph.n g));
+          Printf.printf "messages:     %d  (optimal: %d)\n" stats.Sim.Runner.sent (Graph.n g - 1);
+          Printf.printf "all awake:    %b\n" o.Oracle_core.Wakeup.result.Sim.Runner.all_informed;
+          if not o.Oracle_core.Wakeup.result.Sim.Runner.all_informed then exit 1)
   in
   Cmd.v
     (Cmd.info "wakeup" ~doc:"Run the Theorem 2.1 wakeup oracle and scheme.")
     Term.(
       const run $ family_arg $ n_arg $ seed_arg $ source_arg $ scheduler_arg $ encoding_arg
-      $ fault_arg $ protect_arg $ retry_arg $ suite_flag $ jobs_arg $ shards_arg
-      $ trace_out_arg)
+      $ shards_arg $ harness_term)
 
 (* {1 broadcast} *)
 
@@ -426,49 +431,35 @@ let broadcast_cmd =
       & info [ "tree" ] ~docv:"TREE"
           ~doc:"Spanning tree: light (Claim 3.1, default), bfs, or dfs.")
   in
-  let run family n seed source scheduler (tree_name, tree) fault protect retry suite jobs
-      shards trace_out =
-    let g = build family n seed in
-    match fault with
-    | Some plan when suite ->
-      if trace_out <> None then begin
-        Printf.eprintf "oraclesize: --suite and --trace-out cannot be combined\n";
-        exit 2
-      end;
-      run_faulty_suite Fault.Harness.Broadcast plan ~protect ~retry ~jobs:(resolve_jobs jobs)
-        family g ~source
-    | Some plan ->
-      with_trace_sinks trace_out (fun sinks ->
-          run_faulty Fault.Harness.Broadcast plan ~protect ~retry family g ~source
-            ~scheduler sinks)
-    | None when suite ->
-      Printf.eprintf "oraclesize: --suite is only meaningful together with --fault\n";
-      exit 2
-    | None ->
-      let o =
-        with_trace_sinks trace_out (fun sinks ->
-            Oracle_core.Broadcast.run ~tree ~scheduler ~sinks ~shards g ~source)
-      in
-      let stats = o.Oracle_core.Broadcast.result.Sim.Runner.stats in
-      Printf.printf "network:      %s, %d nodes, %d edges\n" (Families.name family) (Graph.n g)
-        (Graph.m g);
-      Printf.printf "tree:         %s (contribution %d, Claim 3.1 budget %d)\n" tree_name
-        o.Oracle_core.Broadcast.tree_contribution
-        (4 * Graph.n g);
-      Printf.printf "oracle bits:  %d  (Theorem 3.1 budget %d)\n"
-        o.Oracle_core.Broadcast.advice_bits (8 * Graph.n g);
-      Printf.printf "messages:     %d = %d source + %d hello  (budget < %d)\n"
-        stats.Sim.Runner.sent stats.Sim.Runner.source_sent stats.Sim.Runner.hello_sent
-        (3 * Graph.n g);
-      Printf.printf "all informed: %b\n" o.Oracle_core.Broadcast.result.Sim.Runner.all_informed;
-      if not o.Oracle_core.Broadcast.result.Sim.Runner.all_informed then exit 1
+  let run family n seed source scheduler (tree_name, tree) shards dispatch =
+    let g = build_with_source family n seed source in
+    dispatch Fault.Harness.Broadcast family g ~source ~scheduler ~clean:(fun sinks ->
+        let o = Oracle_core.Broadcast.run ~tree ~scheduler ~sinks ~shards g ~source in
+        fun () ->
+          let stats = o.Oracle_core.Broadcast.result.Sim.Runner.stats in
+          Printf.printf "network:      %s, %d nodes, %d edges\n" (Families.name family)
+            (Graph.n g) (Graph.m g);
+          Printf.printf "tree:         %s (contribution %d, Claim 3.1 budget %d)\n" tree_name
+            o.Oracle_core.Broadcast.tree_contribution
+            (4 * Graph.n g);
+          Printf.printf "oracle bits:  %d  (Theorem 3.1 budget %d)\n"
+            o.Oracle_core.Broadcast.advice_bits (8 * Graph.n g);
+          Printf.printf "messages:     %d = %d source + %d hello  (budget < %d)\n"
+            stats.Sim.Runner.sent stats.Sim.Runner.source_sent stats.Sim.Runner.hello_sent
+            (3 * Graph.n g);
+          Printf.printf "all informed: %b\n"
+            o.Oracle_core.Broadcast.result.Sim.Runner.all_informed;
+          if not o.Oracle_core.Broadcast.result.Sim.Runner.all_informed then exit 1)
   in
   Cmd.v
     (Cmd.info "broadcast" ~doc:"Run the Theorem 3.1 broadcast oracle and Scheme B.")
     Term.(
       const run $ family_arg $ n_arg $ seed_arg $ source_arg $ scheduler_arg $ tree_arg
-      $ fault_arg $ protect_arg $ retry_arg $ suite_flag $ jobs_arg $ shards_arg
-      $ trace_out_arg)
+      $ shards_arg $ harness_term)
+
+(* The harness protocols by name: perf's --protocol and the sweep grid's
+   protocols axis. *)
+let protocols = [ ("wakeup", Fault.Harness.Wakeup); ("broadcast", Fault.Harness.Broadcast) ]
 
 (* {1 separation} *)
 
@@ -500,16 +491,22 @@ let adversary_cmd =
   in
   let count_arg =
     Arg.(
-      value & opt int 0
+      value
+      & opt (int_conv ~min:0 "sample count") 0
       & info [ "sample" ] ~docv:"COUNT"
           ~doc:"Sample COUNT instances instead of full enumeration (0 = enumerate).")
   in
   let strategy_arg =
     Arg.(
-      value & opt string "sequential"
-      & info [ "strategy" ] ~docv:"STRAT" ~doc:"Probing strategy: sequential or random:SEED.")
+      value
+      & opt
+          (seeded_choice_conv ~what:"strategy" [ ("sequential", `Sequential) ]
+             ("random", fun s -> `Random s))
+          ("sequential", `Sequential)
+      & info [ "strategy" ] ~docv:"STRAT"
+          ~doc:"Probing strategy: sequential, or random[:SEED] (default seed: $(b,--seed)).")
   in
-  let run n x count strategy_name seed =
+  let run n x count (_, strategy) seed =
     let instances =
       if count = 0 then Oracle_core.Edge_discovery.enumerate_instances ~n ~x_size:x ~excluded:[]
       else
@@ -518,11 +515,9 @@ let adversary_cmd =
              (Random.State.make [| seed |]))
     in
     let strategy =
-      match String.split_on_char ':' strategy_name with
-      | [ "sequential" ] -> Oracle_core.Edge_discovery.sequential
-      | [ "random"; s ] -> Oracle_core.Edge_discovery.random_strategy ~seed:(int_of_string s)
-      | [ "random" ] -> Oracle_core.Edge_discovery.random_strategy ~seed
-      | _ -> failwith (Printf.sprintf "unknown strategy %S" strategy_name)
+      match strategy with
+      | `Sequential -> Oracle_core.Edge_discovery.sequential
+      | `Random s -> Oracle_core.Edge_discovery.random_strategy ~seed:(Option.value s ~default:seed)
     in
     let adv = Oracle_core.Edge_discovery.adversary instances in
     let out = Oracle_core.Edge_discovery.play adv strategy in
@@ -546,7 +541,7 @@ let gossip_cmd =
     Arg.(value & flag & info [ "flooding" ] ~doc:"Run the advice-free flooding baseline instead.")
   in
   let run family n seed source scheduler flooding trace_out =
-    let g = build family n seed in
+    let g = build_with_source family n seed source in
     let o =
       with_trace_sinks trace_out (fun sinks ->
           if flooding then Oracle_core.Gossip.run_flooding ~scheduler ~sinks g ~source
@@ -573,24 +568,29 @@ let gossip_cmd =
 let explore_cmd =
   let program_arg =
     Arg.(
-      value & opt string "dfs"
+      value
+      & opt
+          (seeded_choice_conv ~what:"program"
+             [ ("dfs", `Dfs); ("rotor", `Rotor); ("guided", `Guided) ]
+             ("random", fun s -> `Random s))
+          ("dfs", `Dfs)
       & info [ "program" ] ~docv:"PROG"
-          ~doc:"Exploration program: dfs, rotor, random:SEED, or guided.")
+          ~doc:"Exploration program: dfs, rotor, random[:SEED], or guided.")
   in
-  let run family n seed source program_name =
-    let g = build family n seed in
+  let run family n seed source (_, program) =
+    let g = build_with_source family n seed source in
     let m = Graph.m g in
     let d = Netgraph.Traverse.diameter g in
     let no_advice = Bitstring.Bitbuf.create () in
     let program, advice, budget =
-      match String.split_on_char ':' program_name with
-      | [ "dfs" ] -> (Agent.Explore.dfs, no_advice, None)
-      | [ "rotor" ] -> (Agent.Explore.rotor_router, no_advice, Some ((4 * m * (d + 1)) + (2 * m)))
-      | [ "random"; s ] ->
-        (Agent.Explore.random_walk ~seed:(int_of_string s), no_advice, Some (200 * m * Graph.n g))
-      | [ "random" ] -> (Agent.Explore.random_walk ~seed, no_advice, Some (200 * m * Graph.n g))
-      | [ "guided" ] -> (Agent.Explore.guided, Agent.Explore.route_advice g ~start:source, None)
-      | _ -> failwith (Printf.sprintf "unknown program %S" program_name)
+      match program with
+      | `Dfs -> (Agent.Explore.dfs, no_advice, None)
+      | `Rotor -> (Agent.Explore.rotor_router, no_advice, Some ((4 * m * (d + 1)) + (2 * m)))
+      | `Random s ->
+        ( Agent.Explore.random_walk ~seed:(Option.value s ~default:seed),
+          no_advice,
+          Some (200 * m * Graph.n g) )
+      | `Guided -> (Agent.Explore.guided, Agent.Explore.route_advice g ~start:source, None)
     in
     let o = Agent.Walker.run ?max_moves:budget ~advice g ~start:source program in
     Printf.printf "network:  %s, %d nodes, %d edges, diameter %d\n" (Families.name family)
@@ -611,22 +611,25 @@ let explore_cmd =
 let radio_cmd =
   let protocol_arg =
     Arg.(
-      value & opt string "decay"
+      value
+      & opt
+          (seeded_choice_conv ~what:"protocol"
+             [ ("round-robin", `Round_robin); ("scheduled", `Scheduled) ]
+             ("decay", fun s -> `Decay s))
+          ("decay", `Decay None)
       & info [ "protocol" ] ~docv:"PROTO"
-          ~doc:"Radio protocol: round-robin, decay:SEED, or scheduled.")
+          ~doc:"Radio protocol: round-robin, decay[:SEED], or scheduled.")
   in
-  let run family n seed source protocol_name =
-    let g = build family n seed in
+  let run family n seed source (_, protocol) =
+    let g = build_with_source family n seed source in
     let no_advice _ = Bitstring.Bitbuf.create () in
     let protocol, advice, advice_bits =
-      match String.split_on_char ':' protocol_name with
-      | [ "round-robin" ] -> (Radio.Protocols.round_robin, no_advice, 0)
-      | [ "decay"; s ] -> (Radio.Protocols.decay ~seed:(int_of_string s), no_advice, 0)
-      | [ "decay" ] -> (Radio.Protocols.decay ~seed, no_advice, 0)
-      | [ "scheduled" ] ->
+      match protocol with
+      | `Round_robin -> (Radio.Protocols.round_robin, no_advice, 0)
+      | `Decay s -> (Radio.Protocols.decay ~seed:(Option.value s ~default:seed), no_advice, 0)
+      | `Scheduled ->
         let a = Radio.Protocols.schedule_oracle g ~source in
         (Radio.Protocols.scheduled, Oracles.Advice.get a, Oracles.Advice.size_bits a)
-      | _ -> failwith (Printf.sprintf "unknown protocol %S" protocol_name)
     in
     let r = Radio.Model.run ~advice g ~source protocol in
     Printf.printf "network:       %s, %d nodes, diameter %d\n" (Families.name family) (Graph.n g)
@@ -676,7 +679,10 @@ let mst_cmd =
 
 let spanner_cmd =
   let stretch_arg =
-    Arg.(value & opt int 3 & info [ "t"; "stretch" ] ~docv:"T" ~doc:"Stretch factor t >= 1.")
+    Arg.(
+      value
+      & opt (int_conv ~min:1 "stretch factor") 3
+      & info [ "t"; "stretch" ] ~docv:"T" ~doc:"Stretch factor t >= 1.")
   in
   let run family n seed stretch =
     let g = build family n seed in
@@ -699,7 +705,8 @@ let spanner_cmd =
 let perf_cmd =
   let protocol_arg =
     Arg.(
-      value & opt string "wakeup"
+      value
+      & opt (enum protocols) Fault.Harness.Wakeup
       & info [ "protocol" ] ~docv:"PROTO" ~doc:"Protocol to time: wakeup or broadcast.")
   in
   (* A one-row interactive version of bench/perf.ml: build oracle and
@@ -712,18 +719,15 @@ let perf_cmd =
      @perf]; this is the quick spot check. *)
   let run family n seed source protocol jobs =
     let jobs = resolve_jobs jobs in
-    let g = build family n seed in
+    let g = build_with_source family n seed source in
     let advice, factory =
       match protocol with
-      | "wakeup" ->
+      | Fault.Harness.Wakeup ->
         let o = Oracle_core.Wakeup.oracle () in
         (o.Oracles.Oracle.advise g ~source, Oracle_core.Wakeup.scheme ())
-      | "broadcast" ->
+      | Fault.Harness.Broadcast ->
         let o = Oracle_core.Broadcast.oracle () in
         (o.Oracles.Oracle.advise g ~source, Oracle_core.Broadcast.scheme ())
-      | p ->
-        Printf.eprintf "oraclesize perf: unknown protocol %S (wakeup or broadcast)\n" p;
-        exit 2
     in
     let run () =
       Sim.Runner.run ~max_messages:(5 * Graph.n g) ~advice:(Oracles.Advice.get advice) g
@@ -749,7 +753,7 @@ let perf_cmd =
     let sent = r.Sim.Runner.stats.Sim.Runner.sent in
     Printf.printf "network:       %s, %d nodes, %d edges\n" (Families.name family) (Graph.n g)
       (Graph.m g);
-    Printf.printf "protocol:      %s (advice %d bits)\n" protocol
+    Printf.printf "protocol:      %s (advice %d bits)\n" (Fault.Harness.protocol_name protocol)
       (Oracles.Advice.size_bits advice);
     Printf.printf "messages:      %d over %d rounds (reps %d, jobs %d)\n" sent
       r.Sim.Runner.stats.Sim.Runner.rounds reps jobs;
@@ -769,33 +773,22 @@ let perf_cmd =
 
 (* {1 sweep} *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let protocol_of_name = function
-  | "wakeup" -> Some Fault.Harness.Wakeup
-  | "broadcast" -> Some Fault.Harness.Broadcast
-  | _ -> None
+(* A sweep grid whose protocols axis names only harness protocols.  The
+   GRID argument, the journal tools and the worker's config frame all
+   parse through it, so [execute_point] never meets an unknown name. *)
+let parse_grid spec =
+  match Sim.Sweep.of_string spec with
+  | Error _ as e -> e
+  | Ok grid -> (
+    match List.find_opt (fun p -> not (List.mem_assoc p protocols)) grid.Sim.Sweep.protocols with
+    | Some p -> Error (Printf.sprintf "unknown protocol %S (wakeup or broadcast)" p)
+    | None -> Ok grid)
 
 (* One grid point, executed against the per-worker caches.  Pure in the
    point's coordinates, so sweep and [journal verify] share it: verify
    re-runs this and byte-compares the re-encoded entry. *)
 let execute_point grid ~protect ~retry (graphs, advice_cache) p =
-  let proto =
-    match protocol_of_name p.Sim.Sweep.protocol with
-    | Some x -> x
-    | None -> failwith (Printf.sprintf "unknown protocol %S" p.Sim.Sweep.protocol)
-  in
+  let proto = List.assoc p.Sim.Sweep.protocol protocols in
   let gseed = Sim.Sweep.graph_seed grid p in
   let gkey = (Families.name p.Sim.Sweep.family, p.Sim.Sweep.n, gseed) in
   let g =
@@ -816,17 +809,17 @@ let execute_point grid ~protect ~retry (graphs, advice_cache) p =
 let row_of_entry p (e : Sim.Journal.entry) =
   Printf.sprintf
     {|{"protocol":"%s","family":"%s","n":%d,"m":%d,"scheduler":"%s","plan":"%s","rep":%d,"seed":%d,"sent":%d,"rounds":%d,"advice_bits":%d,"raw_bits":%d,"faults":%d,"fallbacks":%d,"tampered":%d,"retransmits":%d,"corrected_bits":%d,"informed":%d,"class":"%s","verdict":"%s"}|}
-    (json_escape p.Sim.Sweep.protocol)
-    (json_escape (Families.name p.Sim.Sweep.family))
+    (Obs.Jsonl.escape p.Sim.Sweep.protocol)
+    (Obs.Jsonl.escape (Families.name p.Sim.Sweep.family))
     e.Sim.Journal.n e.Sim.Journal.m
-    (json_escape (Sim.Scheduler.name p.Sim.Sweep.scheduler))
-    (json_escape (Fault.Plan.to_string p.Sim.Sweep.plan))
+    (Obs.Jsonl.escape (Sim.Scheduler.name p.Sim.Sweep.scheduler))
+    (Obs.Jsonl.escape (Fault.Plan.to_string p.Sim.Sweep.plan))
     p.Sim.Sweep.rep p.Sim.Sweep.seed e.Sim.Journal.messages e.Sim.Journal.rounds
     e.Sim.Journal.advice_bits e.Sim.Journal.raw_advice_bits e.Sim.Journal.faults
     e.Sim.Journal.fallbacks e.Sim.Journal.tampered e.Sim.Journal.retransmits
     e.Sim.Journal.corrected_bits e.Sim.Journal.informed
     (Sim.Journal.class_name e.Sim.Journal.verdict_class)
-    (json_escape e.Sim.Journal.verdict)
+    (Obs.Jsonl.escape e.Sim.Journal.verdict)
 
 (* The superblock's extra context: the two sweep knobs that change
    results but are not grid coordinates.  A journal written under one
@@ -844,9 +837,7 @@ let parse_sweep_context extra =
       else Error (Printf.sprintf "journal context: expected %s<value>, got %S" prefix s)
     in
     let* pname = strip "protect=" p in
-    let* protect =
-      match Bitstring.Ecc.of_name pname with Ok l -> Ok l | Error m -> Error m
-    in
+    let* protect = Bitstring.Ecc.of_name pname in
     let* rstr = strip "retry=" r in
     let* retry =
       match int_of_string_opt rstr with
@@ -856,9 +847,7 @@ let parse_sweep_context extra =
     Ok (protect, retry)
   | _ -> Error (Printf.sprintf "journal context: expected protect=...;retry=..., got %S" extra)
 
-let grid_conv =
-  let parse s = match Sim.Sweep.of_string s with Ok g -> Ok g | Error m -> Error (`Msg m) in
-  Arg.conv (parse, fun fmt g -> Format.pp_print_string fmt (Sim.Sweep.to_string g))
+let grid_conv = result_conv parse_grid Sim.Sweep.to_string
 
 let sweep_cmd =
   let default_grid =
@@ -902,7 +891,7 @@ let sweep_cmd =
   let crash_after_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (int_conv ~min:1 "record count")) None
       & info [ "crash-after" ] ~docv:"N"
           ~doc:
             "Testing knob for the crash-safety gate: kill this process with SIGKILL — no \
@@ -911,7 +900,8 @@ let sweep_cmd =
   in
   let workers_arg =
     Arg.(
-      value & opt int 0
+      value
+      & opt (int_conv ~min:0 "worker count") 0
       & info [ "workers" ] ~docv:"N"
           ~doc:
             "Execute points across $(docv) subprocess workers instead of in-process \
@@ -921,12 +911,6 @@ let sweep_cmd =
              its tasks reassigned to survivors with backoff; if every worker dies the \
              remainder runs in-process.  Output and journal bytes are identical at every \
              $(docv) and under any $(b,--chaos) schedule.")
-  in
-  let chaos_conv =
-    let parse s =
-      match Fault.Chaos.of_string s with Ok c -> Ok c | Error m -> Error (`Msg m)
-    in
-    Arg.conv (parse, fun fmt c -> Format.pp_print_string fmt (Fault.Chaos.to_string c))
   in
   let chaos_arg =
     Arg.(
@@ -966,7 +950,7 @@ let sweep_cmd =
   let batch_min_arg =
     Arg.(
       value
-      & opt (count_conv "minimum batch size") Sim.Dispatch.default_min_batch
+      & opt (int_conv ~min:1 "minimum batch size") Sim.Dispatch.default_min_batch
       & info [ "batch-min" ] ~docv:"N"
           ~doc:
             "Lower clamp (and initial probe size) for $(b,--batch auto).  Must be at least \
@@ -975,9 +959,19 @@ let sweep_cmd =
   let batch_max_arg =
     Arg.(
       value
-      & opt (count_conv "maximum batch size") Sim.Dispatch.default_max_batch
+      & opt (int_conv ~min:1 "maximum batch size") Sim.Dispatch.default_max_batch
       & info [ "batch-max" ] ~docv:"N"
           ~doc:"Upper clamp for $(b,--batch auto).")
+  in
+  (* The clamp order spans two flags but is still a bad value, so it
+     fails like one (exit 124) through Term.ret. *)
+  let batch_term =
+    let check batch batch_min batch_max =
+      if batch_min > batch_max then
+        `Error (false, Printf.sprintf "--batch-min %d exceeds --batch-max %d" batch_min batch_max)
+      else `Ok (batch, batch_min, batch_max)
+    in
+    Term.(ret (const check $ batch_arg $ batch_min_arg $ batch_max_arg))
   in
   let stats_out_arg =
     Arg.(
@@ -1003,7 +997,7 @@ let sweep_cmd =
   let listen_arg =
     Arg.(
       value
-      & opt (some port_conv) None
+      & opt (some (int_conv ~min:1 ~max:0xffff "port")) None
       & info [ "listen" ] ~docv:"PORT"
           ~doc:
             "Accept remote workers on TCP $(docv) alongside (or instead of) $(b,--workers) \
@@ -1025,7 +1019,7 @@ let sweep_cmd =
   let expect_remote_arg =
     Arg.(
       value
-      & opt (count_conv "remote worker count") 0
+      & opt (int_conv ~min:0 "remote worker count") 0
       & info [ "expect-remote" ] ~docv:"N"
           ~doc:
             "Hold the handshake barrier until $(docv) remote workers have joined (or a \
@@ -1051,58 +1045,24 @@ let sweep_cmd =
      as long as every point executed (2 on a bad spec or unusable
      journal, 1 if a point raised). *)
   let run grid out journal crash_after protect retry jobs workers chaos heartbeat_timeout
-      batch batch_min batch_max stats_out backoff_cap listen token expect_remote worker_logs =
-    if retry < 0 then begin
-      Printf.eprintf "oraclesize: --retry must be non-negative\n";
-      exit 2
-    end;
-    (* Batch-clamp nonsense is a usage error on par with an unparsable
-       flag value: Cmdliner's cli_error exit code, before any worker is
-       spawned. *)
-    if batch_min < 1 then begin
-      Printf.eprintf "oraclesize sweep: --batch-min must be at least 1, got %d\n" batch_min;
-      exit 124
-    end;
-    if batch_min > batch_max then begin
-      Printf.eprintf "oraclesize sweep: --batch-min %d exceeds --batch-max %d\n" batch_min
-        batch_max;
-      exit 124
-    end;
+      (batch, batch_min, batch_max) stats_out backoff_cap listen token expect_remote
+      worker_logs =
     let batching =
       match batch with
       | `Fixed n -> Sim.Dispatch.Fixed n
       | `Auto -> Sim.Dispatch.Auto { min_batch = batch_min; max_batch = batch_max }
     in
-    if crash_after <> None && journal = None then begin
-      Printf.eprintf "oraclesize sweep: --crash-after requires --journal\n";
-      exit 2
-    end;
-    if workers < 0 then begin
-      Printf.eprintf "oraclesize sweep: --workers must be non-negative\n";
-      exit 2
-    end;
-    if chaos <> None && workers = 0 then begin
-      Printf.eprintf
-        "oraclesize sweep: --chaos requires --workers (remote workers take their own \
-         --chaos on their command line)\n";
-      exit 2
-    end;
-    if token <> None && listen = None then begin
-      Printf.eprintf "oraclesize sweep: --token requires --listen\n";
-      exit 2
-    end;
-    if expect_remote > 0 && listen = None then begin
-      Printf.eprintf "oraclesize sweep: --expect-remote requires --listen\n";
-      exit 2
-    end;
+    if crash_after <> None && journal = None then
+      usage_error "oraclesize sweep: --crash-after requires --journal";
+    if chaos <> None && workers = 0 then
+      usage_error
+        "oraclesize sweep: --chaos requires --workers (remote workers take their own --chaos \
+         on their command line)";
+    if token <> None && listen = None then
+      usage_error "oraclesize sweep: --token requires --listen";
+    if expect_remote > 0 && listen = None then
+      usage_error "oraclesize sweep: --expect-remote requires --listen";
     let jobs = resolve_jobs jobs in
-    List.iter
-      (fun p ->
-        if protocol_of_name p = None then begin
-          Printf.eprintf "oraclesize sweep: unknown protocol %S (wakeup or broadcast)\n" p;
-          exit 2
-        end)
-      grid.Sim.Sweep.protocols;
     let pts = Sim.Sweep.points grid in
     let on_append =
       Option.map
@@ -1157,9 +1117,8 @@ let sweep_cmd =
           in
           try mkdirs dir
           with Unix.Unix_error (e, _, _) ->
-            Printf.eprintf "oraclesize sweep: cannot create --worker-logs %s: %s\n" dir
-              (Unix.error_message e);
-            exit 2));
+            usage_error "oraclesize sweep: cannot create --worker-logs %s: %s" dir
+              (Unix.error_message e)));
         let token = Option.value token ~default:"" in
         let command ~id =
           let base = [| Sys.executable_name; "worker"; "--id"; string_of_int id |] in
@@ -1175,9 +1134,7 @@ let sweep_cmd =
             (fun port ->
               match Sim.Transport.listen ~port () with
               | Ok l -> l
-              | Error e ->
-                Printf.eprintf "oraclesize sweep: %s\n" e;
-                exit 2)
+              | Error e -> usage_error "oraclesize sweep: %s" e)
             listen
         in
         (* Lazy so the in-process caches are only built if degradation
@@ -1239,7 +1196,7 @@ let sweep_cmd =
     (match stats_out with
     | None -> ()
     | Some file -> (
-      let s, ws =
+      let (s : Sim.Dispatch.stats), ws =
         match !captured with
         | Some c -> c
         | None ->
@@ -1258,18 +1215,6 @@ let sweep_cmd =
               },
             [] )
       in
-      let {
-        Sim.Dispatch.spawned;
-        spawn_failures = _;
-        connected;
-        auth_failures;
-        rate_limited;
-        died;
-        reassigned;
-        inline_tasks;
-      } =
-        s
-      in
       let spec_batches =
         List.fold_left (fun a (w : Sim.Dispatch.worker_stat) -> a + w.speculative) 0 ws
       in
@@ -1282,8 +1227,8 @@ let sweep_cmd =
       let b = Buffer.create 1024 in
       Printf.bprintf b
         "{\"schema\":\"oracle-size/worker-stats/v1\",\"workers\":%d,\"batch\":%s,\"batch_min\":%d,\"batch_max\":%d,\"wall_seconds\":%.6f,\"cpu_seconds\":%.6f,\"spawned\":%d,\"connected\":%d,\"died\":%d,\"auth_failures\":%d,\"rate_limited\":%d,\"reassigned\":%d,\"inline_tasks\":%d,\"speculative_batches\":%d,\"speculative_wins\":%d,\"worker_stats\":["
-        workers batch_json batch_min batch_max wall cpu spawned connected died auth_failures
-        rate_limited reassigned inline_tasks spec_batches spec_wins;
+        workers batch_json batch_min batch_max wall cpu s.spawned s.connected s.died
+        s.auth_failures s.rate_limited s.reassigned s.inline_tasks spec_batches spec_wins;
       List.iteri
         (fun i (w : Sim.Dispatch.worker_stat) ->
           if i > 0 then Buffer.add_char b ',';
@@ -1296,13 +1241,9 @@ let sweep_cmd =
         let oc = open_out file in
         Buffer.output_buffer oc b;
         close_out oc
-      with Sys_error msg ->
-        Printf.eprintf "oraclesize sweep: cannot write --stats-out: %s\n" msg;
-        exit 2));
+      with Sys_error msg -> usage_error "oraclesize sweep: cannot write --stats-out: %s" msg));
     match outcome with
-    | Error msg ->
-      Printf.eprintf "oraclesize sweep: %s\n" msg;
-      exit 2
+    | Error msg -> usage_error "oraclesize sweep: %s" msg
     | Ok stats ->
       List.iter
         (fun (i, msg) ->
@@ -1316,9 +1257,7 @@ let sweep_cmd =
           try
             let oc = open_out file in
             (oc, fun () -> close_out oc)
-          with Sys_error msg ->
-            Printf.eprintf "oraclesize sweep: cannot open output file: %s\n" msg;
-            exit 2)
+          with Sys_error msg -> usage_error "oraclesize sweep: cannot open output file: %s" msg)
       in
       Buffer.output_buffer oc buf;
       finish ();
@@ -1344,9 +1283,9 @@ let sweep_cmd =
           and resumable.")
     Term.(
       const run $ grid_arg $ out_arg $ journal_out_arg $ crash_after_arg $ protect_arg
-      $ retry_arg $ jobs_arg $ workers_arg $ chaos_arg $ heartbeat_timeout_arg $ batch_arg
-      $ batch_min_arg $ batch_max_arg $ stats_out_arg $ backoff_cap_arg $ listen_arg
-      $ token_arg $ expect_remote_arg $ worker_logs_arg)
+      $ retry_arg $ jobs_arg $ workers_arg $ chaos_arg $ heartbeat_timeout_arg $ batch_term
+      $ stats_out_arg $ backoff_cap_arg $ listen_arg $ token_arg $ expect_remote_arg
+      $ worker_logs_arg)
 
 (* {1 journal} *)
 
@@ -1355,9 +1294,7 @@ let sweep_cmd =
    recovery rule single — docs/JOURNAL_FORMAT.md, 'Recovery'. *)
 let open_journal_or_die path =
   match Sim.Journal.open_ ~path () with
-  | Error msg ->
-    Printf.eprintf "oraclesize journal: %s\n" msg;
-    exit 2
+  | Error msg -> usage_error "oraclesize journal: %s" msg
   | Ok (j, stats) ->
     Sim.Journal.close j;
     (j, stats)
@@ -1368,18 +1305,14 @@ let open_journal_or_die path =
 let journal_world j =
   let ctx = Sim.Journal.context j in
   let grid =
-    match Sim.Sweep.of_string ctx.Sim.Journal.spec with
+    match parse_grid ctx.Sim.Journal.spec with
     | Ok g -> g
-    | Error m ->
-      Printf.eprintf "oraclesize journal: superblock spec does not parse: %s\n" m;
-      exit 2
+    | Error m -> usage_error "oraclesize journal: superblock spec does not parse: %s" m
   in
   let protect, retry =
     match parse_sweep_context ctx.Sim.Journal.extra with
     | Ok pr -> pr
-    | Error m ->
-      Printf.eprintf "oraclesize journal: %s\n" m;
-      exit 2
+    | Error m -> usage_error "oraclesize journal: %s" m
   in
   let pts = Sim.Sweep.points grid in
   let by_seed = Hashtbl.create (Array.length pts) in
@@ -1416,7 +1349,8 @@ let journal_ls_cmd =
 let journal_verify_cmd =
   let sample_arg =
     Arg.(
-      value & opt int 0
+      value
+      & opt (int_conv ~min:0 "sample count") 0
       & info [ "sample" ] ~docv:"K"
           ~doc:
             "Re-execute only $(docv) journaled points, chosen by a seeded deterministic \
@@ -1447,7 +1381,7 @@ let journal_verify_cmd =
       (fun k -> Printf.eprintf "journal verify: orphan key %d is not a point of the grid\n" k)
       orphans;
     let targets =
-      if sample <= 0 || sample >= List.length known then known
+      if sample = 0 || sample >= List.length known then known
       else
         List.map
           (fun k -> (Sim.Sweep.derive_seed vseed [ "verify"; string_of_int k ], k))
@@ -1498,9 +1432,7 @@ let journal_verify_cmd =
 let journal_compact_cmd =
   let run file =
     match Sim.Journal.compact ~path:file () with
-    | Error msg ->
-      Printf.eprintf "oraclesize journal: %s\n" msg;
-      exit 2
+    | Error msg -> usage_error "oraclesize journal: %s" msg
     | Ok (kept, stats) ->
       Printf.printf "compacted: %d records kept, %d duplicate frames dropped, %d torn bytes \
                      truncated\n"
@@ -1525,150 +1457,142 @@ let journal_cmd =
    The worker entry point: [oraclesize worker --id N [--chaos SPEC]
    [--connect HOST:PORT] [--token SECRET]].  Spawned by Dispatch over
    pipes, or started by an operator on another machine with --connect.
-   Intercepted before Cmdliner so it never shows up in --help — the
-   pipe mode's stdin/stdout are protocol pipes, not a terminal — but
-   argument validation matches the Cmdliner stance: any bad value is a
-   CLI error, exit 124, diagnosed before a single frame moves.
-   Everything the worker needs to execute tasks arrives in the config
-   frame: the grid spec and the protect/retry context, i.e. the same
-   Journal.context the sweep's journal superblock carries, so worker
-   and supervisor provably agree on what task index [i] means. *)
-let worker_main () =
-  let id = ref 0 in
-  let chaos = ref Fault.Chaos.none in
-  let connect = ref None in
-  let token = ref (try Sys.getenv "ORACLE_SIZE_TOKEN" with Not_found -> "") in
-  let usage m =
-    Printf.eprintf
-      "oraclesize worker: %s\nusage: oraclesize worker --id N [--chaos SPEC] [--connect \
-       HOST:PORT] [--token SECRET]\n"
-      m;
-    exit 124
+   Its flags share the sweep's converters, so a bad value is exit 124
+   before a single frame moves.  It is evaluated on its own (see the
+   entry point below) so it never shows up in --help — the pipe mode's
+   stdin/stdout are protocol pipes, not a terminal.  Everything the
+   worker needs to execute tasks arrives in the config frame: the grid
+   spec and the protect/retry context, i.e. the same Journal.context
+   the sweep's journal superblock carries, so worker and supervisor
+   provably agree on what task index [i] means. *)
+let worker_cmd =
+  let id_arg =
+    Arg.(
+      value
+      & opt (int_conv ~min:0 "worker id") 0
+      & info [ "id" ] ~docv:"N" ~doc:"Worker id; it labels log lines and chaos directives.")
   in
-  let rec parse_args i =
-    if i < Array.length Sys.argv then
-      match Sys.argv.(i) with
-      | "--id" when i + 1 < Array.length Sys.argv -> (
-        match int_of_string_opt Sys.argv.(i + 1) with
-        | Some n when n >= 0 ->
-          id := n;
-          parse_args (i + 2)
-        | _ -> usage (Printf.sprintf "invalid --id %S (expected a non-negative integer)" Sys.argv.(i + 1)))
-      | "--chaos" when i + 1 < Array.length Sys.argv -> (
-        match Fault.Chaos.of_string Sys.argv.(i + 1) with
-        | Ok c ->
-          chaos := c;
-          parse_args (i + 2)
-        | Error m -> usage m)
-      | "--connect" when i + 1 < Array.length Sys.argv -> (
-        match Sim.Transport.parse_hostport Sys.argv.(i + 1) with
-        | Ok hp ->
-          connect := Some hp;
-          parse_args (i + 2)
-        | Error m -> usage m)
-      | "--token" when i + 1 < Array.length Sys.argv ->
-        if Sys.argv.(i + 1) = "" then usage "token must not be empty"
-        else if String.length Sys.argv.(i + 1) > Sim.Worker.max_auth_bytes then
-          usage (Printf.sprintf "token longer than %d bytes" Sim.Worker.max_auth_bytes)
-        else begin
-          token := Sys.argv.(i + 1);
-          parse_args (i + 2)
-        end
-      | a -> usage (Printf.sprintf "unknown or incomplete argument %S" a)
+  let chaos_arg =
+    Arg.(
+      value
+      & opt chaos_conv Fault.Chaos.none
+      & info [ "chaos" ] ~docv:"SPEC" ~doc:"Chaos schedule this worker applies to itself.")
   in
-  parse_args 2;
-  let exec (ctx : Sim.Journal.context) =
-    let ( let* ) = Result.bind in
-    let* grid = Sim.Sweep.of_string ctx.Sim.Journal.spec in
-    let* protect, retry = parse_sweep_context ctx.Sim.Journal.extra in
-    let* () =
-      match List.find_opt (fun p -> protocol_of_name p = None) grid.Sim.Sweep.protocols with
-      | Some p -> Error (Printf.sprintf "unknown protocol %S" p)
-      | None -> Ok ()
+  let connect_arg =
+    let hostport_conv =
+      result_conv Sim.Transport.parse_hostport (fun (host, port) ->
+          Printf.sprintf "%s:%d" host port)
     in
-    let pts = Sim.Sweep.points grid in
-    let caches = (Sim.Sweep.Cache.create (), Sim.Sweep.Cache.create ()) in
-    Ok
-      (fun i ->
-        if i < 0 || i >= Array.length pts then
-          Error (Printf.sprintf "task index %d outside grid of %d points" i (Array.length pts))
-        else
-          match execute_point grid ~protect ~retry caches pts.(i) with
-          | entry -> Ok entry
-          | exception e -> Error (Printexc.to_string e))
+    Arg.(
+      value
+      & opt (some hostport_conv) None
+      & info [ "connect" ] ~docv:"HOST:PORT"
+          ~doc:"Dial a sweep's $(b,--listen) port instead of serving over stdin/stdout.")
   in
-  match !connect with
-  | None ->
-    (* Pipe mode threads the same network shim as TCP, so delay/slow/
-       trickle chaos directives degrade subprocess workers too — that
-       is what lets a single-host CI build a deterministic straggler
-       fleet out of --workers subprocesses. *)
-    let shim = Sim.Transport.Shim.create () in
-    let io =
-      Sim.Transport.shimmed shim (Sim.Transport.fd_io ~input:Unix.stdin ~output:Unix.stdout)
+  let token_arg =
+    Arg.(
+      value & opt token_conv ""
+      & info [ "token" ] ~docv:"SECRET"
+          ~env:(Cmd.Env.info "ORACLE_SIZE_TOKEN" ~doc:"Worker token when $(b,--token) is absent.")
+          ~doc:"Shared-secret token to present to the supervisor.  Default: empty.")
+  in
+  let run id chaos connect token =
+    let exec (ctx : Sim.Journal.context) =
+      let ( let* ) = Result.bind in
+      let* grid = parse_grid ctx.Sim.Journal.spec in
+      let* protect, retry = parse_sweep_context ctx.Sim.Journal.extra in
+      let pts = Sim.Sweep.points grid in
+      let caches = (Sim.Sweep.Cache.create (), Sim.Sweep.Cache.create ()) in
+      Ok
+        (fun i ->
+          if i < 0 || i >= Array.length pts then
+            Error (Printf.sprintf "task index %d outside grid of %d points" i (Array.length pts))
+          else
+            match execute_point grid ~protect ~retry caches pts.(i) with
+            | entry -> Ok entry
+            | exception e -> Error (Printexc.to_string e))
     in
-    exit
-      (match
-         Sim.Worker.serve_io ~id:!id ~auth:!token
-           ~chaos:(Fault.Chaos.hook ~net:shim !chaos ~worker:!id)
-           ~exec io
-       with
-      | `Exit n -> n
-      | `Lost `Eof -> 0
-      | `Lost `Gone -> 1)
-  | Some (host, port) ->
-    (* TCP mode: connect, serve, and — because a condemned worker is
-       merely disconnected, not killed — rejoin on connection loss.
-       The chaos hook and completed-task counter persist across
-       sessions, so one worker's chaos schedule (and the network shim
-       its delay/trickle directives arm) spans its rejoins. *)
-    let id = !id in
-    let shim = Sim.Transport.Shim.create () in
-    let hook = Fault.Chaos.hook ~net:shim !chaos ~worker:id in
-    let completed = ref 0 in
-    let max_rejoins = Sim.Dispatch.default_max_rejoin in
-    let rejoins = ref 0 in
-    let rec session ~attempts =
-      match Sim.Transport.connect ~host ~port ~attempts ~retry_delay:0.25 () with
-      | Error e ->
-        Sim.Worker.logf ~id "%s" e;
-        exit 1
-      | Ok fd -> (
-        let io = Sim.Transport.shimmed shim (Sim.Transport.socket_io fd) in
-        let outcome =
-          Sim.Worker.serve_io ~id ~auth:!token ~chaos:hook ~completed ~exec io
-        in
-        io.Sim.Transport.close ();
-        match outcome with
-        | `Exit n -> exit n
-        | `Lost reason ->
-          incr rejoins;
-          if !rejoins > max_rejoins then begin
-            Sim.Worker.logf ~id "rejoin budget exhausted after %d attempts" max_rejoins;
-            exit 4
-          end
-          else begin
-            Sim.Worker.logf ~id "connection lost (%s); rejoining (%d/%d)"
-              (match reason with `Eof -> "EOF" | `Gone -> "write failed or timed out")
-              !rejoins max_rejoins;
-            Unix.sleepf 0.25;
-            (* Rejoin attempts are short: a supervisor that finished or
-               degraded is gone for good, and exiting beats spinning. *)
-            session ~attempts:8
-          end)
-    in
-    (* The first connect is patient — operators routinely start remote
-       workers before the supervisor binds its listener. *)
-    session ~attempts:40
+    match connect with
+    | None ->
+      (* Pipe mode threads the same network shim as TCP, so delay/slow/
+         trickle chaos directives degrade subprocess workers too — that
+         is what lets a single-host CI build a deterministic straggler
+         fleet out of --workers subprocesses. *)
+      let shim = Sim.Transport.Shim.create () in
+      let io =
+        Sim.Transport.shimmed shim (Sim.Transport.fd_io ~input:Unix.stdin ~output:Unix.stdout)
+      in
+      exit
+        (match
+           Sim.Worker.serve_io ~id:id ~auth:token
+             ~chaos:(Fault.Chaos.hook ~net:shim chaos ~worker:id)
+             ~exec io
+         with
+        | `Exit n -> n
+        | `Lost `Eof -> 0
+        | `Lost `Gone -> 1)
+    | Some (host, port) ->
+      (* TCP mode: connect, serve, and — because a condemned worker is
+         merely disconnected, not killed — rejoin on connection loss.
+         The chaos hook and completed-task counter persist across
+         sessions, so one worker's chaos schedule (and the network shim
+         its delay/trickle directives arm) spans its rejoins. *)
+      let shim = Sim.Transport.Shim.create () in
+      let hook = Fault.Chaos.hook ~net:shim chaos ~worker:id in
+      let completed = ref 0 in
+      let max_rejoins = Sim.Dispatch.default_max_rejoin in
+      let rejoins = ref 0 in
+      let rec session ~attempts =
+        match Sim.Transport.connect ~host ~port ~attempts ~retry_delay:0.25 () with
+        | Error e ->
+          Sim.Worker.logf ~id "%s" e;
+          exit 1
+        | Ok fd -> (
+          let io = Sim.Transport.shimmed shim (Sim.Transport.socket_io fd) in
+          let outcome =
+            Sim.Worker.serve_io ~id ~auth:token ~chaos:hook ~completed ~exec io
+          in
+          io.Sim.Transport.close ();
+          match outcome with
+          | `Exit n -> exit n
+          | `Lost reason ->
+            incr rejoins;
+            if !rejoins > max_rejoins then begin
+              Sim.Worker.logf ~id "rejoin budget exhausted after %d attempts" max_rejoins;
+              exit 4
+            end
+            else begin
+              Sim.Worker.logf ~id "connection lost (%s); rejoining (%d/%d)"
+                (match reason with `Eof -> "EOF" | `Gone -> "write failed or timed out")
+                !rejoins max_rejoins;
+              Unix.sleepf 0.25;
+              (* Rejoin attempts are short: a supervisor that finished or
+                 degraded is gone for good, and exiting beats spinning. *)
+              session ~attempts:8
+            end)
+      in
+      (* The first connect is patient — operators routinely start remote
+         workers before the supervisor binds its listener. *)
+      session ~attempts:40
+  in
+  Cmd.v
+    (Cmd.info "worker" ~doc:"Serve sweep tasks to a supervisor (spawned by $(b,sweep --workers)).")
+    Term.(const run $ id_arg $ chaos_arg $ connect_arg $ token_arg)
 
+(* [worker] is routed on argv before evaluation so it stays out of the
+   main --help. *)
 let () =
-  if Array.length Sys.argv >= 2 && Sys.argv.(1) = "worker" then worker_main ();
   let doc = "oracle-size experiments: wakeup vs broadcast knowledge requirements" in
   let info = Cmd.info "oraclesize" ~version:"1.0.0" ~doc in
-  exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            graph_cmd; wakeup_cmd; broadcast_cmd; separation_cmd; adversary_cmd; gossip_cmd;
-            explore_cmd; radio_cmd; mst_cmd; spanner_cmd; perf_cmd; sweep_cmd; journal_cmd;
-          ]))
+  if Array.length Sys.argv >= 2 && Sys.argv.(1) = "worker" then
+    (* An empty ORACLE_SIZE_TOKEN is the empty token, as if unset. *)
+    let env var = match Sys.getenv_opt var with Some "" -> None | v -> v in
+    exit (Cmd.eval ~env (Cmd.group info [ worker_cmd ]))
+  else
+    exit
+      (Cmd.eval
+         (Cmd.group info
+            [
+              graph_cmd; wakeup_cmd; broadcast_cmd; separation_cmd; adversary_cmd; gossip_cmd;
+              explore_cmd; radio_cmd; mst_cmd; spanner_cmd; perf_cmd; sweep_cmd; journal_cmd;
+            ]))

@@ -18,6 +18,11 @@
     no JSON library — and the decoder inverts the encoder exactly
     (round-trip is tested). *)
 
+val escape : string -> string
+(** The body of a JSON string literal holding [s] (no surrounding
+    quotes): quote, backslash and every control character escaped.
+    Shared by every hand-written JSON row in the repository. *)
+
 val encode : Event.t -> string
 (** One JSON object, no trailing newline. *)
 

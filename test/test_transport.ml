@@ -508,7 +508,52 @@ let test_cli_validation () =
   cli_error "worker --id -1" (Printf.sprintf "%s worker --id=-1" exe);
   cli_error "worker --connect without port" (Printf.sprintf "%s worker --connect 127.0.0.1" exe);
   cli_error "worker --connect port 0" (Printf.sprintf "%s worker --connect 127.0.0.1:0" exe);
-  cli_error "worker empty --token" (Printf.sprintf "%s worker --token ''" exe)
+  cli_error "worker empty --token" (Printf.sprintf "%s worker --token ''" exe);
+  (* The front end's exit-code table: 124 for a bad flag value (every
+     value check lives in its converter), 2 for a flag combination or a
+     source outside the built graph, 0 for a worker whose stdin closes at
+     once.  No case may die with an uncaught exception (125). *)
+  let journal = temp_out "crash-after" in
+  let cmd args = Printf.sprintf "%s %s" exe args in
+  List.iter
+    (fun (name, cmdline, expect) ->
+      let code = sh (cmdline ^ " >/dev/null 2>/dev/null") in
+      check_bool (name ^ " does not crash (125)") true (code <> 125);
+      check_int (name ^ " exits " ^ string_of_int expect) expect code)
+    [
+      ("--retry=-1 without --fault", cmd "wakeup -n 16 --retry=-1", 124);
+      ("--retry=-1 with --fault", cmd "wakeup -n 16 --fault drop=0.1 --retry=-1", 124);
+      ( "--retry=-1 with --fault --suite",
+        cmd "broadcast -n 16 --fault drop=0.1 --suite --retry=-1",
+        124 );
+      ("sweep --retry=-1", sweep "--retry=-1", 124);
+      ("sweep --workers=-1", sweep "--workers=-1", 124);
+      ("sweep --batch-min 0", sweep "--workers 1 --batch auto --batch-min 0", 124);
+      ("sweep --crash-after 0", sweep (Printf.sprintf "--journal %s --crash-after 0" journal), 124);
+      ("sweep unknown protocol", cmd "sweep 'protocols=gossip;ns=16'", 124);
+      ("spanner --stretch 0", cmd "spanner --stretch 0", 124);
+      ("adversary --sample=-1", cmd "adversary --sample=-1", 124);
+      ("journal verify --sample=-1", cmd "journal verify no-such.journal --sample=-1", 124);
+      ("adversary --strategy bogus", cmd "adversary --strategy bogus", 124);
+      ("adversary --strategy random:x", cmd "adversary --strategy random:x", 124);
+      ("explore --program bogus", cmd "explore --program bogus", 124);
+      ("explore --program random:abc", cmd "explore --program random:abc", 124);
+      ("radio --protocol decay:zz", cmd "radio --protocol decay:zz", 124);
+      ("perf --protocol bogus", cmd "perf --protocol bogus", 124);
+      ("wakeup --source past n", cmd "wakeup -n 64 --source 100", 2);
+      ("broadcast --source = n", cmd "broadcast -n 64 --source 64", 2);
+      ("gossip --source past n", cmd "gossip -n 64 --source 99", 2);
+      ("explore --source past n", cmd "explore -n 16 --source 40", 2);
+      ("radio --source=-1", cmd "radio -n 16 --source=-1", 2);
+      ("perf --source = n", cmd "perf -n 16 --source 16", 2);
+      ( "empty ORACLE_SIZE_TOKEN is the empty token",
+        "ORACLE_SIZE_TOKEN= " ^ cmd "worker --id 0 </dev/null",
+        0 );
+      ( "main help does not list worker",
+        cmd "--help=plain | grep -qE '^ +worker( |$)'; test $? -eq 1",
+        0 );
+    ];
+  if Sys.file_exists journal then Sys.remove journal
 
 let suite =
   [
