@@ -15,6 +15,12 @@ type instance = {
   excluded : edge list;
 }
 
+(* [X] and [Y] are sets: with both lists sorted, structural equality is
+   instance equality, so [List.sort_uniq compare] dedupes a family the way
+   Lemma 2.1 counts it. *)
+let canonical i =
+  { i with specials = List.sort compare i.specials; excluded = List.sort_uniq compare i.excluded }
+
 let check_edge ~n (u, v) =
   if not (1 <= u && u < v && v <= n) then fail "Edge_discovery: edge (%d,%d) not in K*_%d" u v n
 
@@ -34,7 +40,7 @@ let make_instance ~n ~specials ~excluded =
   let labels = List.sort compare (List.map snd specials) in
   if labels <> List.init (List.length specials) (fun i -> i + 1) then
     fail "Edge_discovery: labels are not a permutation of 1..|X|";
-  { n; specials; excluded }
+  canonical { n; specials; excluded }
 
 let all_edges ~n =
   let acc = ref [] in
@@ -108,6 +114,10 @@ type adversary = {
 }
 
 let adversary instances =
+  (* Lemma 2.1 counts a set of instances: a family listing one instance
+     twice would claim a bound its adversary cannot enforce, since both
+     copies survive every answer. *)
+  let instances = List.sort_uniq compare (List.map canonical instances) in
   match instances with
   | [] -> fail "Edge_discovery.adversary: empty family"
   | first :: rest ->
@@ -116,7 +126,7 @@ let adversary instances =
         if
           i.n <> first.n
           || List.length i.specials <> List.length first.specials
-          || List.sort compare i.excluded <> List.sort compare first.excluded
+          || i.excluded <> first.excluded
         then fail "Edge_discovery.adversary: non-uniform family")
       rest;
     {

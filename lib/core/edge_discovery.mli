@@ -29,7 +29,9 @@ type instance = {
 
 val make_instance : n:int -> specials:(edge * int) list -> excluded:edge list -> instance
 (** Validates: edges within [K*ₙ], [X] and [Y] disjoint, labels a
-    permutation of [1…|X|]. *)
+    permutation of [1…|X|].  Both lists come back sorted, so two
+    instances with the same [X] and [Y] are structurally equal and
+    [List.sort_uniq compare] dedupes a family. *)
 
 val all_edges : n:int -> edge list
 (** The [C(n,2)] edges of [K*ₙ]. *)
@@ -50,7 +52,9 @@ type adversary
 type answer = Regular | Special of int
 
 val adversary : instance list -> adversary
-(** Raises [Invalid_argument] on an empty or non-uniform family. *)
+(** The family is taken as a set: an instance listed twice counts once,
+    in [|I|] and in the bound.  Raises [Invalid_argument] on an empty or
+    non-uniform family. *)
 
 val probe : adversary -> edge -> answer
 (** Answer a probe, discarding incompatible instances by the majority

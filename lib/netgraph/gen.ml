@@ -144,23 +144,62 @@ let shuffle st a =
   done
 
 (* Build with per-node shuffled port order so port numbers are not
-   correlated with construction order. *)
+   correlated with construction order.  The CSR arrays are filled
+   directly: each row first lists its neighbors in reverse pair order,
+   then gets a Fisher–Yates shuffle, rows in node order, so the draws
+   from [st] are exactly one per slot past the first of each row.  Every
+   slot carries the edge end it holds (pair i's end at u is 2i, at v
+   2i + 1), so a reverse port is the slot of the other end, found in one
+   lookup instead of a scan of the neighbor's row. *)
 let of_pairs_shuffled ~n st pairs =
-  let incident = Array.make n [] in
+  let off = Array.make (n + 1) 0 in
   List.iter
     (fun (u, v) ->
-      incident.(u) <- v :: incident.(u);
-      incident.(v) <- u :: incident.(v))
+      off.(u + 1) <- off.(u + 1) + 1;
+      off.(v + 1) <- off.(v + 1) + 1)
     pairs;
-  let lists =
-    Array.map
-      (fun ns ->
-        let a = Array.of_list ns in
-        shuffle st a;
-        Array.to_list a)
-      incident
-  in
-  Graph.of_adjacency lists
+  for u = 0 to n - 1 do
+    off.(u + 1) <- off.(u + 1) + off.(u)
+  done;
+  let total = off.(n) in
+  let nbr = Array.make total 0 in
+  let side = Array.make total 0 in
+  (* Fill each row from its end, so the last pair lands on the first
+     slot. *)
+  let fill = Array.sub off 1 n in
+  List.iteri
+    (fun i (u, v) ->
+      let su = fill.(u) - 1 in
+      fill.(u) <- su;
+      nbr.(su) <- v;
+      side.(su) <- 2 * i;
+      let sv = fill.(v) - 1 in
+      fill.(v) <- sv;
+      nbr.(sv) <- u;
+      side.(sv) <- (2 * i) + 1)
+    pairs;
+  for u = 0 to n - 1 do
+    let base = off.(u) in
+    for i = off.(u + 1) - base - 1 downto 1 do
+      let j = Random.State.int st (i + 1) in
+      let a = base + i and b = base + j in
+      let tmp = nbr.(a) in
+      nbr.(a) <- nbr.(b);
+      nbr.(b) <- tmp;
+      let tmp = side.(a) in
+      side.(a) <- side.(b);
+      side.(b) <- tmp
+    done
+  done;
+  let slot = Array.make total 0 in
+  for s = 0 to total - 1 do
+    slot.(side.(s)) <- s
+  done;
+  let prt = Array.make total 0 in
+  for s = 0 to total - 1 do
+    prt.(s) <- slot.(side.(s) lxor 1) - off.(nbr.(s))
+  done;
+  Graph.of_csr ~n ~off ~nbr ~prt ()
 
 let prufer_tree_pairs ~n st =
   if n = 1 then []

@@ -175,9 +175,9 @@ let of_adjacency ?labels lists =
     lists;
   (* Reverse ports: the port of v in u's list is its position, so scan
      each row once and look the mirror position up by neighbor value.
-     Rows are short relative to n on every family we generate, and the
-     quadratic-in-degree scan avoids the (u, v) → p Hashtbl that used to
-     dominate sparse million-node builds. *)
+     The scan is quadratic in degree, which suits short rows; the seeded
+     generators, which build the large sparse graphs, fill CSR directly
+     and do not come through here. *)
   for u = 0 to size - 1 do
     let base = off.(u) in
     let deg = off.(u + 1) - base in

@@ -160,20 +160,51 @@ let test_bound_matches_formula () =
   in
   Alcotest.(check (float 1e-9)) "log2(|I|/|X|!)" expected (ED.lower_bound adv)
 
+let sampled_play ~n ~x_size ~seed =
+  let st = Random.State.make [| n; x_size; seed |] in
+  let instances = ED.sample_instances ~n ~x_size ~excluded:[] ~count:40 st in
+  (* sampling with replacement may duplicate; dedupe for a set family *)
+  let uniq = List.sort_uniq compare instances in
+  let adv = ED.adversary uniq in
+  (adv, ED.play adv (ED.random_strategy ~seed))
+
 let qcheck_adversary_sound =
   (* Random strategies against random sampled families: the bound from
      Lemma 2.1 never exceeds the probes actually used, and the adversary's
-     internal counting invariant (checked on every probe) never trips. *)
-  QCheck.Test.make ~name:"Lemma 2.1 bound holds on sampled families" ~count:25
-    QCheck.(triple (int_range 4 7) (int_range 1 3) (int_range 0 999))
+     internal counting invariant (checked on every probe) never trips.
+     QCheck2's integrated shrinking keeps every component in its range. *)
+  QCheck2.Test.make ~name:"Lemma 2.1 bound holds on sampled families" ~count:25
+    ~print:QCheck2.Print.(triple int int int)
+    QCheck2.Gen.(triple (int_range 4 7) (int_range 1 3) (int_range 0 999))
     (fun (n, x_size, seed) ->
-      let st = Random.State.make [| n; x_size; seed |] in
-      let instances = ED.sample_instances ~n ~x_size ~excluded:[] ~count:40 st in
-      (* sampling with replacement may duplicate; dedupe for a set family *)
-      let uniq = List.sort_uniq compare instances in
-      let adv = ED.adversary uniq in
-      let out = ED.play adv (ED.random_strategy ~seed) in
+      let adv, out = sampled_play ~n ~x_size ~seed in
       float_of_int out.ED.probes_used >= out.ED.bound -. 1e-6 && ED.solved adv)
+
+let test_sampled_duplicates_count_once () =
+  (* The inputs on which the property above once failed, all n = 4,
+     |X| = 2.  Each sample draws one instance twice, its special edges
+     in two orders.  Were the copies kept apart, both would survive
+     every answer and the bound would claim one probe too many; since
+     [make_instance] sorts and the adversary counts a set, play ends
+     with exactly one live instance and meets the bound. *)
+  List.iter
+    (fun seed ->
+      let adv, out = sampled_play ~n:4 ~x_size:2 ~seed in
+      let name = Printf.sprintf "seed %d" seed in
+      check_bool (name ^ " solved") true (ED.solved adv);
+      check_int (name ^ " one instance left") 1 (ED.active adv);
+      check_bool
+        (Printf.sprintf "%s: %d probes >= bound %.3f" name out.ED.probes_used out.ED.bound)
+        true
+        (float_of_int out.ED.probes_used >= out.ED.bound -. 1e-6))
+    [ 29; 98; 172; 205; 930; 992 ]
+
+let test_adversary_counts_a_set () =
+  let a = ED.make_instance ~n:4 ~specials:[ ((1, 2), 1); ((3, 4), 2) ] ~excluded:[] in
+  let b = ED.make_instance ~n:4 ~specials:[ ((3, 4), 2); ((1, 2), 1) ] ~excluded:[] in
+  check_bool "listing order does not matter" true (a = b);
+  let c = { a with ED.specials = List.rev a.ED.specials } in
+  check_int "a family listing one instance twice has one" 1 (ED.active (ED.adversary [ a; c ]))
 
 let suite =
   [
@@ -191,5 +222,7 @@ let suite =
     Alcotest.test_case "final answers consistent" `Quick test_final_answers_consistent;
     Alcotest.test_case "stalling strategy fails" `Quick test_stalling_strategy_fails;
     Alcotest.test_case "bound formula" `Quick test_bound_matches_formula;
+    Alcotest.test_case "sampled duplicates count once" `Quick test_sampled_duplicates_count_once;
+    Alcotest.test_case "adversary counts a set" `Quick test_adversary_counts_a_set;
     QCheck_alcotest.to_alcotest qcheck_adversary_sound;
   ]

@@ -246,12 +246,179 @@ let test_random_regular () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "d < 3 rejected"
 
+(* {1 Pinning the seeded generators}
+
+   The random families as first written: per-node incidence lists built
+   by prepending, each turned into an array, shuffled, and handed to
+   [Graph.of_adjacency].  The generators build CSR directly; these
+   restatements pin that the graphs, ports and random draws did not move. *)
+
+let reference_of_pairs_shuffled ~n st pairs =
+  let incident = Array.make n [] in
+  List.iter
+    (fun (u, v) ->
+      incident.(u) <- v :: incident.(u);
+      incident.(v) <- u :: incident.(v))
+    pairs;
+  let shuffle a =
+    for i = Array.length a - 1 downto 1 do
+      let j = Random.State.int st (i + 1) in
+      let tmp = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- tmp
+    done
+  in
+  Graph.of_adjacency
+    (Array.map
+       (fun ns ->
+         let a = Array.of_list ns in
+         shuffle a;
+         Array.to_list a)
+       incident)
+
+let reference_tree_pairs ~n st =
+  if n = 1 then []
+  else if n = 2 then [ (0, 1) ]
+  else begin
+    let seq = Array.init (n - 2) (fun _ -> Random.State.int st n) in
+    let deg = Array.make n 1 in
+    Array.iter (fun v -> deg.(v) <- deg.(v) + 1) seq;
+    let pairs = ref [] in
+    let ptr = ref 0 in
+    while deg.(!ptr) <> 1 do
+      incr ptr
+    done;
+    let leaf = ref !ptr in
+    Array.iter
+      (fun v ->
+        pairs := (!leaf, v) :: !pairs;
+        deg.(v) <- deg.(v) - 1;
+        if deg.(v) = 1 && v < !ptr then leaf := v
+        else begin
+          incr ptr;
+          while deg.(!ptr) <> 1 do
+            incr ptr
+          done;
+          leaf := !ptr
+        end)
+      seq;
+    (!leaf, n - 1) :: !pairs
+  end
+
+let reference_random_tree ~n st = reference_of_pairs_shuffled ~n st (reference_tree_pairs ~n st)
+
+let reference_random_connected ~n ~p st =
+  let tree = reference_tree_pairs ~n st in
+  let present = Hashtbl.create (4 * n) in
+  List.iter (fun (u, v) -> Hashtbl.replace present (min u v, max u v) ()) tree;
+  let extra = ref [] in
+  let add u v = if not (Hashtbl.mem present (u, v)) then extra := (u, v) :: !extra in
+  if p >= 1.0 then
+    for u = 0 to n - 1 do
+      for v = u + 1 to n - 1 do
+        add u v
+      done
+    done
+  else if p > 0.0 then begin
+    let total = n * (n - 1) / 2 in
+    let log1mp = log (1.0 -. p) in
+    let idx = ref (-1) and u = ref 0 and row_start = ref 0 in
+    let continue_ = ref true in
+    while !continue_ do
+      let r = Random.State.float st 1.0 in
+      idx := !idx + 1 + int_of_float (log (1.0 -. r) /. log1mp);
+      if !idx >= total then continue_ := false
+      else begin
+        while !idx - !row_start >= n - 1 - !u do
+          row_start := !row_start + (n - 1 - !u);
+          incr u
+        done;
+        add !u (!u + 1 + (!idx - !row_start))
+      end
+    done
+  end;
+  reference_of_pairs_shuffled ~n st (tree @ List.rev !extra)
+
+let reference_random_regular ~n ~d st =
+  let rec attempt () =
+    let stubs = Array.init (n * d) (fun i -> i / d) in
+    for i = Array.length stubs - 1 downto 1 do
+      let j = Random.State.int st (i + 1) in
+      let tmp = stubs.(i) in
+      stubs.(i) <- stubs.(j);
+      stubs.(j) <- tmp
+    done;
+    let pairs = ref [] and ok = ref true and i = ref 0 in
+    let seen = Hashtbl.create (n * d) in
+    while !ok && !i < n * d do
+      let u = stubs.(!i) and v = stubs.(!i + 1) in
+      if u = v || Hashtbl.mem seen (min u v, max u v) then ok := false
+      else begin
+        Hashtbl.add seen (min u v, max u v) ();
+        pairs := (u, v) :: !pairs
+      end;
+      i := !i + 2
+    done;
+    if not !ok then attempt ()
+    else begin
+      let g = reference_of_pairs_shuffled ~n st !pairs in
+      if Graph.is_connected g then g else attempt ()
+    end
+  in
+  attempt ()
+
+let test_generators_match_reference () =
+  let same name reference actual =
+    check_bool name true (Graph.equal reference actual);
+    assert_valid name actual
+  in
+  List.iter
+    (fun n ->
+      for seed = 1 to 4 do
+        let st () = Random.State.make [| n; seed |] in
+        let name what = Printf.sprintf "%s n=%d seed=%d" what n seed in
+        same (name "random_tree") (reference_random_tree ~n (st ())) (Gen.random_tree ~n (st ()));
+        List.iter
+          (fun p ->
+            same
+              (name (Printf.sprintf "random_connected p=%g" p))
+              (reference_random_connected ~n ~p (st ()))
+              (Gen.random_connected ~n ~p (st ())))
+          (* Dense overlays only up to n = 257: at n = 1000 they are
+             Θ(n²) pairs through two Hashtbl passes for no new path. *)
+          (Float.min 1.0 (4.0 /. float_of_int n) :: (if n <= 257 then [ 0.0; 0.5; 1.0 ] else []));
+        if n >= 4 then begin
+          let n = n + (n mod 2) in
+          same (name "random_regular d=3")
+            (reference_random_regular ~n ~d:3 (st ()))
+            (Gen.random_regular ~n ~d:3 (st ()))
+        end
+      done)
+    [ 1; 2; 3; 4; 7; 17; 64; 257; 1000 ]
+
+(* One golden digest of a seeded family's CSR arrays: any change to the
+   generator's random draw order, row order or port assignment changes
+   it. *)
+let test_sparse_random_digest () =
+  let g = Families.build Families.Sparse_random ~n:1000 ~seed:1 in
+  let b = Buffer.create (1 lsl 16) in
+  List.iter
+    (fun a ->
+      Array.iter (fun x -> Buffer.add_string b (string_of_int x); Buffer.add_char b ',') a;
+      Buffer.add_char b '|')
+    [ Graph.csr_offsets g; Graph.csr_neighbors g; Graph.csr_ports g ];
+  Alcotest.(check string) "sparse-random n=1000 seed=1 CSR digest" "cd82da9b07e1c8dc5488adb793d7e13b"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let extra_suite =
   [
     Alcotest.test_case "complete bipartite" `Quick test_complete_bipartite;
     Alcotest.test_case "wheel" `Quick test_wheel;
     Alcotest.test_case "cube-connected cycles" `Quick test_cube_connected_cycles;
     Alcotest.test_case "random regular" `Quick test_random_regular;
+    Alcotest.test_case "seeded generators match the list-based reference" `Quick
+      test_generators_match_reference;
+    Alcotest.test_case "sparse-random CSR golden digest" `Quick test_sparse_random_digest;
   ]
 
 let suite = suite @ extra_suite

@@ -127,6 +127,76 @@ let qcheck_random_spanning =
       let g = Gen.random_connected ~n ~p:0.25 st in
       Spanning.check g (Spanning.random g ~root:(n / 2) st) = Ok ())
 
+(* The Claim 3.1 phase loop as it was first written — boxed edges from
+   [Graph.fold_edges], a Hashtbl of (weight, edge) per root, [Dsu.roots]
+   — kept as the reference the flat-array [Spanning.light] must match
+   edge for edge.  Returns the tree's edges as sorted (u, v) pairs. *)
+let reference_light_pairs g =
+  let dsu = Dsu.create (Graph.n g) in
+  let pairs = ref [] in
+  let k = ref 1 in
+  while Dsu.components dsu > 1 do
+    let threshold = 1 lsl !k in
+    let small_roots = List.filter (fun r -> Dsu.size dsu r < threshold) (Dsu.roots dsu) in
+    let best = Hashtbl.create 16 in
+    Graph.fold_edges
+      (fun e () ->
+        let ru = Dsu.find dsu e.Graph.u and rv = Dsu.find dsu e.Graph.v in
+        if ru <> rv then begin
+          let w = Graph.edge_weight g e in
+          let consider r =
+            match Hashtbl.find_opt best r with
+            | Some (w', _) when w' <= w -> ()
+            | _ -> Hashtbl.replace best r (w, e)
+          in
+          consider ru;
+          consider rv
+        end)
+      g ();
+    let selected = List.filter_map (fun r -> Option.map snd (Hashtbl.find_opt best r)) small_roots in
+    if small_roots <> [] && selected = [] then Alcotest.fail "reference: disconnected graph";
+    List.iter
+      (fun e ->
+        if Dsu.union dsu e.Graph.u e.Graph.v then pairs := (e.Graph.u, e.Graph.v) :: !pairs)
+      selected;
+    incr k
+  done;
+  List.sort compare !pairs
+
+let light_pairs t = List.sort compare (List.map (fun e -> (e.Graph.u, e.Graph.v)) (Spanning.edges t))
+
+let test_light_matches_reference () =
+  let st = Random.State.make [| 31 |] in
+  List.iter
+    (fun fam ->
+      List.iter
+        (fun n ->
+          let first = Families.build fam ~n ~seed:1 in
+          for seed = 1 to 5 do
+            let g = Families.build fam ~n ~seed in
+            (* Unseeded families build the same graph every time; check
+               it as built once, and under five port permutations. *)
+            let as_built = if seed = 1 || not (Graph.equal g first) then [ ("ports as built", g) ] else [] in
+            List.iter
+              (fun (how, g) ->
+                let name = Printf.sprintf "%s n=%d seed=%d %s" (Families.name fam) n seed how in
+                let t = Spanning.light g ~root:0 in
+                assert_tree name g t;
+                Alcotest.(check (list (pair int int))) name (reference_light_pairs g) (light_pairs t);
+                let c = Spanning.contribution g (Spanning.edges t) in
+                check_bool (Printf.sprintf "%s: Claim 3.1 %d <= 4n" name c) true (c <= 4 * Graph.n g))
+              (as_built @ [ ("ports permuted", Transform.permute_ports g st) ])
+          done)
+        [ 2; 3; 7; 16; 33; 100; 257; 1000 ])
+    Families.all
+
+let test_light_rejects_disconnected () =
+  (* Two disjoint edges: 0-1 and 2-3. *)
+  let g = Graph.of_adjacency [| [ 1 ]; [ 0 ]; [ 3 ]; [ 2 ] |] in
+  match Spanning.light g ~root:0 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "expected Spanning.light to reject a disconnected graph"
+
 let suite =
   [
     Alcotest.test_case "bfs trees valid" `Quick test_bfs_trees;
@@ -142,6 +212,9 @@ let suite =
     Alcotest.test_case "contribution on a path" `Quick test_contribution_small;
     Alcotest.test_case "Claim 3.1: light tree within 4n" `Quick test_light_contribution_bound;
     Alcotest.test_case "light beats BFS on K*_n" `Quick test_light_beats_naive_on_complete;
+    Alcotest.test_case "light tree matches the reference phase loop" `Quick
+      test_light_matches_reference;
+    Alcotest.test_case "light rejects a disconnected graph" `Quick test_light_rejects_disconnected;
     QCheck_alcotest.to_alcotest qcheck_light_tree;
     QCheck_alcotest.to_alcotest qcheck_random_spanning;
   ]
