@@ -92,43 +92,50 @@ let rec merge_ports a b =
   | p :: ra, q :: _ when p < q -> p :: merge_ports ra b
   | _, q :: rb -> q :: merge_ports a rb
 
+(* One mutable record per node: a delivery touches a single heap block
+   for the whole Scheme B state, not three refs and two closures. *)
+type state = { mutable pending : int list; mutable retired : int list; mutable informed : bool }
+
+let flush st =
+  if st.informed then begin
+    let fresh = st.pending in
+    st.pending <- [];
+    (* Flushed ports stay in kx (they are now also in sx). *)
+    st.retired <- merge_ports st.retired fresh;
+    sends_to Sim.Message.Source fresh
+  end
+  else []
+
 let scheme ?(encoding = Marked) () static =
-  let advice = static.Sim.History.advice in
   let is_source = static.Sim.History.is_source in
-  let pending = ref (List.sort_uniq compare (decode_known_ports encoding advice)) in
   (* Note an advised port beyond the degree stays in [pending]: sending
      on it aborts the run exactly as it did when kx was a set.  It can
      never collide with a queried port (arrival ports are < degree). *)
-  let retired = ref [] in
-  let informed = ref is_source in
-  let is_known p = mem_port p !pending || mem_port p !retired in
-  let flush () =
-    if !informed then begin
-      let fresh = !pending in
-      pending := [];
-      (* Flushed ports stay in kx (they are now also in sx). *)
-      retired := merge_ports !retired fresh;
-      sends_to Sim.Message.Source fresh
-    end
-    else []
+  let st =
+    {
+      pending = List.sort_uniq compare (decode_known_ports encoding static.Sim.History.advice);
+      retired = [];
+      informed = is_source;
+    }
   in
-  let on_start () = if is_source then flush () else sends_to Sim.Message.Hello !pending in
+  let on_start () = if is_source then flush st else sends_to Sim.Message.Hello st.pending in
   let on_receive msg ~port =
     match msg with
     | Sim.Message.Source ->
       (* The informer's port joins kx and sx at once: an advised port we
          have not yet used is retired unsent, a new port never becomes
          pending at all. *)
-      if mem_port port !pending then begin
-        pending := remove_port port !pending;
-        retired := insert_port port !retired
+      if mem_port port st.pending then begin
+        st.pending <- remove_port port st.pending;
+        st.retired <- insert_port port st.retired
       end
-      else if not (mem_port port !retired) then retired := insert_port port !retired;
-      informed := true;
-      flush ()
+      else if not (mem_port port st.retired) then st.retired <- insert_port port st.retired;
+      st.informed <- true;
+      flush st
     | Sim.Message.Hello ->
-      if not (is_known port) then pending := insert_port port !pending;
-      flush ()
+      if not (mem_port port st.pending || mem_port port st.retired) then
+        st.pending <- insert_port port st.pending;
+      flush st
     | Sim.Message.Control _ -> []
   in
   { Sim.Scheme.on_start; on_receive }

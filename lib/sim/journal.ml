@@ -268,9 +268,19 @@ let scan data =
 
 let open_out_append path = open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path
 
+(* Initialise in place rather than with [O_TRUNC]: cut any bytes past
+   the new superblock's length, then overwrite.  The file ends up with
+   the same bytes, but a non-empty file is never truncated to zero, so
+   ext4 does not flush it on close.  A crash in between leaves a prefix
+   of the old, unreadable file, which stays unreadable (its first frame
+   is unchanged or torn) and is reinitialised again. *)
 let fresh ~path ctx =
-  let oc = open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644 path in
-  output_string oc (encode_superblock ctx);
+  let superblock = encode_superblock ctx in
+  let oc = open_out_gen [ Open_wronly; Open_creat; Open_binary ] 0o644 path in
+  let fd = Unix.descr_of_out_channel oc in
+  if (Unix.fstat fd).Unix.st_size > String.length superblock then
+    Unix.ftruncate fd (String.length superblock);
+  output_string oc superblock;
   flush oc;
   ( {
       path;

@@ -148,6 +148,20 @@ val default_max_messages : Netgraph.Graph.t -> int
     their hardened variants are held to (at most [4m + 3n] sends) fits
     under it, so a run within its bound is never cut off. *)
 
+val order_free :
+  record_trace:bool ->
+  sinks:Obs.Sink.t list ->
+  loss:(float * int) option ->
+  faults:Fault_plan.t ->
+  bool
+(** Whether a run with these arguments is observed in no global order:
+    no sinks, no trace, no fault plan and no active loss channel.  Then
+    the deliveries of one synchronous round commute, because a node's
+    scheme state is its own and every counter is a sum or a maximum:
+    [run] may visit them in any order that keeps each node's own
+    arrivals in batch order, and {!Shard.run} may cut them across
+    domains. *)
+
 val telemetry :
   protocol:string ->
   scheduler:Scheduler.t ->

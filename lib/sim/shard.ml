@@ -350,10 +350,9 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(record_trace = false
     ~advice g ~source factory =
   if shards < 1 then invalid_arg "Shard.run: shards must be >= 1";
   if min_parallel_batch < 1 then invalid_arg "Shard.run: min_parallel_batch must be >= 1";
-  let lossy = match loss with Some (p, _) -> p > 0.0 | None -> false in
   if
-    shards = 1 || scheduler <> Scheduler.Synchronous || record_trace || sinks <> [] || lossy
-    || not (Fault_plan.is_none faults)
+    shards = 1 || scheduler <> Scheduler.Synchronous
+    || not (Runner.order_free ~record_trace ~sinks ~loss ~faults)
   then
     (* Everything but the untraced, fault-free synchronous run: the
        asynchronous schedulers are one global delivery order with no

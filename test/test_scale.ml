@@ -132,6 +132,118 @@ let test_untraced_bit_identical () =
         Sim.Scheduler.default_suite)
     configs
 
+(* Above one 4096-node block, an untraced fault-free synchronous run
+   visits each round's deliveries grouped by destination block, while a
+   run with a sink attached visits them in batch order.  The two orders
+   must be indistinguishable in every result field, and both must agree
+   with the sharded engine, which cuts the same rounds across domains. *)
+let commutation_graphs =
+  List.concat_map
+    (fun fam -> List.map (fun n -> (fam, n)) [ 4097; 5000; 20_000 ])
+    Netgraph.Families.[ Sparse_random; Random_regular; Grid ]
+
+let same_result name (r0 : Sim.Runner.result) (r : Sim.Runner.result) =
+  check_bool (name ^ ": stats") true (r0.Sim.Runner.stats = r.Sim.Runner.stats);
+  check_bool (name ^ ": informed") true (r0.Sim.Runner.informed = r.Sim.Runner.informed);
+  check_bool (name ^ ": per-node load") true
+    (r0.Sim.Runner.per_node_sent = r.Sim.Runner.per_node_sent);
+  check_bool (name ^ ": all informed") true
+    (r0.Sim.Runner.all_informed = r.Sim.Runner.all_informed);
+  check_bool (name ^ ": quiescent") true (r0.Sim.Runner.quiescent = r.Sim.Runner.quiescent)
+
+let test_block_order_commutes () =
+  let sync = Sim.Scheduler.Synchronous in
+  let no_advice _ ~source:_ _ = Bitstring.Bitbuf.create () in
+  let advised (o : Oracles.Oracle.t) g ~source =
+    Oracles.Advice.get (o.Oracles.Oracle.advise g ~source)
+  in
+  let schemes =
+    [
+      ("flooding", no_advice, Sim.Scheme.flooding);
+      ("wakeup", advised (Wakeup.oracle ()), Sim.Scheme.check_wakeup (Wakeup.scheme ()));
+      ("broadcast", advised (Broadcast.oracle ()), Broadcast.scheme ());
+    ]
+  in
+  List.iter
+    (fun (fam, n) ->
+      let g = Netgraph.Families.build fam ~n ~seed:n in
+      check_bool "graph spans several blocks" true (Graph.n g > 4096);
+      let source = Graph.n g / 3 in
+      List.iter
+        (fun (proto, advice, factory) ->
+          let advice = advice g ~source in
+          let name = Printf.sprintf "%s/%s n=%d" proto (Netgraph.Families.name fam) (Graph.n g) in
+          let bare = Sim.Runner.run ~scheduler:sync ~advice g ~source factory in
+          let ordered =
+            Sim.Runner.run ~scheduler:sync
+              ~sinks:[ Obs.Counting.sink (Obs.Counting.create ()) ]
+              ~advice g ~source factory
+          in
+          let sharded = Sim.Shard.run ~scheduler:sync ~shards:2 ~advice g ~source factory in
+          check_bool (name ^ ": all informed") true bare.Sim.Runner.all_informed;
+          same_result (name ^ " ordered") ordered bare;
+          same_result (name ^ " shards=2") sharded bare)
+        schemes)
+    commutation_graphs
+
+(* Flooding that also logs, per node, the ports its messages arrived on.
+   Logs are keyed by label and registered at factory time, so each
+   node's [on_receive] touches only its own state. *)
+let arrival_recorder logs static =
+  let log = ref [] in
+  Hashtbl.replace logs static.Sim.History.id log;
+  let node = Sim.Scheme.flooding static in
+  {
+    node with
+    Sim.Scheme.on_receive =
+      (fun msg ~port ->
+        log := port :: !log;
+        node.Sim.Scheme.on_receive msg ~port);
+  }
+
+let test_block_order_keeps_arrival_order () =
+  (* Deliveries to one node keep their batch order under the grouped
+     visit: every node's arrival ports, in order, must equal that node's
+     restriction of the ordered run's global delivery trace. *)
+  let sync = Sim.Scheduler.Synchronous in
+  let advice _ = Bitstring.Bitbuf.create () in
+  List.iter
+    (fun (fam, n) ->
+      let g = Netgraph.Families.build fam ~n ~seed:n in
+      let name = Printf.sprintf "%s n=%d" (Netgraph.Families.name fam) (Graph.n g) in
+      let logs = Hashtbl.create (Graph.n g) in
+      let bare = Sim.Runner.run ~scheduler:sync ~advice g ~source:0 (arrival_recorder logs) in
+      let traced =
+        Sim.Runner.run ~scheduler:sync ~record_trace:true ~advice g ~source:0
+          (arrival_recorder (Hashtbl.create 1))
+      in
+      same_result name traced bare;
+      (* A traced run is order-sensitive, so it visits each round in
+         batch order: fault-free, that is ascending [seq]. *)
+      ignore
+        (List.fold_left
+           (fun prev d ->
+             let sq = d.Sim.Runner.seq in
+             if sq <= prev then Alcotest.failf "%s: traced delivery seq %d after %d" name sq prev;
+             sq)
+           (-1) traced.Sim.Runner.deliveries);
+      let expected = Array.make (Graph.n g) [] in
+      let same_round = Hashtbl.create 64 in
+      let multi = ref 0 in
+      List.iter
+        (fun d ->
+          let dst = d.Sim.Runner.dst in
+          expected.(dst) <- d.Sim.Runner.dst_port :: expected.(dst);
+          let key = (dst, d.Sim.Runner.round) in
+          if Hashtbl.mem same_round key then incr multi else Hashtbl.add same_round key ())
+        traced.Sim.Runner.deliveries;
+      check_bool (name ^ ": some node receives twice in one round") true (!multi > 0);
+      for v = 0 to Graph.n g - 1 do
+        let got = !(Hashtbl.find logs (Graph.label g v)) in
+        if got <> expected.(v) then Alcotest.failf "%s: node %d arrival order differs" name v
+      done)
+    commutation_graphs
+
 let test_separation_2048 () =
   let m = Separation.measure Netgraph.Families.Sparse_random ~n:2048 ~seed:227 in
   check_bool "wakeup ok" true m.Separation.wakeup_ok;
@@ -149,4 +261,8 @@ let suite =
     Alcotest.test_case "wakeup at n=10^5" `Slow test_wakeup_100k;
     Alcotest.test_case "broadcast at n=10^5" `Slow test_broadcast_100k;
     Alcotest.test_case "untraced = traced, bit-identical" `Slow test_untraced_bit_identical;
+    Alcotest.test_case "block-order rounds = batch-order rounds = shards" `Slow
+      test_block_order_commutes;
+    Alcotest.test_case "block-order rounds keep per-node arrival order" `Slow
+      test_block_order_keeps_arrival_order;
   ]
