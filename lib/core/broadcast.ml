@@ -66,7 +66,9 @@ let oracle ?(tree = fun g ~root -> Spanning.light g ~root) ?(encoding = Marked) 
    measured ~190 minor words per message at n = 2000, all of it that
    bitmap.  A flush still hands off [pending] whole instead of paying a
    diff/union/elements round trip per delivery — the set churn, not the
-   runner, dominated the broadcast profile at n = 10^5. *)
+   runner, dominated the broadcast profile at n = 10^5.  The plain and
+   the hardened scheme run this one state and its steps; the hardened
+   one only adds the recovery overlay around them. *)
 let rec sends_to msg = function
   | [] -> []
   | p :: rest -> (msg, p) :: sends_to msg rest
@@ -106,38 +108,43 @@ let flush st =
   end
   else []
 
+(* kx and sx start as the advised ports (ascending, distinct) and ∅. *)
+let initial ports ~is_source =
+  { pending = List.sort_uniq compare ports; retired = []; informed = is_source }
+
+(* The port a message arrived through joins kx and sx at once: an
+   advised port we have not yet used is retired unsent, a new port never
+   becomes pending at all. *)
+let retire st port =
+  if mem_port port st.pending then begin
+    st.pending <- remove_port port st.pending;
+    st.retired <- insert_port port st.retired
+  end
+  else if not (mem_port port st.retired) then st.retired <- insert_port port st.retired
+
+let start st ~is_source = if is_source then flush st else sends_to Sim.Message.Hello st.pending
+
+(* Scheme B's two deliveries; control messages are not its business. *)
+let receive st msg ~port =
+  match msg with
+  | Sim.Message.Source ->
+    retire st port;
+    st.informed <- true;
+    flush st
+  | Sim.Message.Hello ->
+    if not (mem_port port st.pending || mem_port port st.retired) then
+      st.pending <- insert_port port st.pending;
+    flush st
+  | Sim.Message.Control _ -> []
+
 let scheme ?(encoding = Marked) () static =
   let is_source = static.Sim.History.is_source in
   (* Note an advised port beyond the degree stays in [pending]: sending
      on it aborts the run exactly as it did when kx was a set.  It can
      never collide with a queried port (arrival ports are < degree). *)
-  let st =
-    {
-      pending = List.sort_uniq compare (decode_known_ports encoding static.Sim.History.advice);
-      retired = [];
-      informed = is_source;
-    }
-  in
-  let on_start () = if is_source then flush st else sends_to Sim.Message.Hello st.pending in
-  let on_receive msg ~port =
-    match msg with
-    | Sim.Message.Source ->
-      (* The informer's port joins kx and sx at once: an advised port we
-         have not yet used is retired unsent, a new port never becomes
-         pending at all. *)
-      if mem_port port st.pending then begin
-        st.pending <- remove_port port st.pending;
-        st.retired <- insert_port port st.retired
-      end
-      else if not (mem_port port st.retired) then st.retired <- insert_port port st.retired;
-      st.informed <- true;
-      flush st
-    | Sim.Message.Hello ->
-      if not (mem_port port st.pending || mem_port port st.retired) then
-        st.pending <- insert_port port st.pending;
-      flush st
-    | Sim.Message.Control _ -> []
-  in
+  let st = initial (decode_known_ports encoding static.Sim.History.advice) ~is_source in
+  let on_start () = start st ~is_source in
+  let on_receive msg ~port = receive st msg ~port in
   { Sim.Scheme.on_start; on_receive }
 
 let usable_ports ~degree ports =
@@ -152,8 +159,8 @@ let usable_ports ~degree ports =
 
 let hardened_scheme ?(encoding = Marked) ?(protect = Bitstring.Ecc.Raw) ?on_fallback ?on_corrected
     () static =
-  let module IS = Set.Make (Int) in
   let degree = static.Sim.History.degree in
+  let is_source = static.Sim.History.is_source in
   let fallback reason =
     (match on_fallback with Some f -> f static.Sim.History.id reason | None -> ());
     None
@@ -191,41 +198,21 @@ let hardened_scheme ?(encoding = Marked) ?(protect = Bitstring.Ecc.Raw) ?on_fall
   in
   match advised with
   | Some ports ->
-    (* Scheme B as written, on validated advice. *)
-    let kx = ref (IS.of_list ports) in
-    let sx = ref IS.empty in
-    let informed = ref static.Sim.History.is_source in
-    let flush () =
-      if !informed then begin
-        let fresh = IS.diff !kx !sx in
-        sx := IS.union !sx fresh;
-        List.map (fun p -> (Sim.Message.Source, p)) (IS.elements fresh)
-      end
-      else []
-    in
-    let on_start () =
-      if static.Sim.History.is_source then flush ()
-      else List.map (fun p -> (Sim.Message.Hello, p)) (IS.elements !kx)
-    in
+    (* Scheme B itself, on validated advice ([usable_ports] has checked
+       the ports are in range and distinct), plus the overlay: a reflood
+       informs like a source message through the same port. *)
+    let st = initial ports ~is_source in
+    let on_start () = start st ~is_source in
     let on_receive msg ~port =
       match msg with
-      | Sim.Message.Source ->
-        kx := IS.add port !kx;
-        sx := IS.add port !sx;
-        informed := true;
-        flush ()
-      | Sim.Message.Hello ->
-        kx := IS.add port !kx;
-        flush ()
       | Sim.Message.Control _ when Sim.Message.is_timeout msg ->
-        if !informed then reflood_from (Some port) else []
+        if st.informed then reflood_from (Some port) else []
       | Sim.Message.Control _ when Sim.Message.is_reflood msg ->
-        let first = not !informed in
-        informed := true;
-        kx := IS.add port !kx;
-        sx := IS.add port !sx;
-        (if first then flush () else []) @ reflood_from (Some port)
-      | Sim.Message.Control _ -> []
+        let first = not st.informed in
+        st.informed <- true;
+        retire st port;
+        (if first then flush st else []) @ reflood_from (Some port)
+      | _ -> receive st msg ~port
     in
     { Sim.Scheme.on_start; on_receive }
   | None ->

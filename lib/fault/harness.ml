@@ -31,15 +31,16 @@ let unreachable_after ~failed g ~source =
     visited.(source) <- true;
     let q = Queue.create () in
     Queue.add source q;
+    let off = Graph.csr_offsets g and nbr = Graph.csr_neighbors g in
     while not (Queue.is_empty q) do
       let u = Queue.pop q in
-      List.iter
-        (fun (_, v, _) ->
-          if (not visited.(v)) && not failed.(v) then begin
-            visited.(v) <- true;
-            Queue.add v q
-          end)
-        (Graph.neighbors g u)
+      for k = off.(u) to off.(u + 1) - 1 do
+        let v = nbr.(k) in
+        if (not visited.(v)) && not failed.(v) then begin
+          visited.(v) <- true;
+          Queue.add v q
+        end
+      done
     done
   end;
   Array.init n (fun v -> (not failed.(v)) && not visited.(v))
@@ -82,13 +83,7 @@ let run ?(scheduler = Sim.Scheduler.Async_fifo) ?(plan = Plan.none) ?(sinks = []
   List.iter emit_all (Corrupt.events tampered);
   (* Hardened nodes report fallbacks with their label; telemetry speaks
      node indices (labels default to 1..n, not 0..n-1). *)
-  let index_of_label = Hashtbl.create n in
-  for v = 0 to n - 1 do
-    Hashtbl.replace index_of_label (Graph.label g v) v
-  done;
-  let node_of_label label =
-    match Hashtbl.find_opt index_of_label label with Some v -> v | None -> 0
-  in
+  let node_of_label label = try Graph.node_of_label g label with Not_found -> 0 in
   let fallbacks = ref [] in
   let on_fallback label reason =
     let v = node_of_label label in

@@ -115,23 +115,29 @@ let run_batch t ~run ~total =
     Mutex.unlock t.mutex
   end
 
-let map_local t ~local f total =
+(* One lazily-created local value per worker slot, owned by the pool's
+   lifetime rather than one map.  Slot [w] is only ever read or written
+   by the domain acting as worker [w] while a batch runs, and batches are
+   serialized under the pool mutex, so the array needs no further
+   synchronization. *)
+type 'w locals = { owner : t; make : unit -> 'w; slots : 'w option array }
+
+let locals t make = { owner = t; make; slots = Array.make t.n_jobs None }
+
+let map_local t locals f total =
+  if locals.owner != t then invalid_arg "Pool.map_local: locals of another pool";
   if total < 0 then invalid_arg "Pool.map: negative task count";
   let results =
     Array.make total
       (Error (Failure "Pool.map: slot never written", Printexc.get_callstack 0))
   in
-  (* One lazily-created local value per worker slot.  Slot [w] is only
-     ever read or written by the domain acting as worker [w], so the
-     array needs no synchronization. *)
-  let locals = Array.make t.n_jobs None in
   let run ~worker i =
     let w =
-      match locals.(worker) with
+      match locals.slots.(worker) with
       | Some w -> w
       | None ->
-        let w = local () in
-        locals.(worker) <- Some w;
+        let w = locals.make () in
+        locals.slots.(worker) <- Some w;
         w
     in
     (* Capture the backtrace at the raise site, on the worker domain:
@@ -142,7 +148,7 @@ let map_local t ~local f total =
   run_batch t ~run ~total;
   results
 
-let map t f total = map_local t ~local:(fun () -> ()) (fun () i -> f i) total
+let map t f total = map_local t (locals t ignore) (fun () i -> f i) total
 
 let shutdown t =
   Mutex.lock t.mutex;

@@ -32,20 +32,24 @@ val map : t -> (int -> 'a) -> int -> ('a, exn * Printexc.raw_backtrace) result a
     [Invalid_argument] when called from inside a running task (nested
     batches would deadlock a fixed-size pool), or after {!shutdown}. *)
 
+type 'w locals
+(** Per-worker mutable state bound to one pool: one ['w] slot per
+    worker, each created lazily on that worker's first task. *)
+
+val locals : t -> (unit -> 'w) -> 'w locals
+(** [locals pool make] allocates the slots; nothing is built until a
+    task needs it.  A slot's value persists across every {!map_local}
+    that passes this handle, for the lifetime of the pool, and is only
+    ever touched by its own worker, so it needs no locking. *)
+
 val map_local :
-  t ->
-  local:(unit -> 'w) ->
-  ('w -> int -> 'a) ->
-  int ->
-  ('a, exn * Printexc.raw_backtrace) result array
-(** [map_local pool ~local f total] is {!map} with per-worker mutable
-    state: each worker slot lazily creates one ['w] value with [local ()]
-    on its first task and passes it to every subsequent task it runs.
-    This is the cache hook — the local value persists across batches for
-    the lifetime of the pool, and is only ever touched by its own worker,
-    so it needs no locking.  Determinism caveat: [f] must produce the
-    same result whether or not the local state is warm (caches yes,
-    accumulators no). *)
+  t -> 'w locals -> ('w -> int -> 'a) -> int -> ('a, exn * Printexc.raw_backtrace) result array
+(** [map_local pool locals f total] is {!map} with per-worker state: a
+    task run by worker [w] gets [w]'s value from [locals], building it
+    with the [make] thunk on [w]'s first task.  This is the cache hook.
+    Determinism caveat: [f] must produce the same result whether or not
+    the local state is warm (caches yes, accumulators no).  Raises
+    [Invalid_argument] when [locals] belongs to another pool. *)
 
 val shutdown : t -> unit
 (** Joins all worker domains.  Idempotent.  Subsequent maps raise. *)

@@ -230,11 +230,17 @@ let error_string e bt =
   | "" -> msg
   | b -> msg ^ "\n" ^ b
 
-let map ?jobs ~local ~f tasks =
-  let jobs = match jobs with Some j -> max 1 j | None -> Pool.default_jobs () in
-  Pool.with_pool ~jobs (fun pool ->
-      Pool.map_local pool ~local (fun w i -> f w i tasks.(i)) (Array.length tasks))
+let resolve_jobs = function Some j -> max 1 j | None -> Pool.default_jobs ()
+
+(* [f] over the tasks at indices [idx], on [pool] with per-worker
+   [locals]; results are aligned with [idx]. *)
+let map_indices pool locals ~f tasks idx =
+  Pool.map_local pool locals (fun w ci -> f w idx.(ci) tasks.(idx.(ci))) (Array.length idx)
   |> Array.map (function Ok v -> Ok v | Error (e, bt) -> Error (error_string e bt))
+
+let map ?jobs ~local ~f tasks =
+  Pool.with_pool ~jobs:(resolve_jobs jobs) (fun pool ->
+      map_indices pool (Pool.locals pool local) ~f tasks (Array.init (Array.length tasks) Fun.id))
 
 let run ?jobs ~local ~f grid =
   map ?jobs ~local ~f:(fun w _i p -> f w p) (points grid)
@@ -355,17 +361,12 @@ let map_journaled_via ?journal ?(chunk = default_chunk) ?on_append ~key ~run ~em
       }
 
 let map_journaled ?jobs ?journal ?chunk ?on_append ~key ~local ~f ~emit tasks =
-  let jobs = match jobs with Some j -> max 1 j | None -> Pool.default_jobs () in
-  Pool.with_pool ~jobs (fun pool ->
-      let run idx =
-        Pool.map_local pool ~local
-          (fun w ci ->
-            let i = idx.(ci) in
-            f w i tasks.(i))
-          (Array.length idx)
-        |> Array.map (function Ok v -> Ok v | Error (e, bt) -> Error (error_string e bt))
-      in
-      map_journaled_via ?journal ?chunk ?on_append ~key ~run ~emit tasks)
+  Pool.with_pool ~jobs:(resolve_jobs jobs) (fun pool ->
+      (* One locals handle for every chunk: a chunk boundary must not
+         throw away the graphs and advice the next chunk reuses. *)
+      let locals = Pool.locals pool local in
+      map_journaled_via ?journal ?chunk ?on_append ~key ~run:(map_indices pool locals ~f tasks)
+        ~emit tasks)
 
 let run_journaled ?jobs ?journal ?(context = "") ?chunk ?on_append ~local ~f ~emit grid =
   let journal =

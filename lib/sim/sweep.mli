@@ -15,7 +15,8 @@
 
     Per-worker caches ({!Cache}) amortize setup: repeated points that
     share a {!graph_seed} rebuild neither the graph nor (keyed further by
-    scheme) its advice.  Caching is sound precisely because seeds come
+    scheme) its advice — across the whole sweep, every journaled chunk
+    included.  Caching is sound precisely because seeds come
     from coordinates: a cache hit returns a value structurally equal to
     what a fresh build would produce. *)
 
@@ -81,8 +82,9 @@ val to_string : grid -> string
 module Cache : sig
   type ('k, 'v) t
   (** A plain hash-table cache with hit/miss counters.  Not synchronized:
-      one cache belongs to one worker (create it in {!Pool.map_local}'s
-      [local] thunk). *)
+      one cache belongs to one worker (create it in the [local] thunk of
+      {!map}, {!run} or {!map_journaled}, which builds it on the worker's
+      first task and keeps it for every later task of the sweep). *)
 
   val create : unit -> ('k, 'v) t
 
@@ -177,8 +179,10 @@ val map_journaled :
     [Invalid_argument] before anything executes.  With [?journal:(path,
     ctx)] the journal at [path] is opened (created fresh, or replayed
     and torn-tail-truncated — see {!Journal.open_}; a context mismatch
-    is an [Error] and nothing runs).  After the run, [emit index task
-    entry] is called in task order for every completed task.
+    is an [Error] and nothing runs).  Every chunk runs on the same pool
+    and the same per-worker [local] values, so [local ()] is called at
+    most once per worker for the whole sweep.  After the run, [emit
+    index task entry] is called in task order for every completed task.
     [on_append] (testing hook) fires after each record is durable, with
     the cumulative count of records appended by this process — the
     [--crash-after] CLI flag uses it to die deterministically.  Raises

@@ -408,6 +408,189 @@ let test_hardened_wakeup_keeps_silence () =
     (Sim.Runner.run_silent_network_check ~advice:(Advice.get corrupted) g ~source:0
        (Oracle_core.Wakeup.hardened_scheme ()))
 
+(* {1 Reference model: Scheme B as written}
+
+   The hardened broadcast once ran Scheme B over functional sets — kx
+   and sx as [Set.Make (Int)] values, one diff/union/elements round trip
+   per delivery.  It now shares the plain scheme's sorted-port-list
+   state.  This copy of the set-based version is the oracle: on seeded
+   draws over every family (with and without permuted ports), every
+   scheduler, the advice and network fault kinds and two retry budgets,
+   both must produce the same event stream, statistics, per-node load,
+   informed set and fallbacks. *)
+module IS = Set.Make (Int)
+
+let reference_hardened_broadcast ~on_fallback static =
+  let degree = static.Sim.History.degree in
+  let fallback reason =
+    on_fallback static.Sim.History.id reason;
+    None
+  in
+  let usable ports =
+    List.for_all (fun p -> p >= 0 && p < degree) ports
+    && List.length (List.sort_uniq compare ports) = List.length ports
+  in
+  let advised =
+    match Oracle_core.Broadcast.decode_known_ports_result Oracle_core.Broadcast.Marked
+            static.Sim.History.advice
+    with
+    | Ok ports when usable ports -> Some ports
+    | Ok _ -> fallback "unusable ports"
+    | Error msg -> fallback msg
+  in
+  let reflooded = ref false in
+  let reflood_from arrival =
+    if !reflooded then []
+    else begin
+      reflooded := true;
+      List.filter_map
+        (fun p -> if arrival = Some p then None else Some (Sim.Message.reflood, p))
+        (List.init degree (fun p -> p))
+    end
+  in
+  match advised with
+  | Some ports ->
+    let kx = ref (IS.of_list ports) in
+    let sx = ref IS.empty in
+    let informed = ref static.Sim.History.is_source in
+    let flush () =
+      if !informed then begin
+        let fresh = IS.diff !kx !sx in
+        sx := IS.union !sx fresh;
+        List.map (fun p -> (Sim.Message.Source, p)) (IS.elements fresh)
+      end
+      else []
+    in
+    let on_start () =
+      if static.Sim.History.is_source then flush ()
+      else List.map (fun p -> (Sim.Message.Hello, p)) (IS.elements !kx)
+    in
+    let on_receive msg ~port =
+      match msg with
+      | Sim.Message.Source ->
+        kx := IS.add port !kx;
+        sx := IS.add port !sx;
+        informed := true;
+        flush ()
+      | Sim.Message.Hello ->
+        kx := IS.add port !kx;
+        flush ()
+      | Sim.Message.Control _ when Sim.Message.is_timeout msg ->
+        if !informed then reflood_from (Some port) else []
+      | Sim.Message.Control _ when Sim.Message.is_reflood msg ->
+        let first = not !informed in
+        informed := true;
+        kx := IS.add port !kx;
+        sx := IS.add port !sx;
+        (if first then flush () else []) @ reflood_from (Some port)
+      | Sim.Message.Control _ -> []
+    in
+    { Sim.Scheme.on_start; on_receive }
+  | None ->
+    let all_ports = List.init degree (fun p -> p) in
+    let informed = ref static.Sim.History.is_source in
+    let flood arrival =
+      List.filter_map
+        (fun p -> if arrival = Some p then None else Some (Sim.Message.Source, p))
+        all_ports
+    in
+    let on_start () =
+      if static.Sim.History.is_source then flood None
+      else List.map (fun p -> (Sim.Message.Hello, p)) all_ports
+    in
+    let on_receive msg ~port =
+      match msg with
+      | Sim.Message.Source when not !informed ->
+        informed := true;
+        flood (Some port)
+      | Sim.Message.Control _ when Sim.Message.is_timeout msg ->
+        if !informed then reflood_from (Some port) else []
+      | Sim.Message.Control _ when Sim.Message.is_reflood msg ->
+        let first = not !informed in
+        informed := true;
+        (if first then flood (Some port) else []) @ reflood_from (Some port)
+      | Sim.Message.Source | Sim.Message.Hello | Sim.Message.Control _ -> []
+    in
+    { Sim.Scheme.on_start; on_receive }
+
+let test_hardened_broadcast_matches_reference () =
+  let rng = Random.State.make [| 31; 7 |] in
+  let runs = ref 0 and with_fallbacks = ref 0 and with_control = ref 0 in
+  List.iter
+    (fun family ->
+      List.iter
+        (fun permuted ->
+          let n = 6 + Random.State.int rng 42 in
+          let g = Families.build family ~n ~seed:(Random.State.bits rng) in
+          let g = if permuted then Netgraph.Transform.permute_ports g rng else g in
+          let n = Graph.n g in
+          let raw = Fault.Harness.advise Fault.Harness.Broadcast g ~source:0 in
+          let seed = Random.State.int rng 1000 in
+          let plans =
+            [
+              "none";
+              Printf.sprintf "drop=0.%d,seed=%d" (1 + Random.State.int rng 3) seed;
+              Printf.sprintf "crash=%d@%d,seed=%d" (Random.State.int rng n)
+                (1 + Random.State.int rng (2 * n)) seed;
+              Printf.sprintf "dead=%d,seed=%d" (1 + Random.State.int rng (n - 1)) seed;
+              Printf.sprintf "advice-flip=%d,seed=%d" (1 + Random.State.int rng 4) seed;
+              Printf.sprintf "advice-garbage=%d,seed=%d" (1 + Random.State.int rng 12) seed;
+            ]
+          in
+          List.iter
+            (fun spec ->
+              let plan = Plan.of_string_exn spec in
+              let advice = Advice.get (fst (Fault.Corrupt.apply plan raw)) in
+              List.iter
+                (fun scheduler ->
+                  List.iter
+                    (fun retry ->
+                      let run factory_of =
+                        let sink, collected = Obs.Sink.collect () in
+                        let fallbacks = ref [] in
+                        let on_fallback id reason = fallbacks := (id, reason) :: !fallbacks in
+                        let r =
+                          Sim.Runner.run ~scheduler ~sinks:[ sink ] ~faults:plan ~retry ~advice g
+                            ~source:0 (factory_of ~on_fallback)
+                        in
+                        (collected (), r, List.rev !fallbacks)
+                      in
+                      let ev, r, fb =
+                        run (fun ~on_fallback ->
+                            Oracle_core.Broadcast.hardened_scheme ~on_fallback ())
+                      in
+                      let ev', r', fb' = run reference_hardened_broadcast in
+                      let label =
+                        Printf.sprintf "%s%s n=%d %s %s retry=%d" (Families.name family)
+                          (if permuted then " permuted" else "")
+                          n spec (Sim.Scheduler.name scheduler) retry
+                      in
+                      check_bool (label ^ ": events") true
+                        (List.length ev = List.length ev' && List.for_all2 Event.equal ev ev');
+                      check_bool (label ^ ": stats") true
+                        (r.Sim.Runner.stats = r'.Sim.Runner.stats);
+                      check_bool (label ^ ": per-node sent") true
+                        (r.Sim.Runner.per_node_sent = r'.Sim.Runner.per_node_sent);
+                      check_bool (label ^ ": informed") true
+                        (r.Sim.Runner.informed = r'.Sim.Runner.informed);
+                      check_bool (label ^ ": fallbacks") true (fb = fb');
+                      incr runs;
+                      if fb <> [] then incr with_fallbacks;
+                      if r.Sim.Runner.stats.Sim.Runner.control_sent > 0 then incr with_control)
+                    [ 0; 2 ])
+                [
+                  Sim.Scheduler.Synchronous;
+                  Sim.Scheduler.Async_fifo;
+                  Sim.Scheduler.Async_lifo;
+                  Sim.Scheduler.Async_random (Random.State.bits rng);
+                ])
+            plans)
+        [ false; true ])
+    Families.all;
+  check_int "every draw ran" (List.length Families.all * 2 * 6 * 4 * 2) !runs;
+  check_bool "draws reach the degraded mode" true (!with_fallbacks > 0);
+  check_bool "draws reach the recovery overlay" true (!with_control > 0)
+
 let test_acceptance_grid_never_raises () =
   (* Every builtin plan x every scheduler x both graph families, for both
      protocols: the hardened schemes always terminate with a structured
@@ -806,6 +989,8 @@ let suite =
       test_truncated_advice_degrades_to_flooding;
     Alcotest.test_case "garbage advice stays graceful" `Quick test_garbage_advice_still_acceptable;
     Alcotest.test_case "hardened wakeup keeps silence" `Quick test_hardened_wakeup_keeps_silence;
+    Alcotest.test_case "hardened broadcast = set-based reference" `Quick
+      test_hardened_broadcast_matches_reference;
     Alcotest.test_case "acceptance grid never raises" `Quick test_acceptance_grid_never_raises;
     Alcotest.test_case "verdict: completed and degraded" `Quick test_verdict_completed_and_degraded;
     Alcotest.test_case "verdict: stalled and exclusion" `Quick test_verdict_stalled_and_exclusion;

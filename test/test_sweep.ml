@@ -65,21 +65,39 @@ let test_pool_rejects_nesting () =
       | Ok _ -> Alcotest.fail "nested map did not raise")
 
 let test_pool_map_local_caches () =
-  (* Each worker sees one local value, created lazily and reused; with a
-     cache as the local, repeated keys hit. *)
-  let results =
-    Sim.Pool.with_pool ~jobs:2 (fun p ->
-        Sim.Pool.map_local p
-          ~local:(fun () -> Sweep.Cache.create ())
-          (fun cache i -> Sweep.Cache.find cache (i mod 3) (fun () -> i mod 3))
-          30)
-  in
-  Array.iteri
-    (fun i r ->
-      match r with
-      | Ok v -> check_int (Printf.sprintf "slot %d" i) (i mod 3) v
-      | Error (e, _) -> Alcotest.failf "slot %d raised %s" i (Printexc.to_string e))
-    results
+  (* Each worker sees one local value, created lazily and reused for the
+     pool's whole life, however many maps pass the handle; with a cache
+     as the local, repeated keys hit.  A handle from another pool is
+     refused. *)
+  List.iter
+    (fun jobs ->
+      let made = Atomic.make 0 in
+      Sim.Pool.with_pool ~jobs (fun p ->
+          let locals =
+            Sim.Pool.locals p (fun () ->
+                Atomic.incr made;
+                Sweep.Cache.create ())
+          in
+          for round = 1 to 4 do
+            Array.iteri
+              (fun i r ->
+                match r with
+                | Ok v ->
+                  check_int (Printf.sprintf "jobs=%d round %d slot %d" jobs round i) (i mod 5) v
+                | Error (e, _) -> Alcotest.failf "slot %d raised %s" i (Printexc.to_string e))
+              (Sim.Pool.map_local p locals
+                 (fun cache i -> Sweep.Cache.find cache (i mod 5) (fun () -> i mod 5))
+                 40)
+          done;
+          check_bool
+            (Printf.sprintf "jobs=%d: at most one local per worker over four maps" jobs)
+            true
+            (Atomic.get made >= 1 && Atomic.get made <= jobs);
+          Sim.Pool.with_pool ~jobs:1 (fun other ->
+              match Sim.Pool.map_local other locals (fun _ i -> i) 3 with
+              | exception Invalid_argument _ -> ()
+              | _ -> Alcotest.fail "locals of another pool accepted")))
+    [ 1; 2; 3 ]
 
 (* {1 Seeds} *)
 
@@ -263,6 +281,90 @@ let test_grid_identical_with_cold_caches () =
   let cold = run_grid ~jobs:2 ~with_caches:false small_grid in
   Array.iteri (fun i row -> check_string (Printf.sprintf "row %d" i) warm.(i) row) cold
 
+(* {1 Journaled sweeps: caches across chunks} *)
+
+(* A grid whose 64 points share 8 graphs: 2 families × 2 sizes × 2 reps,
+   each under 2 protocols × 2 schedulers × 2 plans. *)
+let shared_grid =
+  {
+    small_grid with
+    Sweep.families = [ Families.Sparse_random; Families.Path ];
+    ns = [ 16; 24 ];
+  }
+
+let execute_entry grid (graphs, advice) p =
+  let proto =
+    if p.Sweep.protocol = "wakeup" then Fault.Harness.Wakeup else Fault.Harness.Broadcast
+  in
+  let gseed = Sweep.graph_seed grid p in
+  let gkey = (Families.name p.Sweep.family, p.Sweep.n, gseed) in
+  let g =
+    Sweep.Cache.find graphs gkey (fun () -> Families.build p.Sweep.family ~n:p.Sweep.n ~seed:gseed)
+  in
+  let raw_advice =
+    Sweep.Cache.find advice (p.Sweep.protocol, gkey) (fun () ->
+        Fault.Harness.advise proto g ~source:0)
+  in
+  Fault.Harness.journal_entry g
+    (Fault.Harness.run ~scheduler:p.Sweep.scheduler ~plan:p.Sweep.plan ~retry:2 ~raw_advice
+       proto g ~source:0)
+
+(* A journaled chunk = 8 sweep of [shared_grid]: the emitted rows, the
+   journal's bytes, and every cache pair the pool created. *)
+let journaled_sweep ~jobs =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "oraclesize-test-sweep-%d-%d.journal" (Unix.getpid ()) jobs)
+  in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let made = ref [] and lock = Mutex.create () in
+      let rows = Buffer.create 4096 in
+      let stats =
+        Sweep.run_journaled ~jobs ~journal:path ~chunk:8
+          ~local:(fun () ->
+            let c = (Sweep.Cache.create (), Sweep.Cache.create ()) in
+            Mutex.protect lock (fun () -> made := c :: !made);
+            c)
+          ~f:(execute_entry shared_grid)
+          ~emit:(fun p e ->
+            Printf.bprintf rows "%s %d %d %s\n" (Sweep.point_label p) e.Sim.Journal.messages
+              e.Sim.Journal.informed e.Sim.Journal.verdict)
+          shared_grid
+      in
+      (match stats with
+      | Ok s -> check_int "every point executed" 64 s.Sweep.executed
+      | Error e -> Alcotest.failf "jobs=%d: %s" jobs e);
+      (Buffer.contents rows, In_channel.with_open_bin path In_channel.input_all, !made))
+
+let test_journaled_sweep_builds_each_graph_once () =
+  let _, _, made = journaled_sweep ~jobs:1 in
+  let pts = Sweep.points shared_grid in
+  let distinct f = List.length (List.sort_uniq compare (Array.to_list (Array.map f pts))) in
+  let graphs = distinct (Sweep.graph_seed shared_grid) in
+  check_int "eight distinct graphs" 8 graphs;
+  match made with
+  | [ (g, a) ] ->
+    check_int "graph misses = distinct graph seeds" graphs (Sweep.Cache.misses g);
+    check_int "graph hits = the other points" (64 - graphs) (Sweep.Cache.hits g);
+    check_int "advice misses = distinct (protocol, graph)"
+      (distinct (fun p -> (p.Sweep.protocol, Sweep.graph_seed shared_grid p)))
+      (Sweep.Cache.misses a)
+  | l -> Alcotest.failf "jobs=1 created %d cache pairs across 8 chunks, expected 1" (List.length l)
+
+let test_journaled_sweep_identical_across_jobs () =
+  let rows1, journal1, _ = journaled_sweep ~jobs:1 in
+  check_int "64 rows" 64 (List.length (String.split_on_char '\n' (String.trim rows1)));
+  List.iter
+    (fun jobs ->
+      let rows, journal, made = journaled_sweep ~jobs in
+      check_bool (Printf.sprintf "jobs=%d: at most one cache pair per worker" jobs) true
+        (List.length made <= jobs);
+      check_string (Printf.sprintf "jobs=%d rows" jobs) rows1 rows;
+      check_bool (Printf.sprintf "jobs=%d journal bytes" jobs) true (String.equal journal1 journal))
+    [ 2; 3 ]
+
 let test_sweep_map_error_slot () =
   let results =
     Sweep.map ~jobs:2
@@ -318,6 +420,10 @@ let suite =
     Alcotest.test_case "grid: rows identical at jobs 1/2/7" `Quick test_grid_identical_across_jobs;
     Alcotest.test_case "grid: caches invisible in output" `Quick
       test_grid_identical_with_cold_caches;
+    Alcotest.test_case "journaled: each shared graph built once" `Quick
+      test_journaled_sweep_builds_each_graph_once;
+    Alcotest.test_case "journaled: rows and journal identical at jobs 1/2/3" `Quick
+      test_journaled_sweep_identical_across_jobs;
     Alcotest.test_case "map: error lands in its slot" `Quick test_sweep_map_error_slot;
     Alcotest.test_case "sink: cross-domain emit rejected" `Quick
       test_sink_rejects_cross_domain_emit;
