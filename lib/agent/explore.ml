@@ -82,13 +82,9 @@ let route_ports g ~start =
   let rec tour v =
     List.concat_map
       (fun (child, port_down) ->
-        let port_up =
-          match tree.Netgraph.Spanning.parent.(child) with
-          | Some (_, p) -> p
-          | None -> assert false
-        in
+        let port_up = tree.Netgraph.Spanning.parent_port.(child) in
         (port_down :: tour child) @ [ port_up ])
-      tree.Netgraph.Spanning.children.(v)
+      (Netgraph.Spanning.children tree v)
   in
   tour start
 

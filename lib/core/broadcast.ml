@@ -10,16 +10,27 @@ type encoding = Marked | Gamma
 let encoding_name = function Marked -> "marked" | Gamma -> "gamma"
 
 (* For every tree edge {u,v}, hand w(e) = min(pu, pv) to the endpoint whose
-   port number equals w(e); a pu = pv tie goes to the smaller index. *)
-let weight_assignment g tree =
-  let out = Array.make (Graph.n g) [] in
-  List.iter
-    (fun e ->
-      let w = Graph.edge_weight g e in
-      let x = if e.Graph.pu = w then e.Graph.u else e.Graph.v in
-      out.(x) <- w :: out.(x))
-    (Spanning.edges tree);
-  Array.map List.rev out
+   port number equals w(e); a pu = pv tie goes to the smaller index.  The
+   edge of child [v] is read off the flat tree and the graph's CSR
+   arrays: [v]'s parent port, and the arrival port stored in that slot.
+   Children are visited in descending index and each weight is pushed
+   onto its node's list, so every list ends up in ascending order of the
+   child index, the order {!Spanning.edges} gives. *)
+let weight_assignment g (tree : Spanning.t) =
+  let n = Graph.n g in
+  let off = Graph.csr_offsets g and prt = Graph.csr_ports g in
+  let out = Array.make n [] in
+  for v = n - 1 downto 0 do
+    let u = tree.parent_node.(v) in
+    if u >= 0 then begin
+      let pv = tree.parent_port.(v) in
+      let pu = prt.(off.(v) + pv) in
+      let w = min pu pv in
+      let x = if (if u < v then pu else pv) = w then min u v else max u v in
+      out.(x) <- w :: out.(x)
+    end
+  done;
+  out
 
 let encode_weights encoding ws buf =
   match encoding with

@@ -28,7 +28,7 @@ let oracle ?(tree = fun g ~root -> Spanning.bfs g ~root) () =
       Oracles.Advice.make
         (Array.init (Graph.n g) (fun v ->
              let buf = Bitbuf.create () in
-             let parent = Option.map snd t.Spanning.parent.(v) in
+             let parent = Option.map snd (Spanning.parent t v) in
              encode_advice buf ~parent ~children:(Spanning.children_ports t v);
              buf)))
 

@@ -56,7 +56,7 @@ let advised_scheme sink static =
 
 let assemble g ~source outputs =
   let n = Graph.n g in
-  let parents = Array.make n None in
+  let parents = Array.make n (-1) in
   try
     for v = 0 to n - 1 do
       let out = Hashtbl.find outputs (Graph.label g v) in
@@ -65,7 +65,7 @@ let assemble g ~source outputs =
       | None -> if v <> source then raise Exit
       | Some p ->
         let parent, _ = Graph.endpoint g v p in
-        parents.(v) <- Some parent;
+        parents.(v) <- parent;
         (* The parent must list the reverse port as a child. *)
         let parent_out = Hashtbl.find outputs (Graph.label g parent) in
         let _, q = Graph.endpoint g v p in

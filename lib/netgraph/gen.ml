@@ -150,14 +150,15 @@ let shuffle st a =
    from [st] are exactly one per slot past the first of each row.  Every
    slot carries the edge end it holds (pair i's end at u is 2i, at v
    2i + 1), so a reverse port is the slot of the other end, found in one
-   lookup instead of a scan of the neighbor's row. *)
-let of_pairs_shuffled ~n st pairs =
+   lookup instead of a scan of the neighbor's row.  Pair [i] is
+   [(pu.(i), pv.(i))]. *)
+let of_pairs_shuffled ~n st pu pv =
+  let count = Array.length pu in
   let off = Array.make (n + 1) 0 in
-  List.iter
-    (fun (u, v) ->
-      off.(u + 1) <- off.(u + 1) + 1;
-      off.(v + 1) <- off.(v + 1) + 1)
-    pairs;
+  for i = 0 to count - 1 do
+    off.(pu.(i) + 1) <- off.(pu.(i) + 1) + 1;
+    off.(pv.(i) + 1) <- off.(pv.(i) + 1) + 1
+  done;
   for u = 0 to n - 1 do
     off.(u + 1) <- off.(u + 1) + off.(u)
   done;
@@ -167,17 +168,17 @@ let of_pairs_shuffled ~n st pairs =
   (* Fill each row from its end, so the last pair lands on the first
      slot. *)
   let fill = Array.sub off 1 n in
-  List.iteri
-    (fun i (u, v) ->
-      let su = fill.(u) - 1 in
-      fill.(u) <- su;
-      nbr.(su) <- v;
-      side.(su) <- 2 * i;
-      let sv = fill.(v) - 1 in
-      fill.(v) <- sv;
-      nbr.(sv) <- u;
-      side.(sv) <- (2 * i) + 1)
-    pairs;
+  for i = 0 to count - 1 do
+    let u = pu.(i) and v = pv.(i) in
+    let su = fill.(u) - 1 in
+    fill.(u) <- su;
+    nbr.(su) <- v;
+    side.(su) <- 2 * i;
+    let sv = fill.(v) - 1 in
+    fill.(v) <- sv;
+    nbr.(sv) <- u;
+    side.(sv) <- (2 * i) + 1
+  done;
   for u = 0 to n - 1 do
     let base = off.(u) in
     for i = off.(u + 1) - base - 1 downto 1 do
@@ -201,23 +202,28 @@ let of_pairs_shuffled ~n st pairs =
   done;
   Graph.of_csr ~n ~off ~nbr ~prt ()
 
+(* The [n-1] pairs of a uniform random labeled tree, as two arrays.  The
+   last pair decoded comes first and the first comes last: the order the
+   shuffled build, and so the port draws, were pinned with.  Each pair is
+   (leaf, neighbor) with the leaf removed as it is paired, so every node
+   but [n-1] is the first entry of exactly one pair. *)
 let prufer_tree_pairs ~n st =
-  if n = 1 then []
-  else if n = 2 then [ (0, 1) ]
-  else begin
+  let pu = Array.make (n - 1) 0 and pv = Array.make (n - 1) 0 in
+  if n = 2 then pv.(0) <- 1
+  else if n > 2 then begin
     let seq = Array.init (n - 2) (fun _ -> Random.State.int st n) in
     let deg = Array.make n 1 in
     Array.iter (fun v -> deg.(v) <- deg.(v) + 1) seq;
-    let pairs = ref [] in
     (* Standard Prüfer decoding with a simple scan pointer + leaf var. *)
     let ptr = ref 0 in
     while deg.(!ptr) <> 1 do
       incr ptr
     done;
     let leaf = ref !ptr in
-    Array.iter
-      (fun v ->
-        pairs := (!leaf, v) :: !pairs;
+    Array.iteri
+      (fun k v ->
+        pu.(n - 2 - k) <- !leaf;
+        pv.(n - 2 - k) <- v;
         deg.(v) <- deg.(v) - 1;
         if deg.(v) = 1 && v < !ptr then leaf := v
         else begin
@@ -228,28 +234,47 @@ let prufer_tree_pairs ~n st =
           leaf := !ptr
         end)
       seq;
-    pairs := (!leaf, n - 1) :: !pairs;
-    !pairs
-  end
+    pu.(0) <- !leaf;
+    pv.(0) <- n - 1
+  end;
+  (pu, pv)
 
 let random_tree ~n st =
   if n < 1 then fail "Gen.random_tree: n = %d" n;
-  of_pairs_shuffled ~n st (prufer_tree_pairs ~n st)
+  let pu, pv = prufer_tree_pairs ~n st in
+  of_pairs_shuffled ~n st pu pv
+
+(* A growable pair of int arrays. *)
+type pairs = { mutable us : int array; mutable vs : int array; mutable len : int }
+
+let push ps u v =
+  if ps.len = Array.length ps.us then begin
+    let grow a = Array.append a (Array.make (max 16 ps.len) 0) in
+    ps.us <- grow ps.us;
+    ps.vs <- grow ps.vs
+  end;
+  ps.us.(ps.len) <- u;
+  ps.vs.(ps.len) <- v;
+  ps.len <- ps.len + 1
 
 let random_connected ~n ~p st =
   if n < 1 then fail "Gen.random_connected: n = %d" n;
   if p < 0.0 || p > 1.0 then fail "Gen.random_connected: p = %f" p;
-  let tree = prufer_tree_pairs ~n st in
-  let present = Hashtbl.create (4 * n) in
-  List.iter (fun (u, v) -> Hashtbl.replace present (min u v, max u v) ()) tree;
-  let extra = ref [] in
-  let add u v = if not (Hashtbl.mem present (u, v)) then extra := (u, v) :: !extra in
+  let tu, tv = prufer_tree_pairs ~n st in
+  (* Tree membership is two reads of the Prüfer tree as a parent array
+     rooted at [n-1], where a hash set keyed on boxed pairs cost a tuple
+     and a bucket per tree edge. *)
+  let up = Array.make n (-1) in
+  Array.iteri (fun i u -> up.(u) <- tv.(i)) tu;
+  let in_tree u v = up.(u) = v || up.(v) = u in
+  let pairs = { us = tu; vs = tv; len = n - 1 } in
+  let add u v = if not (in_tree u v) then push pairs u v in
   (* G(n,p) overlay without the Θ(n²) per-pair Bernoulli loop: walk the
      lexicographic pair order (u < v) with geometric skips of mean 1/p
      (Batagelj–Brandes), so sampling costs O(m + n) — the fix that makes
      sparse families feasible at n = 10⁶.  Every pair is still included
-     independently with probability p (tree pairs are filtered through
-     the [present] hash set, which leaves the non-tree pairs iid); only
+     independently with probability p (tree pairs are filtered out by
+     [in_tree], which leaves the non-tree pairs iid); only
      p = 1 keeps a dense loop, since its skip length degenerates to 1. *)
   if p >= 1.0 then
     for u = 0 to n - 1 do
@@ -279,7 +304,7 @@ let random_connected ~n ~p st =
       end
     done
   end;
-  of_pairs_shuffled ~n st (tree @ List.rev !extra)
+  of_pairs_shuffled ~n st (Array.sub pairs.us 0 pairs.len) (Array.sub pairs.vs 0 pairs.len)
 
 let lollipop ~clique ~tail =
   if clique < 3 then fail "Gen.lollipop: clique = %d < 3" clique;
@@ -347,7 +372,10 @@ let random_regular ~n ~d st =
     if k > max_attempts then fail "Gen.random_regular: too many rejections";
     let stubs = Array.init (n * d) (fun i -> i / d) in
     shuffle st stubs;
-    let pairs = ref [] in
+    (* Pairs are stored last-drawn first, the order the port draws were
+       pinned with. *)
+    let m = n * d / 2 in
+    let pu = Array.make m 0 and pv = Array.make m 0 in
     let ok = ref true in
     let seen = Hashtbl.create (n * d) in
     let i = ref 0 in
@@ -356,13 +384,14 @@ let random_regular ~n ~d st =
       if u = v || Hashtbl.mem seen (min u v, max u v) then ok := false
       else begin
         Hashtbl.add seen (min u v, max u v) ();
-        pairs := (u, v) :: !pairs
+        pu.(m - 1 - (!i / 2)) <- u;
+        pv.(m - 1 - (!i / 2)) <- v
       end;
       i := !i + 2
     done;
     if not !ok then attempt (k + 1)
     else begin
-      let g = of_pairs_shuffled ~n st !pairs in
+      let g = of_pairs_shuffled ~n st pu pv in
       if Graph.is_connected g then g else attempt (k + 1)
     end
   in

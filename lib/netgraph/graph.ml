@@ -157,46 +157,6 @@ let of_port_map ?labels adj =
   check_csr ~ctx:"Graph.of_port_map" ~size ~off ~nbr ~prt;
   { size; node_labels; off; nbr; prt; label_index }
 
-let of_adjacency ?labels lists =
-  let size = Array.length lists in
-  if size < 1 then fail "Graph.of_adjacency: n = %d < 1" size;
-  let node_labels, label_index = build_labels ~ctx:"Graph.of_adjacency" ~size labels in
-  let off = Array.make (size + 1) 0 in
-  for u = 0 to size - 1 do
-    off.(u + 1) <- off.(u) + List.length lists.(u)
-  done;
-  let total = off.(size) in
-  let nbr = Array.make total (-1) in
-  let prt = Array.make total (-1) in
-  Array.iteri
-    (fun u ns ->
-      let base = off.(u) in
-      List.iteri (fun p v -> nbr.(base + p) <- v) ns)
-    lists;
-  (* Reverse ports: the port of v in u's list is its position, so scan
-     each row once and look the mirror position up by neighbor value.
-     The scan is quadratic in degree, which suits short rows; the seeded
-     generators, which build the large sparse graphs, fill CSR directly
-     and do not come through here. *)
-  for u = 0 to size - 1 do
-    let base = off.(u) in
-    let deg = off.(u + 1) - base in
-    for p = 0 to deg - 1 do
-      let v = nbr.(base + p) in
-      if v < 0 || v >= size then fail "Graph.of_adjacency: node %d port %d: neighbor %d out of range" u p v;
-      let vb = off.(v) in
-      let vdeg = off.(v + 1) - vb in
-      let q = ref (-1) in
-      for j = 0 to vdeg - 1 do
-        if !q = -1 && nbr.(vb + j) = u then q := j
-      done;
-      if !q = -1 then fail "Graph.of_adjacency: missing symmetric entry %d -> %d" v u;
-      prt.(base + p) <- !q
-    done
-  done;
-  check_csr ~ctx:"Graph.of_adjacency" ~size ~off ~nbr ~prt;
-  { size; node_labels; off; nbr; prt; label_index }
-
 let n t = t.size
 
 let m t = Array.length t.nbr / 2

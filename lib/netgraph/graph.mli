@@ -27,10 +27,6 @@ val make : ?labels:int array -> n:int -> edge list -> t
     [Invalid_argument] on malformed input: duplicate ports, self-loops,
     duplicate edges, port numbers with gaps, or duplicate labels. *)
 
-val of_adjacency : ?labels:int array -> int list array -> t
-(** Build from neighbor lists, assigning ports at each node in list order.
-    The neighbor lists must be symmetric. *)
-
 val of_port_map : ?labels:int array -> (int * int) array array -> t
 (** [of_port_map adj] builds from the explicit port map [adj.(u).(p) =
     (v, q)], flattened into the internal CSR arrays in one O(n + m)

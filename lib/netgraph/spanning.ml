@@ -1,7 +1,15 @@
+(* Flat layout: per-node parent and port arrays, and the children of
+   every node in one CSR block (offsets, child, port at the parent), each
+   row in ascending port order.  No option, tuple or list cell per node;
+   [parent] and [children] rebuild the boxed views for callers off the
+   set-up path. *)
 type t = {
   root : int;
-  parent : (int * int) option array;
-  children : (int * int) list array;
+  parent_node : int array;
+  parent_port : int array;
+  child_off : int array;
+  child_node : int array;
+  child_port : int array;
 }
 
 let fail fmt = Printf.ksprintf invalid_arg fmt
@@ -9,23 +17,32 @@ let fail fmt = Printf.ksprintf invalid_arg fmt
 let of_parents g ~root parents =
   let n = Graph.n g in
   if Array.length parents <> n then fail "Spanning.of_parents: wrong array size";
-  if parents.(root) <> None then fail "Spanning.of_parents: root has a parent";
-  let parent = Array.make n None in
-  Array.iteri
-    (fun v p ->
-      match p with
-      | None -> if v <> root then fail "Spanning.of_parents: node %d has no parent" v
-      | Some u ->
-        (match Graph.port_to g v u with
-        | None -> fail "Spanning.of_parents: edge %d-%d not in graph" v u
-        | Some pv -> parent.(v) <- Some (u, pv)))
-    parents;
+  if parents.(root) >= 0 then fail "Spanning.of_parents: root has a parent";
+  let off = Graph.csr_offsets g and nbr = Graph.csr_neighbors g and prt = Graph.csr_ports g in
+  let parent_port = Array.make n (-1) in
+  for v = 0 to n - 1 do
+    let u = parents.(v) in
+    if u < 0 then begin
+      if v <> root then fail "Spanning.of_parents: node %d has no parent" v
+    end
+    else begin
+      let stop = off.(v + 1) in
+      let i = ref off.(v) in
+      while !i < stop && nbr.(!i) <> u do
+        incr i
+      done;
+      if !i = stop then fail "Spanning.of_parents: edge %d-%d not in graph" v u;
+      parent_port.(v) <- !i - off.(v)
+    end
+  done;
   (* Acyclicity + reachability in O(n) total: walk up from each node,
      stopping at the first node already certified as rooted; nodes on the
      current chain are marked in-progress, so meeting one again is a
      cycle.  Each node is walked over at most twice across all starts
      (once in-progress, once certifying), so a million-node path costs a
-     linear pass, not the quadratic per-node climb it used to. *)
+     linear pass, not the quadratic per-node climb.  Every non-root node
+     has a parent by now, and the root is certified, so a climb always
+     ends. *)
   let state = Array.make n 0 in
   (* 0 = unknown, 1 = on the current chain, 2 = certified rooted. *)
   state.(root) <- 2;
@@ -34,32 +51,41 @@ let of_parents g ~root parents =
       let u = ref v in
       while state.(!u) = 0 do
         state.(!u) <- 1;
-        match parent.(!u) with
-        | Some (w, _) -> u := w
-        | None -> fail "Spanning.of_parents: node %d not rooted" v
+        u := parents.(!u)
       done;
       if state.(!u) = 1 then fail "Spanning.of_parents: cycle through node %d" v;
       let u = ref v in
       while state.(!u) = 1 do
         state.(!u) <- 2;
-        match parent.(!u) with Some (w, _) -> u := w | None -> ()
+        u := parents.(!u)
       done
     end
   done;
-  (* Children in port order: walk each row from its last port down and
-     keep the neighbors whose parent is this node (no parallel edges, so
-     the edge back is the one the parent port names). *)
-  let off = Graph.csr_offsets g and nbr = Graph.csr_neighbors g in
-  let children = Array.make n [] in
-  for u = 0 to n - 1 do
-    for i = off.(u + 1) - 1 downto off.(u) do
-      let v = nbr.(i) in
-      match parent.(v) with
-      | Some (w, _) when w = u -> children.(u) <- (v, i - off.(u)) :: children.(u)
-      | _ -> ()
-    done
+  (* Children in port order by a counting sort on graph slots: a child
+     [v] of [u] occupies the slot of [u]'s port towards it, which is
+     [off.(u)] plus the arrival port of [v]'s parent edge.  Scanning the
+     slots in order then lists each row's children by ascending port. *)
+  let by_slot = Array.make off.(n) (-1) in
+  for v = 0 to n - 1 do
+    let u = parents.(v) in
+    if u >= 0 then by_slot.(off.(u) + prt.(off.(v) + parent_port.(v))) <- v
   done;
-  { root; parent; children }
+  let child_off = Array.make (n + 1) 0 in
+  let child_node = Array.make (n - 1) 0 and child_port = Array.make (n - 1) 0 in
+  let k = ref 0 in
+  for u = 0 to n - 1 do
+    let base = off.(u) in
+    for i = base to off.(u + 1) - 1 do
+      let v = by_slot.(i) in
+      if v >= 0 then begin
+        child_node.(!k) <- v;
+        child_port.(!k) <- i - base;
+        incr k
+      end
+    done;
+    child_off.(u + 1) <- !k
+  done;
+  { root; parent_node = parents; parent_port; child_off; child_node; child_port }
 
 let bfs g ~root =
   let _, parents = Traverse.bfs g ~root in
@@ -92,7 +118,7 @@ let parents_from_edges g ~root ~count eu ev =
     adj.(fill.(v)) <- u;
     fill.(v) <- fill.(v) + 1
   done;
-  let parents = Array.make n None in
+  let parents = Array.make n (-1) in
   let seen = Array.make n false in
   let queue = Array.make n 0 in
   seen.(root) <- true;
@@ -105,7 +131,7 @@ let parents_from_edges g ~root ~count eu ev =
       let v = adj.(i) in
       if not seen.(v) then begin
         seen.(v) <- true;
-        parents.(v) <- Some u;
+        parents.(v) <- u;
         queue.(!tail) <- v;
         incr tail
       end
@@ -231,70 +257,108 @@ let light g ~root =
   done;
   of_parents g ~root (parents_from_edges g ~root ~count:!count tu tv)
 
-let size t = Array.length t.parent
+let size t = Array.length t.parent_node
 
-let edges t =
+let parent t v = if t.parent_node.(v) < 0 then None else Some (t.parent_node.(v), t.parent_port.(v))
+
+let children t u =
   let acc = ref [] in
-  Array.iteri
-    (fun v p ->
-      match p with
-      | None -> ()
-      | Some (u, pv) ->
-        let pu =
-          match t.children.(u) |> List.assoc_opt v with
-          | Some p -> p
-          | None -> -1
-        in
-        let e =
-          if u < v then { Graph.u; pu; v; pv } else { Graph.u = v; pu = pv; v = u; pv = pu }
-        in
-        acc := e :: !acc)
-    t.parent;
-  List.rev !acc
+  for k = t.child_off.(u + 1) - 1 downto t.child_off.(u) do
+    acc := (t.child_node.(k), t.child_port.(k)) :: !acc
+  done;
+  !acc
+
+let children_ports t u =
+  let acc = ref [] in
+  for k = t.child_off.(u + 1) - 1 downto t.child_off.(u) do
+    acc := t.child_port.(k) :: !acc
+  done;
+  !acc
+
+(* In ascending child index: the order the broadcast oracle's weight
+   lists follow. *)
+let edges t =
+  let n = size t in
+  let down = Array.make n 0 in
+  for k = 0 to Array.length t.child_node - 1 do
+    down.(t.child_node.(k)) <- t.child_port.(k)
+  done;
+  let acc = ref [] in
+  for v = n - 1 downto 0 do
+    let u = t.parent_node.(v) in
+    if u >= 0 then begin
+      let pu = down.(v) and pv = t.parent_port.(v) in
+      let e =
+        if u < v then { Graph.u; pu; v; pv } else { Graph.u = v; pu = pv; v = u; pv = pu }
+      in
+      acc := e :: !acc
+    end
+  done;
+  !acc
 
 let check g t =
   try
     let n = Graph.n g in
-    if Array.length t.parent <> n then failwith "size mismatch";
-    if t.parent.(t.root) <> None then failwith "root has a parent";
+    let off = Graph.csr_offsets g and nbr = Graph.csr_neighbors g in
+    let deg u = off.(u + 1) - off.(u) in
+    if
+      Array.length t.parent_node <> n
+      || Array.length t.parent_port <> n
+      || Array.length t.child_off <> n + 1
+    then failwith "size mismatch";
+    if t.root < 0 || t.root >= n then failwith "root out of range";
+    if t.parent_node.(t.root) >= 0 then failwith "root has a parent";
     let count = ref 0 in
-    Array.iteri
-      (fun v p ->
-        match p with
-        | None -> if v <> t.root then failwith "non-root without parent"
-        | Some (u, pv) ->
-          incr count;
-          (match Graph.port_to g v u with
-          | Some p' when p' = pv -> ()
-          | _ -> failwith "parent port does not match graph");
-          (match List.assoc_opt v t.children.(u) with
-          | Some pu ->
-            (match Graph.port_to g u v with
-            | Some p' when p' = pu -> ()
-            | _ -> failwith "child port does not match graph")
-          | None -> failwith "child missing from parent's list"))
-      t.parent;
+    for v = 0 to n - 1 do
+      let u = t.parent_node.(v) in
+      if u < 0 then begin
+        if v <> t.root then failwith "non-root without parent"
+      end
+      else begin
+        incr count;
+        let pv = t.parent_port.(v) in
+        if u >= n || pv < 0 || pv >= deg v || nbr.(off.(v) + pv) <> u then
+          failwith "parent port does not match graph"
+      end
+    done;
     if !count <> n - 1 then failwith "wrong edge count";
-    let listed = Array.fold_left (fun acc l -> acc + List.length l) 0 t.children in
-    if listed <> n - 1 then failwith "children lists inconsistent";
-    (* Reachability from root via children links — explicit stack, so
-       deep (path-like) trees cannot overflow the call stack. *)
+    if
+      Array.length t.child_node <> n - 1
+      || Array.length t.child_port <> n - 1
+      || t.child_off.(0) <> 0
+      || t.child_off.(n) <> n - 1
+    then failwith "children lists inconsistent";
+    (* Each listed child names this node as its parent, through the
+       port the row gives, in ascending port order.  Ports are distinct
+       and there are no parallel edges, so no child is listed twice;
+       with n-1 slots every non-root node is listed exactly once. *)
+    for u = 0 to n - 1 do
+      let first = t.child_off.(u) and stop = t.child_off.(u + 1) in
+      if stop < first then failwith "children lists inconsistent";
+      for k = first to stop - 1 do
+        let v = t.child_node.(k) and pu = t.child_port.(k) in
+        if v < 0 || v >= n || t.parent_node.(v) <> u then failwith "child missing from parent's list";
+        if pu < 0 || pu >= deg u || nbr.(off.(u) + pu) <> v then
+          failwith "child port does not match graph";
+        if k > first && t.child_port.(k - 1) >= pu then failwith "children not in port order"
+      done
+    done;
+    (* Reachability from root via children links, on an explicit stack. *)
     let seen = Array.make n false in
-    let stack = ref [ t.root ] in
+    let stack = Array.make n 0 in
+    let top = ref 0 in
+    stack.(0) <- t.root;
     seen.(t.root) <- true;
-    while !stack <> [] do
-      match !stack with
-      | [] -> ()
-      | u :: rest ->
-        stack := rest;
-        List.iter
-          (fun (v, _) ->
-            if seen.(v) then failwith "cycle"
-            else begin
-              seen.(v) <- true;
-              stack := v :: !stack
-            end)
-          t.children.(u)
+    while !top >= 0 do
+      let u = stack.(!top) in
+      decr top;
+      for k = t.child_off.(u) to t.child_off.(u + 1) - 1 do
+        let v = t.child_node.(k) in
+        if seen.(v) then failwith "cycle";
+        seen.(v) <- true;
+        incr top;
+        stack.(!top) <- v
+      done
     done;
     if not (Array.for_all (fun b -> b) seen) then failwith "not spanning";
     Ok ()
@@ -303,18 +367,21 @@ let check g t =
 let depth t =
   let n = size t in
   let d = Array.make n (-1) in
-  let stack = ref [ (t.root, 0) ] in
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | (u, depth_u) :: rest ->
-      stack := rest;
-      d.(u) <- depth_u;
-      List.iter (fun (v, _) -> stack := (v, depth_u + 1) :: !stack) t.children.(u)
+  let queue = Array.make n 0 in
+  d.(t.root) <- 0;
+  queue.(0) <- t.root;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let u = queue.(!head) in
+    incr head;
+    for k = t.child_off.(u) to t.child_off.(u + 1) - 1 do
+      let v = t.child_node.(k) in
+      d.(v) <- d.(u) + 1;
+      queue.(!tail) <- v;
+      incr tail
+    done
   done;
   d
 
 let contribution g es =
   List.fold_left (fun acc e -> acc + Bitstring.Binary.bits (Graph.edge_weight g e)) 0 es
-
-let children_ports t u = List.map snd t.children.(u)

@@ -7,19 +7,31 @@
     DFS and random trees alongside the Claim 3.1 construction whose total
     contribution [Σ #₂(w(e))] is at most [4n]. *)
 
-type t = {
+type t = private {
   root : int;
-  parent : (int * int) option array;
-      (** [parent.(v) = Some (u, p)]: [u] is [v]'s parent and [p] is the
-          port {e at [v]} leading to [u]. *)
-  children : (int * int) list array;
-      (** [children.(u)]: list of [(child, port at u towards child)] in
-          increasing port order. *)
+  parent_node : int array;  (** [parent_node.(v)]: [v]'s parent, [-1] at the root. *)
+  parent_port : int array;
+      (** [parent_port.(v)]: the port {e at [v]} leading to its parent,
+          [-1] at the root. *)
+  child_off : int array;
+      (** Length [n+1]: the children of [u] occupy slots
+          [child_off.(u) … child_off.(u+1) - 1] of the two arrays below. *)
+  child_node : int array;  (** Length [n-1]: children, grouped by parent. *)
+  child_port : int array;
+      (** Length [n-1]: the port at the parent towards the child in the
+          same slot.  Within a parent's slots the ports ascend. *)
 }
+(** A spanning tree as flat int arrays: one parent array, one parent-port
+    array and the children in CSR form, in ascending port order — no
+    boxed value per node.  The arrays are shared, not copied: callers
+    treat them as read-only.  {!parent} and {!children} give boxed
+    views. *)
 
-val of_parents : Graph.t -> root:int -> int option array -> t
-(** Build from a parent map (as produced by {!Traverse.bfs}).  Raises
-    [Invalid_argument] if the map is not a spanning tree of the graph
+val of_parents : Graph.t -> root:int -> int array -> t
+(** Build from a parent array ([-1] for the root), as produced by
+    {!Traverse.bfs}.  The array is adopted as [parent_node], not copied:
+    the caller must not mutate it afterwards.
+    Raises [Invalid_argument] if it is not a spanning tree of the graph
     rooted at [root]. *)
 
 val bfs : Graph.t -> root:int -> t
@@ -37,8 +49,17 @@ val light : Graph.t -> root:int -> t
 val size : t -> int
 (** Number of nodes. *)
 
+val parent : t -> int -> (int * int) option
+(** [parent t v = Some (u, p)]: [u] is [v]'s parent and [p] the port at
+    [v] leading to it; [None] at the root. *)
+
+val children : t -> int -> (int * int) list
+(** [(child, port at u towards child)] in increasing port order. *)
+
 val edges : t -> Graph.edge list
-(** The [n-1] tree edges, with ports as in the underlying graph. *)
+(** The [n-1] tree edges, with ports as in the underlying graph, in
+    ascending order of each edge's child; each edge lists its smaller
+    endpoint as [u]. *)
 
 val check : Graph.t -> t -> (unit, string) result
 (** Verify: spans all nodes, is acyclic, parent/children agree, every tree

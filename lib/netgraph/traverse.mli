@@ -1,13 +1,15 @@
 (** Classical traversals over port-labeled graphs. *)
 
-val bfs : Graph.t -> root:int -> int array * int option array
+val bfs : Graph.t -> root:int -> int array * int array
 (** [bfs g ~root] is [(dist, parent)]: [dist.(v)] is the hop distance from
-    [root] ([-1] if unreachable), [parent.(v)] the BFS parent ([None] for
+    [root] ([-1] if unreachable), [parent.(v)] the BFS parent ([-1] for
     the root and unreachable nodes).  Neighbors are explored in port
     order. *)
 
-val dfs_parents : Graph.t -> root:int -> int option array
-(** DFS spanning forest parents from [root], ports explored in order. *)
+val dfs_parents : Graph.t -> root:int -> int array
+(** DFS tree parents from [root] ([-1] for the root and unreachable
+    nodes), ports explored in order.  The walk keeps an explicit stack,
+    so a path of any length runs in constant call-stack depth. *)
 
 val components : Graph.t -> int array * int
 (** [(comp, k)]: component index per node and the number of components. *)

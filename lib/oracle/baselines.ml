@@ -45,7 +45,7 @@ let parent_port =
       Advice.make
         (Array.init (Graph.n g) (fun v ->
              let buf = Bitbuf.create () in
-             (match tree.Netgraph.Spanning.parent.(v) with
+             (match Netgraph.Spanning.parent tree v with
              | None -> ()
              | Some (_, port_to_parent) -> Codes.write_gamma buf port_to_parent);
              buf)))

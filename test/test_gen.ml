@@ -250,7 +250,7 @@ let test_random_regular () =
 
    The random families as first written: per-node incidence lists built
    by prepending, each turned into an array, shuffled, and handed to
-   [Graph.of_adjacency].  The generators build CSR directly; these
+   [Graph_helpers.of_adjacency].  The generators build CSR directly; these
    restatements pin that the graphs, ports and random draws did not move. *)
 
 let reference_of_pairs_shuffled ~n st pairs =
@@ -268,7 +268,7 @@ let reference_of_pairs_shuffled ~n st pairs =
       a.(j) <- tmp
     done
   in
-  Graph.of_adjacency
+  Graph_helpers.of_adjacency
     (Array.map
        (fun ns ->
          let a = Array.of_list ns in

@@ -52,7 +52,7 @@ let test_advice_roundtrip () =
     let parent, children = Gossip.decode_advice (Oracles.Advice.get advice v) in
     Alcotest.(check (option int))
       (Printf.sprintf "parent %d" v)
-      (Option.map snd tree.Netgraph.Spanning.parent.(v))
+      (Option.map snd (Netgraph.Spanning.parent tree v))
       parent;
     Alcotest.(check (list int))
       (Printf.sprintf "children %d" v)

@@ -105,14 +105,14 @@ let test_make_rejects_malformed () =
       Graph.make ~labels:[| 1 |] ~n:2 [ { Graph.u = 0; pu = 0; v = 1; pv = 0 } ])
 
 let test_of_adjacency () =
-  let g = Graph.of_adjacency [| [ 1; 2 ]; [ 0 ]; [ 0 ] |] in
+  let g = Graph_helpers.of_adjacency [| [ 1; 2 ]; [ 0 ]; [ 0 ] |] in
   check_int "n" 3 (Graph.n g);
   check_int "m" 2 (Graph.m g);
   Alcotest.(check (pair int int)) "ports by list order" (1, 0) (Graph.endpoint g 0 0);
   Alcotest.(check (pair int int)) "second port" (2, 0) (Graph.endpoint g 0 1)
 
 let test_of_adjacency_asymmetric () =
-  expect_invalid "asymmetric" (fun () -> Graph.of_adjacency [| [ 1 ]; [] |])
+  expect_invalid "asymmetric" (fun () -> Graph_helpers.of_adjacency [| [ 1 ]; [] |])
 
 let test_validate_ok () =
   Alcotest.(check (result unit string)) "valid" (Ok ()) (Graph.validate (triangle ()))

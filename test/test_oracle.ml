@@ -157,7 +157,7 @@ let test_union_oracle () =
   let r = Bitbuf.reader (Advice.get advice 8) in
   let tree = Netgraph.Spanning.bfs g ~root:0 in
   let expected_parent =
-    match tree.Netgraph.Spanning.parent.(8) with Some (_, p) -> p | None -> -1
+    match Netgraph.Spanning.parent tree 8 with Some (_, p) -> p | None -> -1
   in
   check_int "first component readable" expected_parent (Bitstring.Codes.read_gamma r)
 

@@ -44,7 +44,7 @@ let test_nontrivial_root () =
   let t = Spanning.light g ~root:4 in
   assert_tree "root 4" g t;
   check_int "root" 4 t.Spanning.root;
-  Alcotest.(check bool) "root has no parent" true (t.Spanning.parent.(4) = None)
+  Alcotest.(check bool) "root has no parent" true (Spanning.parent t 4 = None)
 
 let test_depth () =
   let g = Gen.path 5 in
@@ -61,19 +61,19 @@ let test_children_ports_sorted () =
 let test_of_parents_rejects_cycle () =
   let g = Gen.cycle 4 in
   (* 0→1→2→3→0 is a cycle, not a tree. *)
-  let parents = [| Some 3; Some 0; Some 1; Some 2 |] in
+  let parents = [| 3; 0; 1; 2 |] in
   (match Spanning.of_parents g ~root:0 parents with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected rejection");
   (* root can't have a parent *)
-  match Spanning.of_parents g ~root:1 [| None; Some 0; Some 1; Some 2 |] with
+  match Spanning.of_parents g ~root:1 [| -1; 0; 1; 2 |] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected rejection: non-rooted"
 
 let test_of_parents_rejects_non_edge () =
   let g = Gen.path 4 in
   (* 0-2 is not an edge of the path. *)
-  match Spanning.of_parents g ~root:0 [| None; Some 0; Some 0; Some 2 |] with
+  match Spanning.of_parents g ~root:0 [| -1; 0; 0; 2 |] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected rejection"
 
@@ -192,10 +192,238 @@ let test_light_matches_reference () =
 
 let test_light_rejects_disconnected () =
   (* Two disjoint edges: 0-1 and 2-3. *)
-  let g = Graph.of_adjacency [| [ 1 ]; [ 0 ]; [ 3 ]; [ 2 ] |] in
+  let g = Graph_helpers.of_adjacency [| [ 1 ]; [ 0 ]; [ 3 ]; [ 2 ] |] in
   match Spanning.light g ~root:0 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Spanning.light to reject a disconnected graph"
+
+(* {1 The list-based tree as a reference model}
+
+   Traversals and trees as first written: [Graph.neighbors] tuple lists
+   and a [Queue] for BFS, one recursive call per tree level for DFS, an
+   option per node for the parent and a list per node for the children,
+   edges paired up through [List.assoc_opt].  The flat arrays must
+   reproduce every parent, port, child order, edge and advice bit. *)
+module Ref = struct
+  type t = {
+    root : int;
+    parent : (int * int) option array;
+    children : (int * int) list array;
+  }
+
+  let bfs g ~root =
+    let n = Graph.n g in
+    let dist = Array.make n (-1) in
+    let parent = Array.make n None in
+    let q = Queue.create () in
+    dist.(root) <- 0;
+    Queue.add root q;
+    while not (Queue.is_empty q) do
+      let u = Queue.pop q in
+      List.iter
+        (fun (_, v, _) ->
+          if dist.(v) < 0 then begin
+            dist.(v) <- dist.(u) + 1;
+            parent.(v) <- Some u;
+            Queue.add v q
+          end)
+        (Graph.neighbors g u)
+    done;
+    (dist, parent)
+
+  let dfs_parents g ~root =
+    let n = Graph.n g in
+    let parent = Array.make n None in
+    let seen = Array.make n false in
+    let rec go u =
+      seen.(u) <- true;
+      List.iter
+        (fun (_, v, _) ->
+          if not seen.(v) then begin
+            parent.(v) <- Some u;
+            go v
+          end)
+        (Graph.neighbors g u)
+    in
+    go root;
+    parent
+
+  let of_parents g ~root parents =
+    let n = Graph.n g in
+    let parent =
+      Array.mapi
+        (fun v p ->
+          match p with
+          | None -> if v <> root then invalid_arg "reference: no parent" else None
+          | Some u -> (
+            match Graph.port_to g v u with
+            | Some pv -> Some (u, pv)
+            | None -> invalid_arg "reference: not an edge"))
+        parents
+    in
+    let children =
+      Array.init n (fun u ->
+          List.filter_map
+            (fun (p, v, _) ->
+              match parent.(v) with Some (w, _) when w = u -> Some (v, p) | _ -> None)
+            (Graph.neighbors g u))
+    in
+    { root; parent; children }
+
+  let edges t =
+    let acc = ref [] in
+    Array.iteri
+      (fun v p ->
+        match p with
+        | None -> ()
+        | Some (u, pv) ->
+          let pu = match List.assoc_opt v t.children.(u) with Some p -> p | None -> -1 in
+          let e =
+            if u < v then { Graph.u; pu; v; pv } else { Graph.u = v; pu = pv; v = u; pv = pu }
+          in
+          acc := e :: !acc)
+      t.parent;
+    List.rev !acc
+
+  let weight_assignment g t =
+    let out = Array.make (Graph.n g) [] in
+    List.iter
+      (fun e ->
+        let w = Graph.edge_weight g e in
+        let x = if e.Graph.pu = w then e.Graph.u else e.Graph.v in
+        out.(x) <- w :: out.(x))
+      (edges t);
+    Array.map List.rev out
+
+  let children_ports t u = List.map snd t.children.(u)
+end
+
+let to_options parents = Array.map (fun u -> if u < 0 then None else Some u) parents
+
+(* Every family at a spread of sizes, as built and with ports permuted,
+   each from a seeded random root. *)
+let reference_draws () =
+  let st = Random.State.make [| 18 |] in
+  List.concat_map
+    (fun fam ->
+      List.concat_map
+        (fun (n, seed) ->
+          let g = Families.build fam ~n ~seed in
+          List.map
+            (fun (how, g) ->
+              let root = Random.State.int st (Graph.n g) in
+              (Printf.sprintf "%s n=%d seed=%d root=%d %s" (Families.name fam) n seed root how, g, root))
+            [ ("ports as built", g); ("ports permuted", Transform.permute_ports g st) ])
+        [ (2, 1); (3, 2); (7, 3); (16, 4); (33, 5); (100, 6); (257, 7); (600, 8) ])
+    Families.all
+
+let check_same_tree name g (t : Spanning.t) (r : Ref.t) =
+  let n = Graph.n g in
+  check_int (name ^ ": root") r.Ref.root t.Spanning.root;
+  Alcotest.(check (array (option (pair int int))))
+    (name ^ ": parents and parent ports")
+    r.Ref.parent
+    (Array.init n (Spanning.parent t));
+  Alcotest.(check (array (list (pair int int))))
+    (name ^ ": children in port order")
+    r.Ref.children
+    (Array.init n (Spanning.children t));
+  check_bool (name ^ ": edge list") true (Ref.edges r = Spanning.edges t)
+
+let test_traversals_match_reference () =
+  List.iter
+    (fun (name, g, root) ->
+      let dist, parents = Traverse.bfs g ~root in
+      let ref_dist, ref_parents = Ref.bfs g ~root in
+      Alcotest.(check (array int)) (name ^ ": bfs dist") ref_dist dist;
+      Alcotest.(check (array (option int))) (name ^ ": bfs parents") ref_parents (to_options parents);
+      Alcotest.(check (array (option int)))
+        (name ^ ": dfs parents")
+        (Ref.dfs_parents g ~root)
+        (to_options (Traverse.dfs_parents g ~root)))
+    (reference_draws ())
+
+let test_trees_match_reference () =
+  List.iter
+    (fun (name, g, root) ->
+      List.iter
+        (fun (kind, (t : Spanning.t)) ->
+          let name = name ^ " " ^ kind in
+          assert_tree name g t;
+          let r = Ref.of_parents g ~root (to_options t.Spanning.parent_node) in
+          check_same_tree name g t r;
+          Alcotest.(check (array (list int)))
+            (name ^ ": weight assignment")
+            (Ref.weight_assignment g r)
+            (Oracle_core.Broadcast.weight_assignment g t))
+        [
+          ("bfs", Spanning.bfs g ~root);
+          ("dfs", Spanning.dfs g ~root);
+          ("light", Spanning.light g ~root);
+        ];
+      check_same_tree (name ^ " bfs from reference parents") g (Spanning.bfs g ~root)
+        (Ref.of_parents g ~root (snd (Ref.bfs g ~root)));
+      check_same_tree (name ^ " dfs from reference parents") g (Spanning.dfs g ~root)
+        (Ref.of_parents g ~root (Ref.dfs_parents g ~root)))
+    (reference_draws ())
+
+(* The oracles' advice, node by node, against the encoders applied to
+   the reference trees: children ports for Thm 2.1 (BFS tree), light-tree
+   weights for Thm 3.1. *)
+let test_advice_matches_reference () =
+  let module Bitbuf = Bitstring.Bitbuf in
+  let module Codes = Bitstring.Codes in
+  let module Binary = Bitstring.Binary in
+  let wakeup_bits enc ~n ports =
+    let buf = Bitbuf.create () in
+    (match (ports, enc) with
+    | [], _ -> ()
+    | _, Oracle_core.Wakeup.Paper ->
+      Codes.write_port_list buf ~width:(max 1 (Binary.ceil_log2 n)) ports
+    | _, Oracle_core.Wakeup.Paper_minimal ->
+      Codes.write_port_list buf ~width:(Binary.bits (List.fold_left max 0 ports)) ports
+    | _, Oracle_core.Wakeup.Gamma -> List.iter (Codes.write_gamma buf) ports);
+    buf
+  in
+  let broadcast_bits enc ws =
+    let buf = Bitbuf.create () in
+    (match enc with
+    | Oracle_core.Broadcast.Marked -> Codes.write_marked_list buf ws
+    | Oracle_core.Broadcast.Gamma -> List.iter (Codes.write_gamma buf) ws);
+    buf
+  in
+  let same name advice expected =
+    Array.iteri
+      (fun v buf ->
+        if not (Bitbuf.equal buf (Oracles.Advice.get advice v)) then
+          Alcotest.failf "%s: advice of node %d differs" name v)
+      expected
+  in
+  List.iter
+    (fun (name, g, root) ->
+      let n = Graph.n g in
+      let bfs = Ref.of_parents g ~root (snd (Ref.bfs g ~root)) in
+      List.iter
+        (fun enc ->
+          let o = Oracle_core.Wakeup.oracle ~encoding:enc () in
+          same
+            (name ^ " wakeup " ^ Oracle_core.Wakeup.encoding_name enc)
+            (o.Oracles.Oracle.advise g ~source:root)
+            (Array.init n (fun v -> wakeup_bits enc ~n (Ref.children_ports bfs v))))
+        Oracle_core.Wakeup.[ Paper; Paper_minimal; Gamma ];
+      let light = Spanning.light g ~root in
+      let weights =
+        Ref.weight_assignment g (Ref.of_parents g ~root (to_options light.Spanning.parent_node))
+      in
+      List.iter
+        (fun enc ->
+          let o = Oracle_core.Broadcast.oracle ~encoding:enc () in
+          same
+            (name ^ " broadcast " ^ Oracle_core.Broadcast.encoding_name enc)
+            (o.Oracles.Oracle.advise g ~source:root)
+            (Array.map (broadcast_bits enc) weights))
+        Oracle_core.Broadcast.[ Marked; Gamma ])
+    (reference_draws ())
 
 let suite =
   [
@@ -215,6 +443,10 @@ let suite =
     Alcotest.test_case "light tree matches the reference phase loop" `Quick
       test_light_matches_reference;
     Alcotest.test_case "light rejects a disconnected graph" `Quick test_light_rejects_disconnected;
+    Alcotest.test_case "bfs and dfs parents match the list-based walks" `Quick
+      test_traversals_match_reference;
+    Alcotest.test_case "flat trees match the list-based trees" `Quick test_trees_match_reference;
+    Alcotest.test_case "advice matches the list-based trees" `Quick test_advice_matches_reference;
     QCheck_alcotest.to_alcotest qcheck_light_tree;
     QCheck_alcotest.to_alcotest qcheck_random_spanning;
   ]

@@ -1,9 +1,10 @@
 (* The paper's two upper bounds as seeded properties.  Theorem 2.1:
    wakeup with exactly n-1 messages.  Theorem 3.1: broadcast with at
-   most 8n advice bits and fewer than 3n messages.  Each draw picks a
-   size, a graph, a source and a scheduler from its seed, and runs on the
-   graph as built and under a random port labeling; the failure message
-   names the draw.  A few draws are past one 4096-node block under the
+   most 8n advice bits and fewer than 3n messages.  Claim 3.1: the light
+   tree's weights cost at most 4n bits.  Each draw picks a size, a graph,
+   a source and a scheduler from its seed, and runs on the graph as
+   built, under a random port labeling and under a random node
+   relabeling; the failure message names the draw.  A few draws are past one 4096-node block under the
    synchronous scheduler, where untraced rounds are visited in
    destination-block order. *)
 
@@ -16,8 +17,8 @@ let check_int = Alcotest.(check int)
 
 let seeds = List.init 16 (fun i -> i + 1)
 
-(* [(name, graph, source, scheduler)] for one seeded draw, ports as
-   built and permuted. *)
+(* [(name, graph, source, scheduler)] for one seeded draw: as built,
+   ports permuted, labels permuted. *)
 let draws fam ~min_n ~max_n ~sync_only seed =
   let st = Random.State.make [| seed; Hashtbl.hash (Families.name fam) |] in
   let n = min_n + Random.State.int st (max_n - min_n + 1) in
@@ -39,7 +40,11 @@ let draws fam ~min_n ~max_n ~sync_only seed =
         g,
         source,
         scheduler ))
-    [ ("ports as built", g); ("ports permuted", Netgraph.Transform.permute_ports g st) ]
+    [
+      ("ports as built", g);
+      ("ports permuted", Netgraph.Transform.permute_ports g st);
+      ("labels permuted", Netgraph.Transform.permute_labels g st);
+    ]
 
 let small_draws () =
   List.concat_map
@@ -75,12 +80,23 @@ let check_broadcast (name, g, source, scheduler) =
     true
     (r.Sim.Runner.stats.Sim.Runner.sent < 3 * n)
 
+let check_light_tree (name, g, source, _) =
+  let t = Netgraph.Spanning.light g ~root:source in
+  let c = Netgraph.Spanning.contribution g (Netgraph.Spanning.edges t) in
+  check_bool (Printf.sprintf "%s: light tree valid" name) true (Netgraph.Spanning.check g t = Ok ());
+  check_bool
+    (Printf.sprintf "%s: contribution %d <= 4n" name c)
+    true
+    (c <= 4 * Graph.n g)
+
 let suite =
   [
     Alcotest.test_case "Thm 2.1 on seeded draws from every family" `Quick (fun () ->
         List.iter check_wakeup (small_draws ()));
     Alcotest.test_case "Thm 3.1 on seeded draws from every family" `Quick (fun () ->
         List.iter check_broadcast (small_draws ()));
+    Alcotest.test_case "Claim 3.1 on seeded draws from every family" `Quick (fun () ->
+        List.iter check_light_tree (small_draws ()));
     Alcotest.test_case "Thm 2.1 and 3.1 on seeded draws past one block" `Slow (fun () ->
         List.iter
           (fun d ->

@@ -6,8 +6,8 @@ let test_bfs_path () =
   let g = Gen.path 6 in
   let dist, parent = Traverse.bfs g ~root:0 in
   Alcotest.(check (array int)) "distances" [| 0; 1; 2; 3; 4; 5 |] dist;
-  Alcotest.(check (option int)) "root parent" None parent.(0);
-  Alcotest.(check (option int)) "chain parent" (Some 2) parent.(3)
+  check_int "root parent" (-1) parent.(0);
+  check_int "chain parent" 2 parent.(3)
 
 let test_bfs_cycle () =
   let g = Gen.cycle 6 in
@@ -21,14 +21,14 @@ let test_bfs_disconnected () =
   in
   let dist, parent = Traverse.bfs g ~root:0 in
   check_int "unreachable" (-1) dist.(2);
-  Alcotest.(check (option int)) "no parent" None parent.(3)
+  check_int "no parent" (-1) parent.(3)
 
 let test_dfs_spans () =
   let g = Gen.grid ~rows:4 ~cols:4 in
   let parent = Traverse.dfs_parents g ~root:0 in
   let reached = Array.make 16 false in
   reached.(0) <- true;
-  Array.iteri (fun v p -> if p <> None then reached.(v) <- true) parent;
+  Array.iteri (fun v p -> if p >= 0 then reached.(v) <- true) parent;
   Alcotest.(check bool) "all reached" true (Array.for_all (fun b -> b) reached)
 
 let test_components () =
@@ -79,8 +79,30 @@ let test_bfs_explores_in_port_order () =
   let g = Gen.complete 5 in
   let _, parent = Traverse.bfs g ~root:0 in
   for v = 1 to 4 do
-    Alcotest.(check (option int)) (Printf.sprintf "parent %d" v) (Some 0) parent.(v)
+    check_int (Printf.sprintf "parent %d" v) 0 parent.(v)
   done
+
+(* The DFS tree of a long path is a single chain, so a walk that spends
+   a call frame per level overflows a small stack.  Run the CLI (a test
+   dependency) under a 256k-word stack limit and demand exit 0 and the
+   default-stack run's stdout. *)
+let test_dfs_deep_path_small_stack () =
+  let run env =
+    let out = Filename.temp_file "dfs-path" ".txt" in
+    let code =
+      Sys.command
+        (Printf.sprintf "%s ../bin/oraclesize.exe broadcast -n 100000 --family path --tree dfs > %s"
+           env (Filename.quote out))
+    in
+    let text = In_channel.with_open_bin out In_channel.input_all in
+    Sys.remove out;
+    (code, text)
+  in
+  let code, small = run "OCAMLRUNPARAM=l=256k" in
+  check_int "exit code under a 256k-word stack" 0 code;
+  let code, default = run "" in
+  check_int "exit code" 0 code;
+  Alcotest.(check string) "same stdout as a default-stack run" default small
 
 let suite =
   [
@@ -94,4 +116,6 @@ let suite =
     Alcotest.test_case "eccentricity on disconnected" `Quick test_eccentricity_disconnected;
     Alcotest.test_case "distance" `Quick test_distance;
     Alcotest.test_case "bfs port order" `Quick test_bfs_explores_in_port_order;
+    Alcotest.test_case "dfs on a 10^5-node path under a small stack" `Quick
+      test_dfs_deep_path_small_stack;
   ]
