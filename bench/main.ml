@@ -928,11 +928,6 @@ let stress_journal = ref None
 
 let resilience_journal = ref None
 
-let acceptable_entry (e : Sim.Journal.entry) =
-  match e.Sim.Journal.verdict_class with
-  | Sim.Journal.Completed | Sim.Journal.Degraded -> true
-  | Sim.Journal.Stalled | Sim.Journal.Violated -> false
-
 (* The journaled-grid driver shared by stress and resilience: run [tasks]
    over a domain pool through [Sim.Sweep.map_journaled] (journaled under
    the spec bench-<name>-v1 when [journal] is set), write one [row] per
@@ -957,7 +952,7 @@ let journaled_grid ~name ~out ~journal ~key ~entry ~row ~tally_key ~label tasks 
       ~local:(fun () -> Sim.Sweep.Cache.create ())
       ~f:(fun cache _i t -> entry cache t)
       ~emit:(fun _i t e ->
-        if acceptable_entry e then incr graceful;
+        if Sim.Journal.graceful e then incr graceful;
         Hashtbl.add tally (tally_key t) e;
         output_string oc (row t e);
         output_char oc '\n')
@@ -993,16 +988,8 @@ let verdict_cells entries =
     [ Sim.Journal.Completed; Degraded; Stalled; Violated ]
 
 let stress_entry advice_cache t =
-  let raw_advice =
-    Sim.Sweep.Cache.find advice_cache
-      (Fault.Harness.protocol_name t.st_proto, t.st_gname)
-      (fun () -> Fault.Harness.advise t.st_proto t.st_graph ~source:0)
-  in
-  let o =
-    Fault.Harness.run ~scheduler:t.st_sched ~plan:t.st_plan ~raw_advice t.st_proto t.st_graph
-      ~source:0
-  in
-  Fault.Harness.journal_entry t.st_graph o
+  Fault.Harness.cached_entry ~scheduler:t.st_sched ~plan:t.st_plan advice_cache
+    ~graph_key:t.st_gname t.st_proto t.st_graph
 
 let stress_key t =
   Sim.Sweep.derive_seed 0
@@ -1105,19 +1092,11 @@ type resilience_task = {
   rt_graph : Graph.t;
 }
 
+(* Advice depends only on (protocol, graph): one cache entry serves the
+   whole plan x protection x retry frontier over it. *)
 let resilience_entry advice_cache t =
-  let raw_advice =
-    (* Advice depends only on (protocol, graph): one cache entry serves
-       the whole plan x protection x retry frontier over it. *)
-    Sim.Sweep.Cache.find advice_cache
-      (Fault.Harness.protocol_name t.rt_proto, t.rt_gname)
-      (fun () -> Fault.Harness.advise t.rt_proto t.rt_graph ~source:0)
-  in
-  let o =
-    Fault.Harness.run ~plan:t.rt_plan ~protect:t.rt_protect ~retry:t.rt_retry ~raw_advice
-      t.rt_proto t.rt_graph ~source:0
-  in
-  Fault.Harness.journal_entry t.rt_graph o
+  Fault.Harness.cached_entry ~plan:t.rt_plan ~protect:t.rt_protect ~retry:t.rt_retry advice_cache
+    ~graph_key:t.rt_gname t.rt_proto t.rt_graph
 
 let resilience_key t =
   Sim.Sweep.derive_seed 0

@@ -457,10 +457,6 @@ let broadcast_cmd =
       const run $ family_arg $ n_arg $ seed_arg $ source_arg $ scheduler_arg $ tree_arg
       $ shards_arg $ harness_term)
 
-(* The harness protocols by name: perf's --protocol and the sweep grid's
-   protocols axis. *)
-let protocols = [ ("wakeup", Fault.Harness.Wakeup); ("broadcast", Fault.Harness.Broadcast) ]
-
 (* {1 separation} *)
 
 let separation_cmd =
@@ -700,154 +696,16 @@ let spanner_cmd =
     (Cmd.info "spanner" ~doc:"Build a greedy t-spanner and its port oracle.")
     Term.(const run $ family_arg $ n_arg $ seed_arg $ stretch_arg)
 
-(* {1 perf} *)
-
-let perf_cmd =
-  let protocol_arg =
-    Arg.(
-      value
-      & opt (enum protocols) Fault.Harness.Wakeup
-      & info [ "protocol" ] ~docv:"PROTO" ~doc:"Protocol to time: wakeup or broadcast.")
-  in
-  (* A one-row interactive version of bench/perf.ml: build oracle and
-     advice once, time only [Sim.Runner.run], report throughput and the
-     minor-heap allocation rate.  At jobs = 1 the reps run sequentially
-     and are timed in CPU seconds (immune to scheduling noise); at
-     jobs > 1 they fan out over a domain pool — same graph, advice and
-     factory, all read-only — and wall time is the honest clock.  The
-     tracked sweep with the stable JSON schema stays in [dune build
-     @perf]; this is the quick spot check. *)
-  let run family n seed source protocol jobs =
-    let jobs = resolve_jobs jobs in
-    let g = build_with_source family n seed source in
-    let advice, factory =
-      match protocol with
-      | Fault.Harness.Wakeup ->
-        let o = Oracle_core.Wakeup.oracle () in
-        (o.Oracles.Oracle.advise g ~source, Oracle_core.Wakeup.scheme ())
-      | Fault.Harness.Broadcast ->
-        let o = Oracle_core.Broadcast.oracle () in
-        (o.Oracles.Oracle.advise g ~source, Oracle_core.Broadcast.scheme ())
-    in
-    let run () =
-      Sim.Runner.run ~max_messages:(5 * Graph.n g) ~advice:(Oracles.Advice.get advice) g
-        ~source factory
-    in
-    let reps = max 1 (200_000 / Graph.n g) in
-    ignore (run ());
-    let minor0 = Gc.minor_words () in
-    let r = run () in
-    let minor = Gc.minor_words () -. minor0 in
-    let clock = if jobs = 1 then Sys.time else Unix.gettimeofday in
-    let t0 = clock () in
-    if jobs = 1 then
-      for _ = 1 to reps do
-        ignore (run ())
-      done
-    else
-      Sim.Pool.with_pool ~jobs (fun pool ->
-          Array.iter
-            (function Ok () -> () | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
-            (Sim.Pool.map pool (fun _ -> ignore (run ())) reps));
-    let dt = (clock () -. t0) /. float_of_int reps in
-    let sent = r.Sim.Runner.stats.Sim.Runner.sent in
-    Printf.printf "network:       %s, %d nodes, %d edges\n" (Families.name family) (Graph.n g)
-      (Graph.m g);
-    Printf.printf "protocol:      %s (advice %d bits)\n" (Fault.Harness.protocol_name protocol)
-      (Oracles.Advice.size_bits advice);
-    Printf.printf "messages:      %d over %d rounds (reps %d, jobs %d)\n" sent
-      r.Sim.Runner.stats.Sim.Runner.rounds reps jobs;
-    Printf.printf "throughput:    %.0f messages/sec, %.0f rounds/sec (%s)\n"
-      (if dt > 0.0 then float_of_int sent /. dt else 0.0)
-      (if dt > 0.0 then float_of_int r.Sim.Runner.stats.Sim.Runner.rounds /. dt else 0.0)
-      (if jobs = 1 then "CPU time" else "wall time");
-    Printf.printf "allocation:    %.1f minor words/message\n"
-      (if sent > 0 then minor /. float_of_int sent else 0.0);
-    Printf.printf "completed:     informed %b, quiescent %b\n" r.Sim.Runner.all_informed
-      r.Sim.Runner.quiescent;
-    if not (r.Sim.Runner.all_informed && r.Sim.Runner.quiescent) then exit 1
-  in
-  Cmd.v
-    (Cmd.info "perf" ~doc:"Time the simulation hot path (messages/sec, words/message).")
-    Term.(const run $ family_arg $ n_arg $ seed_arg $ source_arg $ protocol_arg $ jobs_arg)
-
 (* {1 sweep} *)
 
-(* A sweep grid whose protocols axis names only harness protocols.  The
-   GRID argument, the journal tools and the worker's config frame all
-   parse through it, so [execute_point] never meets an unknown name. *)
-let parse_grid spec =
-  match Sim.Sweep.of_string spec with
-  | Error _ as e -> e
-  | Ok grid -> (
-    match List.find_opt (fun p -> not (List.mem_assoc p protocols)) grid.Sim.Sweep.protocols with
-    | Some p -> Error (Printf.sprintf "unknown protocol %S (wakeup or broadcast)" p)
-    | None -> Ok grid)
+let grid_conv = result_conv Fault.Sweep_point.parse_grid Sim.Sweep.to_string
 
-(* One grid point, executed against the per-worker caches.  Pure in the
-   point's coordinates, so sweep and [journal verify] share it: verify
-   re-runs this and byte-compares the re-encoded entry. *)
-let execute_point grid ~protect ~retry (graphs, advice_cache) p =
-  let proto = List.assoc p.Sim.Sweep.protocol protocols in
-  let gseed = Sim.Sweep.graph_seed grid p in
-  let gkey = (Families.name p.Sim.Sweep.family, p.Sim.Sweep.n, gseed) in
-  let g =
-    Sim.Sweep.Cache.find graphs gkey (fun () ->
-        Families.build p.Sim.Sweep.family ~n:p.Sim.Sweep.n ~seed:gseed)
-  in
-  let raw_advice =
-    Sim.Sweep.Cache.find advice_cache
-      (p.Sim.Sweep.protocol, gkey)
-      (fun () -> Fault.Harness.advise proto g ~source:0)
-  in
-  let o =
-    Fault.Harness.run ~scheduler:p.Sim.Sweep.scheduler ~plan:p.Sim.Sweep.plan ~protect ~retry
-      ~raw_advice proto g ~source:0
-  in
-  Fault.Harness.journal_entry g o
-
-let row_of_entry p (e : Sim.Journal.entry) =
-  Printf.sprintf
-    {|{"protocol":"%s","family":"%s","n":%d,"m":%d,"scheduler":"%s","plan":"%s","rep":%d,"seed":%d,"sent":%d,"rounds":%d,"advice_bits":%d,"raw_bits":%d,"faults":%d,"fallbacks":%d,"tampered":%d,"retransmits":%d,"corrected_bits":%d,"informed":%d,"class":"%s","verdict":"%s"}|}
-    (Obs.Jsonl.escape p.Sim.Sweep.protocol)
-    (Obs.Jsonl.escape (Families.name p.Sim.Sweep.family))
-    e.Sim.Journal.n e.Sim.Journal.m
-    (Obs.Jsonl.escape (Sim.Scheduler.name p.Sim.Sweep.scheduler))
-    (Obs.Jsonl.escape (Fault.Plan.to_string p.Sim.Sweep.plan))
-    p.Sim.Sweep.rep p.Sim.Sweep.seed e.Sim.Journal.messages e.Sim.Journal.rounds
-    e.Sim.Journal.advice_bits e.Sim.Journal.raw_advice_bits e.Sim.Journal.faults
-    e.Sim.Journal.fallbacks e.Sim.Journal.tampered e.Sim.Journal.retransmits
-    e.Sim.Journal.corrected_bits e.Sim.Journal.informed
-    (Sim.Journal.class_name e.Sim.Journal.verdict_class)
-    (Obs.Jsonl.escape e.Sim.Journal.verdict)
-
-(* The superblock's extra context: the two sweep knobs that change
-   results but are not grid coordinates.  A journal written under one
-   (protect, retry) pair refuses to resume under another. *)
-let sweep_context ~protect ~retry =
-  Printf.sprintf "protect=%s;retry=%d" (Bitstring.Ecc.name protect) retry
-
-let parse_sweep_context extra =
-  let ( let* ) = Result.bind in
-  match String.split_on_char ';' extra with
-  | [ p; r ] ->
-    let strip prefix s =
-      if String.length s > String.length prefix && String.sub s 0 (String.length prefix) = prefix
-      then Ok (String.sub s (String.length prefix) (String.length s - String.length prefix))
-      else Error (Printf.sprintf "journal context: expected %s<value>, got %S" prefix s)
-    in
-    let* pname = strip "protect=" p in
-    let* protect = Bitstring.Ecc.of_name pname in
-    let* rstr = strip "retry=" r in
-    let* retry =
-      match int_of_string_opt rstr with
-      | Some n when n >= 0 -> Ok n
-      | _ -> Error (Printf.sprintf "journal context: bad retry %S" rstr)
-    in
-    Ok (protect, retry)
-  | _ -> Error (Printf.sprintf "journal context: expected protect=...;retry=..., got %S" extra)
-
-let grid_conv = result_conv parse_grid Sim.Sweep.to_string
+(* A point run by a worker or the dispatch fallback: a raise becomes
+   the task's error string instead of taking the process down. *)
+let execute_or_error grid ~protect ~retry caches p =
+  match Fault.Sweep_point.execute grid ~protect ~retry caches p with
+  | entry -> Ok entry
+  | exception e -> Error (Printexc.to_string e)
 
 let sweep_cmd =
   let default_grid =
@@ -985,15 +843,6 @@ let sweep_cmd =
              Kept out of the row stream so the JSONL stays byte-identical across \
              schedulers.")
   in
-  let backoff_cap_arg =
-    Arg.(
-      value
-      & opt (positive_float_conv "backoff cap") Sim.Dispatch.default_backoff_cap
-      & info [ "backoff-cap" ] ~docv:"SECS"
-          ~doc:
-            "Ceiling on the exponential backoff applied when a dead worker's batch is \
-             requeued (the delay is min($(docv), 0.05·2^(attempt−1)) seconds).")
-  in
   let listen_arg =
     Arg.(
       value
@@ -1045,7 +894,7 @@ let sweep_cmd =
      as long as every point executed (2 on a bad spec or unusable
      journal, 1 if a point raised). *)
   let run grid out journal crash_after protect retry jobs workers chaos heartbeat_timeout
-      (batch, batch_min, batch_max) stats_out backoff_cap listen token expect_remote
+      (batch, batch_min, batch_max) stats_out listen token expect_remote
       worker_logs =
     let batching =
       match batch with
@@ -1076,17 +925,14 @@ let sweep_cmd =
     let buf = Buffer.create 4096 in
     let graceful = ref 0 in
     let emit_row p e =
-      (match e.Sim.Journal.verdict_class with
-      | Sim.Journal.Completed | Sim.Journal.Degraded -> incr graceful
-      | Sim.Journal.Stalled | Sim.Journal.Violated -> ());
-      Buffer.add_string buf (row_of_entry p e);
+      if Sim.Journal.graceful e then incr graceful;
+      Buffer.add_string buf (Fault.Sweep_point.row p e);
       Buffer.add_char buf '\n'
     in
     let pool_outcome () =
-      Sim.Sweep.run_journaled ~jobs ?journal ~context:(sweep_context ~protect ~retry)
-        ?on_append
-        ~local:(fun () -> (Sim.Sweep.Cache.create (), Sim.Sweep.Cache.create ()))
-        ~f:(fun caches p -> execute_point grid ~protect ~retry caches p)
+      Sim.Sweep.run_journaled ~jobs ?journal ~context:(Fault.Sweep_point.context ~protect ~retry)
+        ?on_append ~local:Fault.Sweep_point.caches
+        ~f:(Fault.Sweep_point.execute grid ~protect ~retry)
         ~emit:emit_row grid
     in
     let wall0 = Unix.gettimeofday () in
@@ -1102,7 +948,10 @@ let sweep_cmd =
            emission stay in canonical order on this process — so bytes
            match the in-process path exactly. *)
         let ctx =
-          { Sim.Journal.spec = Sim.Sweep.to_string grid; extra = sweep_context ~protect ~retry }
+          {
+            Sim.Journal.spec = Sim.Sweep.to_string grid;
+            extra = Fault.Sweep_point.context ~protect ~retry;
+          }
         in
         (match worker_logs with
         | None -> ()
@@ -1139,16 +988,12 @@ let sweep_cmd =
         in
         (* Lazy so the in-process caches are only built if degradation
            actually happens. *)
-        let fallback_caches =
-          lazy (Sim.Sweep.Cache.create (), Sim.Sweep.Cache.create ())
-        in
+        let fallback_caches = lazy (Fault.Sweep_point.caches ()) in
         let fallback i =
-          match execute_point grid ~protect ~retry (Lazy.force fallback_caches) pts.(i) with
-          | entry -> Ok entry
-          | exception e -> Error (Printexc.to_string e)
+          execute_or_error grid ~protect ~retry (Lazy.force fallback_caches) pts.(i)
         in
         let d =
-          Sim.Dispatch.create ~workers ~batching ~heartbeat_timeout ~backoff_cap ~token
+          Sim.Dispatch.create ~workers ~batching ~heartbeat_timeout ~token
             ?listener ~expect_remote ?stderr_dir:worker_logs
             ~log:(fun m -> Printf.eprintf "sweep: %s\n%!" m)
             ~command ~context:ctx ~fallback ()
@@ -1284,7 +1129,7 @@ let sweep_cmd =
     Term.(
       const run $ grid_arg $ out_arg $ journal_out_arg $ crash_after_arg $ protect_arg
       $ retry_arg $ jobs_arg $ workers_arg $ chaos_arg $ heartbeat_timeout_arg $ batch_term
-      $ stats_out_arg $ backoff_cap_arg $ listen_arg $ token_arg $ expect_remote_arg
+      $ stats_out_arg $ listen_arg $ token_arg $ expect_remote_arg
       $ worker_logs_arg)
 
 (* {1 journal} *)
@@ -1305,12 +1150,12 @@ let open_journal_or_die path =
 let journal_world j =
   let ctx = Sim.Journal.context j in
   let grid =
-    match parse_grid ctx.Sim.Journal.spec with
+    match Fault.Sweep_point.parse_grid ctx.Sim.Journal.spec with
     | Ok g -> g
     | Error m -> usage_error "oraclesize journal: superblock spec does not parse: %s" m
   in
   let protect, retry =
-    match parse_sweep_context ctx.Sim.Journal.extra with
+    match Fault.Sweep_point.parse_context ctx.Sim.Journal.extra with
     | Ok pr -> pr
     | Error m -> usage_error "oraclesize journal: %s" m
   in
@@ -1393,10 +1238,10 @@ let journal_verify_cmd =
     let targets = Array.of_list targets in
     let results =
       Sim.Sweep.map ~jobs
-        ~local:(fun () -> (Sim.Sweep.Cache.create (), Sim.Sweep.Cache.create ()))
+        ~local:Fault.Sweep_point.caches
         ~f:(fun caches _ key ->
           let p = Hashtbl.find by_seed key in
-          let recomputed = execute_point grid ~protect ~retry caches p in
+          let recomputed = Fault.Sweep_point.execute grid ~protect ~retry caches p in
           let stored =
             match Sim.Journal.find j key with Some e -> e | None -> assert false
           in
@@ -1499,18 +1344,15 @@ let worker_cmd =
   let run id chaos connect token =
     let exec (ctx : Sim.Journal.context) =
       let ( let* ) = Result.bind in
-      let* grid = parse_grid ctx.Sim.Journal.spec in
-      let* protect, retry = parse_sweep_context ctx.Sim.Journal.extra in
+      let* grid = Fault.Sweep_point.parse_grid ctx.Sim.Journal.spec in
+      let* protect, retry = Fault.Sweep_point.parse_context ctx.Sim.Journal.extra in
       let pts = Sim.Sweep.points grid in
-      let caches = (Sim.Sweep.Cache.create (), Sim.Sweep.Cache.create ()) in
+      let caches = Fault.Sweep_point.caches () in
       Ok
         (fun i ->
           if i < 0 || i >= Array.length pts then
             Error (Printf.sprintf "task index %d outside grid of %d points" i (Array.length pts))
-          else
-            match execute_point grid ~protect ~retry caches pts.(i) with
-            | entry -> Ok entry
-            | exception e -> Error (Printexc.to_string e))
+          else execute_or_error grid ~protect ~retry caches pts.(i))
     in
     match connect with
     | None ->
@@ -1594,5 +1436,5 @@ let () =
          (Cmd.group info
             [
               graph_cmd; wakeup_cmd; broadcast_cmd; separation_cmd; adversary_cmd; gossip_cmd;
-              explore_cmd; radio_cmd; mst_cmd; spanner_cmd; perf_cmd; sweep_cmd; journal_cmd;
+              explore_cmd; radio_cmd; mst_cmd; spanner_cmd; sweep_cmd; journal_cmd;
             ]))

@@ -17,8 +17,11 @@ let budgets ?(retry = 0) protocol g =
   in
   (* Every sequence number can consume at most [retry] recovery slots, and
      there are at most [degraded] of them in a non-violating run — the
-     recovery budget is the machine-checked form of that invariant. *)
-  { base with Verdict.recovery = retry * base.Verdict.degraded }
+     recovery budget is the machine-checked form of that invariant.  The
+     product saturates: a huge [retry] means "unbounded", not negative. *)
+  let d = base.Verdict.degraded in
+  let recovery = if retry > 0 && d > max_int / retry then max_int else retry * d in
+  { base with Verdict.recovery }
 
 (* Which nodes did the failure pattern physically strand?  BFS over the
    graph minus failed nodes: a survivor no path reaches can never be
@@ -171,3 +174,11 @@ let journal_entry g (o : outcome) =
     verdict_class;
     verdict = Verdict.to_string o.verdict;
   }
+
+let cached_entry ?scheduler ?plan ?protect ?retry advice_cache ~graph_key protocol g =
+  let raw_advice =
+    Sim.Sweep.Cache.find advice_cache (protocol_name protocol, graph_key) (fun () ->
+        advise protocol g ~source:0)
+  in
+  journal_entry g
+    (run ?scheduler ?plan ?protect ?retry ~raw_advice protocol g ~source:0)

@@ -23,10 +23,10 @@ val budgets : ?retry:int -> protocol -> Netgraph.Graph.t -> Verdict.budgets
 (** Clean budget from the paper ([n-1], resp. [3n]); degraded budget
     Θ(m) with room for the fallback's hellos, floods and refloods
     ([2m + 3n], resp. [4m + 3n]); recovery budget
-    [retry × degraded] (default [retry = 0]: any retransmission is a
-    violation) — each sequence number may consume at most [retry]
-    recovery slots, so this is the machine-checked form of the channel's
-    own invariant. *)
+    [retry × degraded], saturating at [max_int] (default [retry = 0]:
+    any retransmission is a violation) — each sequence number may
+    consume at most [retry] recovery slots, so this is the
+    machine-checked form of the channel's own invariant. *)
 
 type outcome = {
   verdict : Verdict.t;
@@ -96,3 +96,19 @@ val journal_entry : Netgraph.Graph.t -> outcome -> Sim.Journal.entry
     [docs/JOURNAL_FORMAT.md] assigns them.  Journaled sweeps call this
     once per completed point and re-emit rows from the entry alone, so
     anything a row needs must come through here. *)
+
+val cached_entry :
+  ?scheduler:Sim.Scheduler.t ->
+  ?plan:Plan.t ->
+  ?protect:Bitstring.Ecc.level ->
+  ?retry:int ->
+  (string * 'k, Oracles.Advice.t) Sim.Sweep.Cache.t ->
+  graph_key:'k ->
+  protocol ->
+  Netgraph.Graph.t ->
+  Sim.Journal.entry
+(** One grid point of a sweep or bench grid: {!run} from source [0] with
+    the raw advice looked up in [advice_cache] under
+    [(protocol_name protocol, graph_key)] (computed by {!advise} on a
+    miss), flattened by {!journal_entry}.  [graph_key] must identify [g]
+    among the graphs that share the cache. *)

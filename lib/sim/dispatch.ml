@@ -186,8 +186,6 @@ type t = {
   context : Journal.context;
   batching : batching;
   heartbeat_timeout : float;
-  backoff_base : float;
-  backoff_cap : float;
   token : string;
   listener : Transport.listener option;
   expect_remote : int;
@@ -229,8 +227,6 @@ let backoff_base = 0.05
 
 let backoff_delay ~base ~cap ~attempt =
   if attempt < 1 then 0. else min cap (base *. (2. ** float_of_int (attempt - 1)))
-
-let backoff t ~attempt = backoff_delay ~base:t.backoff_base ~cap:t.backoff_cap ~attempt
 
 (* Clamped-monotone view of the wall clock: never goes backwards even
    if gettimeofday does (NTP step), so EWMA intervals stay sane. *)
@@ -352,10 +348,10 @@ let spawn ~command ~stderr_dir ~log wid =
     None
 
 let create ~workers ?(batching = Fixed default_batch)
-    ?(heartbeat_timeout = default_heartbeat_timeout) ?(backoff_cap = default_backoff_cap)
-    ?(token = "") ?listener ?(expect_remote = 0) ?(max_rejoin = default_max_rejoin)
-    ?(accept_rate = default_accept_rate) ?(accept_burst = default_accept_burst) ?join_grace
-    ?stderr_dir ?(log = fun _ -> ()) ~command ~context ~fallback () =
+    ?(heartbeat_timeout = default_heartbeat_timeout) ?(token = "") ?listener ?(expect_remote = 0)
+    ?(max_rejoin = default_max_rejoin) ?(accept_rate = default_accept_rate)
+    ?(accept_burst = default_accept_burst) ?join_grace ?stderr_dir ?(log = fun _ -> ()) ~command
+    ~context ~fallback () =
   if workers < 0 then invalid_arg "Dispatch.create: negative workers";
   (match batching with
   | Fixed n -> if n < 1 then invalid_arg "Dispatch.create: batch < 1"
@@ -363,7 +359,6 @@ let create ~workers ?(batching = Fixed default_batch)
     if min_batch < 1 then invalid_arg "Dispatch.create: min_batch < 1";
     if max_batch < min_batch then invalid_arg "Dispatch.create: max_batch < min_batch");
   if heartbeat_timeout <= 0. then invalid_arg "Dispatch.create: heartbeat_timeout <= 0";
-  if backoff_cap <= 0. then invalid_arg "Dispatch.create: backoff_cap <= 0";
   if expect_remote < 0 then invalid_arg "Dispatch.create: negative expect_remote";
   if max_rejoin < 0 then invalid_arg "Dispatch.create: negative max_rejoin";
   if accept_rate <= 0. then invalid_arg "Dispatch.create: accept_rate <= 0";
@@ -411,8 +406,6 @@ let create ~workers ?(batching = Fixed default_batch)
     context;
     batching;
     heartbeat_timeout;
-    backoff_base;
-    backoff_cap;
     token;
     listener;
     expect_remote;
@@ -510,7 +503,10 @@ let bury t ~requeue ~now ~results w reason =
       in
       if Array.length undone > 0 then begin
         let attempt = b.attempt + 1 in
-        let delay = backoff t ~attempt:(if streak > 0 then streak else attempt) in
+        let delay =
+          backoff_delay ~base:backoff_base ~cap:default_backoff_cap
+            ~attempt:(if streak > 0 then streak else attempt)
+        in
         t.stats.reassigned <- t.stats.reassigned + 1;
         requeue
           {

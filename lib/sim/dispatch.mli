@@ -21,7 +21,7 @@
       remote worker has its connection closed.  Either way the not-yet-
       answered indices of its batch are requeued at the {e front} of
       the work queue with capped exponential backoff
-      (≈ 50 ms · 2{^ streak−1}, capped at [backoff_cap], where the
+      (≈ 50 ms · 2{^ streak−1}, capped at {!default_backoff_cap}, where the
       streak is the dead worker's count of consecutive condemnations —
       a worker that completed a batch since its last death restarts at
       the base delay, so one early crash never permanently taxes a
@@ -148,8 +148,7 @@ val default_heartbeat_timeout : float
     must exceed the slowest single task, not the whole batch. *)
 
 val default_backoff_cap : float
-(** [1.] second — the ceiling on reassignment backoff
-    ([--backoff-cap]). *)
+(** [1.] second — the ceiling on reassignment backoff. *)
 
 val backoff_delay : base:float -> cap:float -> attempt:int -> float
 (** [min cap (base * 2^(attempt-1))], and [0.] for [attempt < 1] — the
@@ -174,7 +173,6 @@ val create :
   workers:int ->
   ?batching:batching ->
   ?heartbeat_timeout:float ->
-  ?backoff_cap:float ->
   ?token:string ->
   ?listener:Transport.listener ->
   ?expect_remote:int ->

@@ -46,6 +46,9 @@ type entry = {
   verdict : string;
 }
 
+let graceful e =
+  match e.verdict_class with Completed | Degraded -> true | Stalled | Violated -> false
+
 type context = { spec : string; extra : string }
 
 (* {1 Record payload codec}

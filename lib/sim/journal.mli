@@ -51,6 +51,10 @@ type entry = {
 (** Everything a sweep needs to re-emit a point's JSONL row without
     re-executing it; field widths on disk are fixed by the spec. *)
 
+val graceful : entry -> bool
+(** [true] for the [Completed] and [Degraded] classes — the runs a sweep
+    or bench grid counts as graceful. *)
+
 type context = { spec : string; extra : string }
 (** The journal's identity, stored in the superblock: the canonical grid
     spec ({!Sweep.to_string}) plus free-form extra context (the CLI puts

@@ -242,9 +242,6 @@ let map ?jobs ~local ~f tasks =
   Pool.with_pool ~jobs:(resolve_jobs jobs) (fun pool ->
       map_indices pool (Pool.locals pool local) ~f tasks (Array.init (Array.length tasks) Fun.id))
 
-let run ?jobs ~local ~f grid =
-  map ?jobs ~local ~f:(fun w _i p -> f w p) (points grid)
-
 (* {1 Journaled execution}
 
    The crash-safe path: tasks whose key is already journaled are never

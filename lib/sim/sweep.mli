@@ -83,7 +83,7 @@ module Cache : sig
   type ('k, 'v) t
   (** A plain hash-table cache with hit/miss counters.  Not synchronized:
       one cache belongs to one worker (create it in the [local] thunk of
-      {!map}, {!run} or {!map_journaled}, which builds it on the worker's
+      {!map}, {!map_journaled} or {!run_journaled}, which builds it on the worker's
       first task and keeps it for every later task of the sweep). *)
 
   val create : unit -> ('k, 'v) t
@@ -107,14 +107,9 @@ val map :
     its slot — the exception text plus the raise-site backtrace when the
     runtime recorded one; the rest complete. *)
 
-val run :
-  ?jobs:int -> local:(unit -> 'w) -> f:('w -> point -> 'a) -> grid -> ('a, string) result array
-(** {!map} over {!points}: results are index-aligned with the canonical
-    point order, ready for a single ordered emission pass. *)
-
 (** {1 Journaled execution}
 
-    The crash-safe variant of {!map}/{!run}, layered over {!Journal}.
+    The crash-safe variant of {!map}, layered over {!Journal}.
     Execution proceeds in fixed-size chunks of the canonical task order:
     each chunk runs over the pool, joins, and is appended to the journal
     in task order from the submitting domain — so the journal gains

@@ -956,6 +956,34 @@ let test_recovery_budget_end_to_end () =
     (fun x y -> check_bool "identical" true (Event.equal x y))
     o0.Fault.Harness.events o0'.Fault.Harness.events
 
+(* retry x degraded saturates: the largest retry count is an unbounded
+   recovery budget, never a negative one that violates clean runs. *)
+let test_max_retry_budget_saturates () =
+  let protocols = [ Fault.Harness.Wakeup; Fault.Harness.Broadcast ] in
+  let plans = [ Plan.none; Plan.of_string_exn "drop=0.1,seed=7" ] in
+  List.iter
+    (fun family ->
+      let g = Families.build family ~n:16 ~seed:7 in
+      List.iter
+        (fun protocol ->
+          let label = Fault.Harness.protocol_name protocol ^ " on " ^ Families.name family in
+          let b = Fault.Harness.budgets ~retry:max_int protocol g in
+          check_bool (label ^ ": recovery budget >= 0") true (b.Fault.Verdict.recovery >= 0);
+          List.iter
+            (fun plan ->
+              let o = Fault.Harness.run ~plan ~retry:max_int protocol g ~source:0 in
+              let label = label ^ " under " ^ Plan.to_string plan in
+              (match o.Fault.Harness.verdict with
+              | Fault.Verdict.Violated r when String.starts_with ~prefix:"recovery-budget" r ->
+                Alcotest.failf "%s: %s" label r
+              | _ -> ());
+              if Plan.is_none plan then
+                check_string (label ^ ": completed") "completed"
+                  (Fault.Verdict.to_string o.Fault.Harness.verdict))
+            plans)
+        protocols)
+    Families.all
+
 let suite =
   [
     Alcotest.test_case "plan: none" `Quick test_plan_none;
@@ -999,6 +1027,8 @@ let suite =
       test_verdict_strings_and_acceptability;
     Alcotest.test_case "verdict: cutoff violates" `Quick test_verdict_cutoff_violates;
     Alcotest.test_case "verdict: recovery budget" `Quick test_verdict_recovery_budget;
+    Alcotest.test_case "harness: max retry saturates the recovery budget" `Quick
+      test_max_retry_budget_saturates;
     Alcotest.test_case "runner: loss emits typed drops" `Quick test_loss_emits_typed_drops;
     Alcotest.test_case "runner: retry re-enqueues lost copies" `Quick
       test_retry_reenqueues_lost_copies;

@@ -247,21 +247,27 @@ let run_grid ~jobs ~with_caches grid =
       if with_caches then Sweep.Cache.find advice (p.Sweep.protocol, gkey) build_advice
       else build_advice ()
     in
-    let o =
-      Fault.Harness.run ~scheduler:p.Sweep.scheduler ~plan:p.Sweep.plan ~retry:1 ~raw_advice
-        proto g ~source:0
-    in
-    let recov = Obs.Counting.of_events o.Fault.Harness.events in
-    Printf.sprintf "%s sent=%d faults=%d retransmits=%d verdict=%s" (Sweep.point_label p)
-      o.Fault.Harness.result.Sim.Runner.stats.Sim.Runner.sent
-      o.Fault.Harness.result.Sim.Runner.stats.Sim.Runner.faults recov.Obs.Counting.retransmits
-      (Fault.Verdict.to_string o.Fault.Harness.verdict)
+    Fault.Harness.journal_entry g
+      (Fault.Harness.run ~scheduler:p.Sweep.scheduler ~plan:p.Sweep.plan ~retry:1 ~raw_advice
+         proto g ~source:0)
   in
-  Array.map
-    (function Ok row -> row | Error e -> Alcotest.failf "point raised: %s" e)
-    (Sweep.run ~jobs
+  let rows = ref [] in
+  let emit p e =
+    rows :=
+      Printf.sprintf "%s sent=%d faults=%d retransmits=%d verdict=%s" (Sweep.point_label p)
+        e.Sim.Journal.messages e.Sim.Journal.faults e.Sim.Journal.retransmits
+        e.Sim.Journal.verdict
+      :: !rows
+  in
+  (match
+     Sweep.run_journaled ~jobs
        ~local:(fun () -> (Sweep.Cache.create (), Sweep.Cache.create ()))
-       ~f grid)
+       ~f ~emit grid
+   with
+  | Ok { Sweep.failed = []; _ } -> ()
+  | Ok { Sweep.failed = (i, e) :: _; _ } -> Alcotest.failf "point %d raised: %s" i e
+  | Error e -> Alcotest.failf "sweep: %s" e);
+  Array.of_list (List.rev !rows)
 
 let test_grid_identical_across_jobs () =
   let reference = run_grid ~jobs:1 ~with_caches:true small_grid in
@@ -292,23 +298,6 @@ let shared_grid =
     ns = [ 16; 24 ];
   }
 
-let execute_entry grid (graphs, advice) p =
-  let proto =
-    if p.Sweep.protocol = "wakeup" then Fault.Harness.Wakeup else Fault.Harness.Broadcast
-  in
-  let gseed = Sweep.graph_seed grid p in
-  let gkey = (Families.name p.Sweep.family, p.Sweep.n, gseed) in
-  let g =
-    Sweep.Cache.find graphs gkey (fun () -> Families.build p.Sweep.family ~n:p.Sweep.n ~seed:gseed)
-  in
-  let raw_advice =
-    Sweep.Cache.find advice (p.Sweep.protocol, gkey) (fun () ->
-        Fault.Harness.advise proto g ~source:0)
-  in
-  Fault.Harness.journal_entry g
-    (Fault.Harness.run ~scheduler:p.Sweep.scheduler ~plan:p.Sweep.plan ~retry:2 ~raw_advice
-       proto g ~source:0)
-
 (* A journaled chunk = 8 sweep of [shared_grid]: the emitted rows, the
    journal's bytes, and every cache pair the pool created. *)
 let journaled_sweep ~jobs =
@@ -324,10 +313,10 @@ let journaled_sweep ~jobs =
       let stats =
         Sweep.run_journaled ~jobs ~journal:path ~chunk:8
           ~local:(fun () ->
-            let c = (Sweep.Cache.create (), Sweep.Cache.create ()) in
+            let c = Fault.Sweep_point.caches () in
             Mutex.protect lock (fun () -> made := c :: !made);
             c)
-          ~f:(execute_entry shared_grid)
+          ~f:(Fault.Sweep_point.execute shared_grid ~protect:Bitstring.Ecc.Raw ~retry:2)
           ~emit:(fun p e ->
             Printf.bprintf rows "%s %d %d %s\n" (Sweep.point_label p) e.Sim.Journal.messages
               e.Sim.Journal.informed e.Sim.Journal.verdict)
@@ -345,7 +334,7 @@ let test_journaled_sweep_builds_each_graph_once () =
   let graphs = distinct (Sweep.graph_seed shared_grid) in
   check_int "eight distinct graphs" 8 graphs;
   match made with
-  | [ (g, a) ] ->
+  | [ { Fault.Sweep_point.graphs = g; advice = a } ] ->
     check_int "graph misses = distinct graph seeds" graphs (Sweep.Cache.misses g);
     check_int "graph hits = the other points" (64 - graphs) (Sweep.Cache.hits g);
     check_int "advice misses = distinct (protocol, graph)"
@@ -399,6 +388,42 @@ let test_sink_rejects_cross_domain_emit () =
   Obs.Sink.emit sink ev;
   check_int "owning domain still emits" 1 (List.length (collected ()))
 
+(* {1 Sweep points: the journal context} *)
+
+let test_context_roundtrip () =
+  List.iter
+    (fun protect ->
+      List.iter
+        (fun retry ->
+          let ctx = Fault.Sweep_point.context ~protect ~retry in
+          match Fault.Sweep_point.parse_context ctx with
+          | Ok (p, r) ->
+            check_string (ctx ^ ": protect") (Bitstring.Ecc.name protect) (Bitstring.Ecc.name p);
+            check_int (ctx ^ ": retry") retry r
+          | Error e -> Alcotest.failf "%s rejected: %s" ctx e)
+        [ 0; 1; max_int ])
+    Bitstring.Ecc.all
+
+let test_context_rejects_non_canonical () =
+  List.iter
+    (fun extra ->
+      match Fault.Sweep_point.parse_context extra with
+      | Ok _ -> Alcotest.failf "%S accepted" extra
+      | Error _ -> ())
+    [
+      "";
+      "protect=raw";
+      "protect=;retry=0";
+      "protect=bogus;retry=0";
+      "protect=raw;retry=-1";
+      "protect=raw;retry=0x10";
+      "protect=raw;retry= 2";
+      "protect=raw;retry=0;x";
+      "protect=raw;retry=+2";
+      "protect=raw;retry=1_0";
+      "protect=none;retry=0";
+    ]
+
 let suite =
   [
     Alcotest.test_case "pool: map preserves index order" `Quick test_pool_map_order;
@@ -425,6 +450,9 @@ let suite =
     Alcotest.test_case "journaled: rows and journal identical at jobs 1/2/3" `Quick
       test_journaled_sweep_identical_across_jobs;
     Alcotest.test_case "map: error lands in its slot" `Quick test_sweep_map_error_slot;
+    Alcotest.test_case "sweep point: context round-trips" `Quick test_context_roundtrip;
+    Alcotest.test_case "sweep point: context is canonical only" `Quick
+      test_context_rejects_non_canonical;
     Alcotest.test_case "sink: cross-domain emit rejected" `Quick
       test_sink_rejects_cross_domain_emit;
   ]

@@ -500,7 +500,6 @@ let test_cli_validation () =
   cli_error "--batch 0" (sweep "--workers 1 --batch 0");
   cli_error "--heartbeat-timeout 0" (sweep "--workers 1 --heartbeat-timeout 0");
   cli_error "--heartbeat-timeout -1" (sweep "--workers 1 --heartbeat-timeout=-1");
-  cli_error "--backoff-cap 0" (sweep "--workers 1 --backoff-cap 0");
   cli_error "--expect-remote -1" (sweep "--listen 29999 --expect-remote=-1");
   cli_error "empty --token" (sweep "--listen 29999 --token ''");
   usage_error "--token without --listen" (sweep "--token sekrit");
@@ -539,13 +538,12 @@ let test_cli_validation () =
       ("explore --program bogus", cmd "explore --program bogus", 124);
       ("explore --program random:abc", cmd "explore --program random:abc", 124);
       ("radio --protocol decay:zz", cmd "radio --protocol decay:zz", 124);
-      ("perf --protocol bogus", cmd "perf --protocol bogus", 124);
+      ("perf is not a subcommand", cmd "perf -n 16", 124);
       ("wakeup --source past n", cmd "wakeup -n 64 --source 100", 2);
       ("broadcast --source = n", cmd "broadcast -n 64 --source 64", 2);
       ("gossip --source past n", cmd "gossip -n 64 --source 99", 2);
       ("explore --source past n", cmd "explore -n 16 --source 40", 2);
       ("radio --source=-1", cmd "radio -n 16 --source=-1", 2);
-      ("perf --source = n", cmd "perf -n 16 --source 16", 2);
       ( "empty ORACLE_SIZE_TOKEN is the empty token",
         "ORACLE_SIZE_TOKEN= " ^ cmd "worker --id 0 </dev/null",
         0 );

@@ -444,6 +444,34 @@ let test_chaos_composes_with_journal_resume () =
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Unix.rmdir dir
 
+(* [journal ls] labels every record of a journaled sweep by its grid
+   point and finds no orphan. *)
+let test_journal_ls () =
+  let grid = "protocols=wakeup,broadcast;ns=16;scheds=sync;reps=2;seed=3" in
+  let journal = temp_out "ls-journal" and out = temp_out "ls" in
+  Sys.remove journal;
+  check_int "journaled sweep" 0
+    (sh (Printf.sprintf "%s sweep %S --journal %s >/dev/null 2>/dev/null" exe grid journal));
+  check_int "journal ls exits 0" 0
+    (sh (Printf.sprintf "%s journal ls %s >%s 2>/dev/null" exe journal out));
+  let lines = String.split_on_char '\n' (read_file out) in
+  let starts prefix = List.filter (String.starts_with ~prefix) lines in
+  check_int "one records line" 1 (List.length (starts "records:  4 "));
+  (match Sim.Sweep.of_string grid with
+  | Ok g ->
+    let pts = Sim.Sweep.points g in
+    check_int "four points" 4 (Array.length pts);
+    Array.iter
+      (fun p ->
+        let label = Sim.Sweep.point_label p in
+        check_int (label ^ " listed once") 1 (List.length (starts (label ^ " "))))
+      pts
+  | Error e -> Alcotest.failf "grid: %s" e);
+  check_int "no orphan rows" 0
+    (List.length (List.filter (fun l -> String.starts_with ~prefix:"<orphan key" l) lines));
+  Sys.remove journal;
+  Sys.remove out
+
 let suite =
   [
     Alcotest.test_case "wire codec round-trips every message kind" `Quick test_codec_roundtrips;
@@ -466,4 +494,5 @@ let suite =
       test_chaos_determinism_grid;
     Alcotest.test_case "worker kills compose with crash-after and resume" `Slow
       test_chaos_composes_with_journal_resume;
+    Alcotest.test_case "journal ls labels every record" `Slow test_journal_ls;
   ]
