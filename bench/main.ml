@@ -821,11 +821,9 @@ let e19b () =
   let rows =
     List.map
       (fun p ->
-        let loss seed = if p = 0.0 then None else Some (p, seed) in
         let run_loss seed scheme advice =
-          match loss seed with
-          | None -> Sim.Runner.run ~advice g ~source:0 scheme
-          | Some l -> Sim.Runner.run ~loss:l ~advice g ~source:0 scheme
+          Sim.Runner.run ~faults:{ Sim.Fault_plan.none with drop = p; seed } ~advice g ~source:0
+            scheme
         in
         let no_advice _ = Bitstring.Bitbuf.create () in
         let flood = mean_over_seeds (fun s -> informed_fraction (run_loss s Sim.Scheme.flooding no_advice)) in

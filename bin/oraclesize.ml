@@ -260,32 +260,32 @@ let run_faulty protocol plan ~protect ~retry family g ~source ~scheduler sinks =
   Printf.printf "verdict:      %s\n" (Fault.Verdict.to_string o.Fault.Harness.verdict);
   if not (Fault.Verdict.acceptable o.Fault.Harness.verdict) then exit 1
 
-(* [--fault --suite]: the same plan under every scheduler in the default
-   adversary suite, fanned out over a domain pool.  Advice is a pure
+(* [--fault --suite]: the same plan under every scheduler of
+   [Sim.Scheduler.default_suite], fanned out over a domain pool.  Advice is a pure
    function of (protocol, graph, source), so it is computed once here and
    shared read-only by every worker; each run protects and corrupts its
    own copy.  Per-run trace sinks are single-writer, so suite mode runs
    without them and prints one verdict row per scheduler instead. *)
 let run_faulty_suite protocol plan ~protect ~retry ~jobs family g ~source =
-  let advs = List.map (fun s -> Sim.Adversary.make ~plan s) Sim.Scheduler.default_suite in
+  let scheds = Array.of_list Sim.Scheduler.default_suite in
   let raw_advice = Fault.Harness.advise protocol g ~source in
   let results =
-    Sim.Adversary.map_suite ~jobs
-      ~f:(fun adv ->
-        Fault.Harness.run ~scheduler:adv.Sim.Adversary.scheduler ~plan ~protect ~retry
-          ~raw_advice protocol g ~source)
-      advs
+    Sim.Sweep.map ~jobs
+      ~local:(fun () -> ())
+      ~f:(fun () _ scheduler ->
+        Fault.Harness.run ~scheduler ~plan ~protect ~retry ~raw_advice protocol g ~source)
+      scheds
   in
   Printf.printf "network:    %s, %d nodes, %d edges\n" (Families.name family) (Graph.n g)
     (Graph.m g);
   Printf.printf "fault plan: %s  (%d schedulers, jobs=%d)\n" (Fault.Plan.to_string plan)
-    (List.length advs) jobs;
+    (Array.length scheds) jobs;
   Printf.printf "%-18s %9s %7s %11s  %s\n" "scheduler" "messages" "faults" "retransmits"
     "verdict";
   let ok = ref true in
-  List.iteri
-    (fun i adv ->
-      let sched_name = Sim.Scheduler.name adv.Sim.Adversary.scheduler in
+  Array.iteri
+    (fun i scheduler ->
+      let sched_name = Sim.Scheduler.name scheduler in
       match results.(i) with
       | Error msg ->
         ok := false;
@@ -297,7 +297,7 @@ let run_faulty_suite protocol plan ~protect ~retry ~jobs family g ~source =
         Printf.printf "%-18s %9d %7d %11d  %s\n" sched_name stats.Sim.Runner.sent
           stats.Sim.Runner.faults recov.Obs.Counting.retransmits
           (Fault.Verdict.to_string o.Fault.Harness.verdict))
-    advs;
+    scheds;
   if not !ok then exit 1
 
 let trace_out_arg =
@@ -937,7 +937,7 @@ let sweep_cmd =
     in
     let wall0 = Unix.gettimeofday () in
     let cpu0 = Sys.time () in
-    (* Captured before shutdown for --stats-out; None on the pool path. *)
+    (* Captured after shutdown for --stats-out; None on the pool path. *)
     let captured = ref None in
     let outcome =
       if workers = 0 && listen = None then pool_outcome ()
@@ -998,15 +998,17 @@ let sweep_cmd =
             ~log:(fun m -> Printf.eprintf "sweep: %s\n%!" m)
             ~command ~context:ctx ~fallback ()
         in
-        Fun.protect
-          ~finally:(fun () -> Sim.Dispatch.shutdown d)
-          (fun () ->
-            if Sim.Dispatch.live_workers d = 0 && listener = None then begin
-              Printf.eprintf "sweep: no workers spawned; degrading to the in-process pool\n%!";
-              pool_outcome ()
-            end
-            else begin
-              let outcome =
+        let dispatched = ref false in
+        let outcome =
+          Fun.protect
+            ~finally:(fun () -> Sim.Dispatch.shutdown d)
+            (fun () ->
+              if Sim.Dispatch.live_workers d = 0 && listener = None then begin
+                Printf.eprintf "sweep: no workers spawned; degrading to the in-process pool\n%!";
+                pool_outcome ()
+              end
+              else begin
+                dispatched := true;
                 Sim.Sweep.map_journaled_via
                   ?journal:(Option.map (fun path -> (path, ctx)) journal)
                   ?on_append
@@ -1014,26 +1016,28 @@ let sweep_cmd =
                   ~run:(fun idx -> Sim.Dispatch.run d idx)
                   ~emit:(fun _i p e -> emit_row p e)
                   pts
-              in
-              let s = Sim.Dispatch.stats d in
-              let ws = Sim.Dispatch.worker_stats d in
-              captured := Some (s, ws);
+              end)
+        in
+        (* Read after shutdown, which counts the workers it finds dead. *)
+        if !dispatched then begin
+          let s = Sim.Dispatch.stats d in
+          let ws = Sim.Dispatch.worker_stats d in
+          captured := Some (s, ws);
+          Printf.eprintf
+            "sweep: workers spawned=%d connected=%d died=%d auth-failures=%d rate-limited=%d \
+             reassigned-batches=%d inline-tasks=%d\n"
+            s.Sim.Dispatch.spawned s.Sim.Dispatch.connected s.Sim.Dispatch.died
+            s.Sim.Dispatch.auth_failures s.Sim.Dispatch.rate_limited s.Sim.Dispatch.reassigned
+            s.Sim.Dispatch.inline_tasks;
+          List.iter
+            (fun (w : Sim.Dispatch.worker_stat) ->
               Printf.eprintf
-                "sweep: workers spawned=%d connected=%d died=%d auth-failures=%d \
-                 rate-limited=%d reassigned-batches=%d inline-tasks=%d\n"
-                s.Sim.Dispatch.spawned s.Sim.Dispatch.connected s.Sim.Dispatch.died
-                s.Sim.Dispatch.auth_failures s.Sim.Dispatch.rate_limited
-                s.Sim.Dispatch.reassigned s.Sim.Dispatch.inline_tasks;
-              List.iter
-                (fun (w : Sim.Dispatch.worker_stat) ->
-                  Printf.eprintf
-                    "sweep: worker %d: tasks=%d wins=%d rate=%.1f/s batches=%d \
-                     speculative=%d spec-wins=%d reported=%d\n"
-                    w.worker w.tasks w.wins w.rate w.batches w.speculative w.spec_wins
-                    w.reported)
-                ws;
-              outcome
-            end)
+                "sweep: worker %d: tasks=%d wins=%d rate=%.1f/s batches=%d speculative=%d \
+                 spec-wins=%d reported=%d\n"
+                w.worker w.tasks w.wins w.rate w.batches w.speculative w.spec_wins w.reported)
+            ws
+        end;
+        outcome
       end
     in
     let wall = Unix.gettimeofday () -. wall0 in

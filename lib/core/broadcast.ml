@@ -266,7 +266,7 @@ type outcome = {
 }
 
 let run ?(tree = fun g ~root -> Spanning.light g ~root) ?(encoding = Marked)
-    ?(scheduler = Sim.Scheduler.Async_fifo) ?(sinks = []) ?(shards = 1) ?registry g ~source =
+    ?(scheduler = Sim.Scheduler.Async_fifo) ?(sinks = []) ?(shards = 1) g ~source =
   let t = tree g ~root:source in
   let tree_contribution = Spanning.contribution g (Spanning.edges t) in
   let o = oracle ~tree:(fun _ ~root:_ -> t) ~encoding () in
@@ -277,6 +277,4 @@ let run ?(tree = fun g ~root -> Spanning.light g ~root) ?(encoding = Marked)
       ~advice:(Oracles.Advice.get advice)
       g ~source (scheme ~encoding ())
   in
-  Obs.Registry.note ?registry
-    (Sim.Runner.telemetry ~protocol:"broadcast" ~scheduler ~advice_bits result);
   { result; advice_bits; tree_contribution }

@@ -45,17 +45,14 @@ val run :
   ?scheduler:Sim.Scheduler.t ->
   ?sinks:Obs.Sink.t list ->
   ?shards:int ->
-  ?registry:Obs.Registry.t ->
   Netgraph.Graph.t ->
   source:int ->
   outcome
 (** Build the oracle, run Scheme B, return the result together with the
     oracle size.  Telemetry events stream into [sinks] (see
-    {!Sim.Runner.run}); one protocol record named ["broadcast"] is noted
-    into [registry] (default: {!Obs.Registry.default}).  [shards]
-    (default 1) is handed to {!Sim.Shard.run}, which runs untraced
-    synchronous runs across that many domains; output is bit-identical
-    at any shard count. *)
+    {!Sim.Runner.run}).  [shards] (default 1) is handed to
+    {!Sim.Shard.run}, which runs untraced synchronous runs across that
+    many domains; output is bit-identical at any shard count. *)
 
 val decode_known_ports : encoding -> Bitstring.Bitbuf.t -> int list
 (** The advice decoder (exposed for tests): the ports Scheme B starts out

@@ -86,8 +86,7 @@ let marked_scheme sink static =
   in
   { Sim.Scheme.on_start; on_receive }
 
-let collect ?max_messages ?(sinks = []) ?registry ~protocol g scheduler ~advice ~advice_bits
-    make_scheme =
+let collect ?max_messages ?(sinks = []) g scheduler ~advice ~advice_bits make_scheme =
   let n = Graph.n g in
   let cells : (int * (unit -> role)) list ref = ref [] in
   let sink label get = cells := (label, get) :: !cells in
@@ -125,20 +124,17 @@ let collect ?max_messages ?(sinks = []) ?registry ~protocol g scheduler ~advice 
         in
         List.iter (fun s -> Obs.Sink.emit s ev) sinks)
       roles;
-  Obs.Registry.note ?registry
-    (Sim.Runner.telemetry ~protocol ~scheduler ~completed:ok ~advice_bits result);
   { result; advice_bits; roles; leader; ok }
 
-let max_finding ?(scheduler = Sim.Scheduler.Async_fifo) ?(sinks = []) ?registry g =
+let max_finding ?(scheduler = Sim.Scheduler.Async_fifo) ?(sinks = []) g =
   let advice _ = Bitbuf.create () in
   (* Max-label flooding can legitimately need Theta(n*m) messages. *)
   let max_messages = 20 * Graph.n g * Graph.m g in
-  collect ~max_messages ~sinks ?registry ~protocol:"election-max-finding" g scheduler ~advice
-    ~advice_bits:0 max_finding_scheme
+  collect ~max_messages ~sinks g scheduler ~advice ~advice_bits:0 max_finding_scheme
 
-let with_marked_leader ?(scheduler = Sim.Scheduler.Async_fifo) ?(sinks = []) ?registry g =
+let with_marked_leader ?(scheduler = Sim.Scheduler.Async_fifo) ?(sinks = []) g =
   let advice = marked_leader_oracle.Oracles.Oracle.advise g ~source:0 in
-  collect ~sinks ?registry ~protocol:"election-marked" g scheduler
+  collect ~sinks g scheduler
     ~advice:(Oracles.Advice.get advice)
     ~advice_bits:(Oracles.Advice.size_bits advice)
     marked_scheme

@@ -33,22 +33,17 @@ type outcome = {
 val max_finding :
   ?scheduler:Sim.Scheduler.t ->
   ?sinks:Obs.Sink.t list ->
-  ?registry:Obs.Registry.t ->
   Netgraph.Graph.t ->
   outcome
 (** Advice-free flooding election.  Telemetry streams into [sinks]; after
-    quiescence one {!Obs.Event.Decide} per node reports its final role,
-    and a protocol record named ["election-max-finding"] is noted into
-    [registry] (default: {!Obs.Registry.default}). *)
+    quiescence one {!Obs.Event.Decide} per node reports its final role. *)
 
 val with_marked_leader :
   ?scheduler:Sim.Scheduler.t ->
   ?sinks:Obs.Sink.t list ->
-  ?registry:Obs.Registry.t ->
   Netgraph.Graph.t ->
   outcome
-(** Election from the 1-bit oracle.  Telemetry as in {!max_finding}, with
-    the protocol record named ["election-marked"]. *)
+(** Election from the 1-bit oracle.  Telemetry as in {!max_finding}. *)
 
 val marked_leader_oracle : Oracles.Oracle.t
 (** The oracle itself: the string ["1"] to the maximum-label node, empty

@@ -104,8 +104,7 @@ let flooding_scheme sink static =
   in
   { Sim.Scheme.on_start; on_receive }
 
-let collect ?max_messages ?(sinks = []) ?registry ~protocol g scheduler ~advice ~advice_bits
-    ~source make_scheme =
+let collect ?max_messages ?(sinks = []) g scheduler ~advice ~advice_bits ~source make_scheme =
   let n = Graph.n g in
   let cells : (int, IS.t ref) Hashtbl.t = Hashtbl.create n in
   let sink label rumors = Hashtbl.replace cells label rumors in
@@ -119,22 +118,19 @@ let collect ?max_messages ?(sinks = []) ?registry ~protocol g scheduler ~advice 
         | None -> [])
   in
   let complete = Array.for_all (fun l -> List.length l = n) learned in
-  Obs.Registry.note ?registry
-    (Sim.Runner.telemetry ~protocol ~scheduler ~completed:complete ~advice_bits result);
   { result; advice_bits; learned; complete }
 
 let run ?(tree = fun g ~root -> Spanning.bfs g ~root) ?(scheduler = Sim.Scheduler.Async_fifo)
-    ?(sinks = []) ?registry g ~source =
+    ?(sinks = []) g ~source =
   let o = oracle ~tree () in
   let advice = o.Oracles.Oracle.advise g ~source in
-  collect ~sinks ?registry ~protocol:"gossip-tree" g scheduler
+  collect ~sinks g scheduler
     ~advice:(Oracles.Advice.get advice)
     ~advice_bits:(Oracles.Advice.size_bits advice)
     ~source tree_scheme
 
-let run_flooding ?(scheduler = Sim.Scheduler.Async_fifo) ?(sinks = []) ?registry g ~source =
+let run_flooding ?(scheduler = Sim.Scheduler.Async_fifo) ?(sinks = []) g ~source =
   let advice _ = Bitbuf.create () in
   (* Flooding gossip legitimately needs Θ(n·m) messages. *)
   let max_messages = 40 * Netgraph.Graph.n g * Netgraph.Graph.m g in
-  collect ~max_messages ~sinks ?registry ~protocol:"gossip-flooding" g scheduler ~advice
-    ~advice_bits:0 ~source flooding_scheme
+  collect ~max_messages ~sinks g scheduler ~advice ~advice_bits:0 ~source flooding_scheme

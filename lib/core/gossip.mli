@@ -31,22 +31,18 @@ val run :
   ?tree:(Netgraph.Graph.t -> root:int -> Netgraph.Spanning.t) ->
   ?scheduler:Sim.Scheduler.t ->
   ?sinks:Obs.Sink.t list ->
-  ?registry:Obs.Registry.t ->
   Netgraph.Graph.t ->
   source:int ->
   outcome
 (** Tree gossip: [2(n-1)] messages.  Telemetry events stream into [sinks]
-    (see {!Sim.Runner.run}); one protocol record named ["gossip-tree"],
-    with [completed] meaning rumor completeness, is noted into [registry]
-    (default: {!Obs.Registry.default}). *)
+    (see {!Sim.Runner.run}). *)
 
 val run_flooding :
   ?scheduler:Sim.Scheduler.t ->
   ?sinks:Obs.Sink.t list ->
-  ?registry:Obs.Registry.t ->
   Netgraph.Graph.t ->
   source:int ->
   outcome
 (** The advice-free baseline: every node floods its growing rumor set.
     [advice_bits = 0]; message complexity up to Θ(n·m).  Telemetry as in
-    {!run}, with the protocol record named ["gossip-flooding"]. *)
+    {!run}. *)

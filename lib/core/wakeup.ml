@@ -165,7 +165,7 @@ let hardened_scheme ?(encoding = Paper) ?(protect = Bitstring.Ecc.Raw) ?on_fallb
 type outcome = { result : Sim.Runner.result; advice_bits : int; tree_ok : bool }
 
 let run ?(tree = fun g ~root -> Spanning.bfs g ~root) ?(encoding = Paper)
-    ?(scheduler = Sim.Scheduler.Async_fifo) ?(sinks = []) ?(shards = 1) ?registry g ~source =
+    ?(scheduler = Sim.Scheduler.Async_fifo) ?(sinks = []) ?(shards = 1) g ~source =
   let t = tree g ~root:source in
   let tree_ok = Spanning.check g t = Ok () in
   let o = oracle ~tree:(fun _ ~root:_ -> t) ~encoding () in
@@ -175,6 +175,4 @@ let run ?(tree = fun g ~root -> Spanning.bfs g ~root) ?(encoding = Paper)
   let result =
     Sim.Shard.run ~scheduler ~sinks ~shards ~advice:(Oracles.Advice.get advice) g ~source factory
   in
-  Obs.Registry.note ?registry
-    (Sim.Runner.telemetry ~protocol:"wakeup" ~scheduler ~advice_bits result);
   { result; advice_bits; tree_ok }

@@ -6,7 +6,7 @@
     advice string being read at start-up.  The simulation runner
     ({!Sim.Runner.run}) emits these events into {!Sink.t} values; the
     counting sink ({!Counting}) folds them back into the exact legacy
-    statistics, and the exporters ({!Jsonl}, {!Csv}) serialise them.
+    statistics, and the {!Jsonl} exporter serialises them.
 
     The precise meaning of every derived counter is written down in
     [DESIGN.md], section "Telemetry: the metrics contract"; this module is
@@ -18,8 +18,8 @@ type msg_class = Source | Hello | Control
     size, never the payload itself. *)
 
 val msg_class_name : msg_class -> string
-(** ["source"], ["hello"] or ["control"] — the names used by the JSONL and
-    CSV exporters. *)
+(** ["source"], ["hello"] or ["control"] — the names used by the JSONL
+    exporter. *)
 
 val msg_class_of_name : string -> msg_class option
 (** Inverse of {!msg_class_name}. *)
@@ -128,11 +128,11 @@ val kind_name : kind -> string
 
 val fault_name : fault -> string
 (** ["drop"], ["duplicate"], ["delay"], ["reorder"], ["crash"], ["dead"] or
-    ["advice"] — the names used by the JSONL and CSV exporters. *)
+    ["advice"] — the names used by the JSONL exporter. *)
 
 val recovery_name : recovery -> string
-(** ["retransmit"] or ["corrected"] — the names used by the JSONL and CSV
-    exporters. *)
+(** ["retransmit"] or ["corrected"] — the names used by the JSONL
+    exporter. *)
 
 val equal : t -> t -> bool
 (** Structural equality (used by the exporter round-trip tests). *)

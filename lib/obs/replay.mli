@@ -17,9 +17,8 @@ type outcome = {
       (** messages handed to the network and never delivered:
           [sent + duplicated + retransmits - dropped - delivered] — 0 for
           a quiescent run, faulty or not, since injected drops and
-          duplicates, retransmitted copies, and losses from the [?loss]
-          knob (routed through the same typed [Fault Msg_dropped] events)
-          are all recorded in the stream *)
+          duplicates and retransmitted copies are all recorded in the
+          stream *)
   decisions : (int * string) list;  (** [Decide] events, in trace order *)
 }
 

@@ -1,11 +1,11 @@
 (** Pluggable telemetry consumers.
 
     A sink is where {!Event.t} values go: a counter ({!Counting}), a
-    bounded in-memory trace ({!Ring}), a JSONL or CSV file ({!Jsonl},
-    {!Csv}), or any user function.  Emitters (the simulation runner,
-    protocol wrappers) call {!emit} per event; the party that created a
-    sink is responsible for calling {!close} on it once no more events
-    will arrive — emitters never close sinks they were handed.
+    bounded in-memory trace ({!Ring}), a JSONL file ({!Jsonl}), or any
+    user function.  Emitters (the simulation runner, protocol wrappers)
+    call {!emit} per event; the party that created a sink is responsible
+    for calling {!close} on it once no more events will arrive —
+    emitters never close sinks they were handed.
 
     Sinks are {e single-writer}: a sink belongs to the domain that
     created it, and {!emit} fails fast (raises [Failure]) from any other

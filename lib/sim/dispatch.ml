@@ -450,6 +450,10 @@ let reap pid =
   in
   poll 200
 
+let note_death t w reason =
+  t.log (Printf.sprintf "%s dead: %s" (describe w) reason);
+  t.stats.died <- t.stats.died + 1
+
 (* Mark [w] dead: sever it (kill + reap for children, close for
    remotes), drop it from the live list, and requeue whatever of its
    batch still lacks a result.  A severed remote may reconnect later —
@@ -463,8 +467,7 @@ let reap pid =
    again and again — same wid, rejoining in a loop — still backs off
    exponentially. *)
 let bury t ~requeue ~now ~results w reason =
-  t.log (Printf.sprintf "%s dead: %s" (describe w) reason);
-  t.stats.died <- t.stats.died + 1;
+  note_death t w reason;
   (match w.peer with
   | Child pid ->
     reap pid;
@@ -935,7 +938,10 @@ let shutdown t =
            remote reads it, exits 0, and closes its end. *)
         (try Unix.shutdown w.to_w Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ()))
     t.live;
-  (* Bounded grace, then the axe. *)
+  (* Bounded grace, then the axe.  A child that exited non-zero on its
+     own died with no one reading its EOF (a speculative copy of its
+     batch won first): it is counted here, once — buried workers have
+     already left [t.live]. *)
   let deadline = Unix.gettimeofday () +. 2.0 in
   List.iter
     (fun w ->
@@ -950,7 +956,9 @@ let shutdown t =
               wait ()
             end
             else reap pid
-          | _ -> ()
+          | _, Unix.WEXITED 0 -> ()
+          | _, Unix.WEXITED c -> note_death t w (Printf.sprintf "exited %d" c)
+          | _, (Unix.WSIGNALED _ | Unix.WSTOPPED _) -> note_death t w "killed by a signal"
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
           | exception Unix.Unix_error _ -> ()
         in

@@ -235,7 +235,10 @@ val shutdown : t -> unit
 (** Send {!Worker.Shutdown} to every live worker; local workers get a
     bounded grace period to exit, then SIGKILL and a reap; remote
     connections are half-closed so the frame flushes ahead of the FIN,
-    then closed.  Closes the listener.  Idempotent. *)
+    then closed.  A local worker found already exited non-zero died
+    unnoticed (a speculative copy of its batch won first): it is logged
+    [dead:] and counted in [died].  Closes the listener.
+    Idempotent. *)
 
 val live_workers : t -> int
 (** Workers currently alive (spawned or connected, not yet condemned). *)

@@ -57,8 +57,6 @@ let to_string t =
     match !parts with [] -> "none" | parts -> String.concat "," (List.rev parts)
   end
 
-let name = to_string
-
 (* "drop=0.1,advice-flip=4,crash=3@17,seed=7" — comma-separated k=v tokens. *)
 let of_string s =
   let ( let* ) = Result.bind in

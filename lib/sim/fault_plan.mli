@@ -46,9 +46,6 @@ val to_string : t -> string
 (** Canonical spec string, e.g. ["drop=0.1,crash=3@17,seed=7"]; parses back
     with {!of_string}.  The empty plan prints as ["none"]. *)
 
-val name : t -> string
-(** Alias of {!to_string} — used in test names and telemetry. *)
-
 val of_string : string -> (t, string) result
 (** Parse a comma-separated spec: [drop=P], [dup=P], [reorder=K],
     [delay=P:MAX], [crash=NODE@STEP], [dead=NODE], [advice-flip=K],

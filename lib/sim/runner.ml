@@ -1,16 +1,5 @@
 module Graph = Netgraph.Graph
 
-type delivery = {
-  src : int;
-  src_port : int;
-  dst : int;
-  dst_port : int;
-  msg : Message.t;
-  informed_sender : bool;
-  round : int;
-  seq : int;
-}
-
 type stats = {
   sent : int;
   source_sent : int;
@@ -27,7 +16,6 @@ type result = {
   informed : bool array;
   all_informed : bool;
   quiescent : bool;
-  deliveries : delivery list;
   per_node_sent : int array;
 }
 
@@ -51,33 +39,15 @@ let msg_class = function
   | Message.Hello -> Obs.Event.Hello
   | Message.Control _ -> Obs.Event.Control
 
-let telemetry ~protocol ~scheduler ?completed ~advice_bits r =
-  {
-    Obs.Registry.protocol;
-    scheduler = Scheduler.name scheduler;
-    n = Array.length r.informed;
-    messages = r.stats.sent;
-    source_msgs = r.stats.source_sent;
-    hello_msgs = r.stats.hello_sent;
-    control_msgs = r.stats.control_sent;
-    bits_on_wire = r.stats.bits_on_wire;
-    rounds = r.stats.rounds;
-    causal_depth = r.stats.causal_depth;
-    advice_bits;
-    completed = (match completed with Some c -> c | None -> r.all_informed);
-  }
-
 (* Four sends per node and edge covers every budget a harness verdict
    accepts (at most 4m + 3n); the floor keeps small graphs' cutoffs
    where they always were. *)
 let default_max_messages g = max 1_000_000 (4 * (Graph.n g + Graph.m g))
 
-let order_free ~record_trace ~sinks ~loss ~faults =
-  sinks = [] && (not record_trace) && Fault_plan.is_none faults
-  && match loss with Some (p, _) -> p <= 0.0 | None -> true
+let order_free ~sinks ~faults = sinks = [] && Fault_plan.is_none faults
 
-let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(record_trace = false) ?(sinks = [])
-    ?loss ?(faults = Fault_plan.none) ?(retry = 0) ~advice g ~source factory =
+let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(sinks = []) ?(faults = Fault_plan.none)
+    ?(retry = 0) ~advice g ~source factory =
   let max_messages = match max_messages with Some m -> m | None -> default_max_messages g in
   let n = Graph.n g in
   if source < 0 || source >= n then invalid_arg "Runner.run: source out of range";
@@ -141,7 +111,6 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(record_trace = false
   if sinks_empty then Obs.Counting.note_wake counts ~round:0
   else observe { Obs.Event.seq = 0; round = 0; kind = Obs.Event.Wake source };
   let per_node_sent = Array.make n 0 in
-  let trace = ref [] in
   let rand =
     match scheduler with
     | Scheduler.Async_random seed -> Some (Random.State.make [| seed |])
@@ -221,19 +190,6 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(record_trace = false
     ring_push ~src:fl.f_src ~src_port:fl.f_src_port ~dst:fl.f_dst ~dst_port:fl.f_dst_port
       ~msg:fl.f_msg ~inf:fl.f_informed ~sq:fl.f_seq ~depth:fl.f_depth
   in
-  let loss_state =
-    match loss with
-    | None -> None
-    | Some (p, _) when p <= 0.0 -> None
-    | Some (p, lseed) ->
-      if p >= 1.0 then invalid_arg "Runner.run: loss probability must be < 1";
-      Some (p, Random.State.make [| lseed; 0x1055 |])
-  in
-  let lost () =
-    match loss_state with
-    | None -> false
-    | Some (p, st) -> Random.State.float st 1.0 < p
-  in
   (* Adversarial execution.  Every fault channel draws from its own
      seeded stream, so enabling one channel never perturbs another and
      identical plan + seed + scheduler replays bit-identically. *)
@@ -279,7 +235,7 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(record_trace = false
   let delayed_w : in_flight Timer_wheel.t = Timer_wheel.create () in
   let tick_delayed round = Timer_wheel.drain delayed_w ~now:round push_fl in
   (* The ack/retransmit channel.  Each destroyed copy of a message (plan
-     drop, [?loss], or a failed receiver) arms the sender's per-message
+     drop or a failed receiver) arms the sender's per-message
      timer; when it fires the channel re-enqueues a fresh copy, at most
      [retry] times per sequence number, with exponential backoff
      (1, 2, 4, … scheduler steps).  A receiver that crash-stopped is
@@ -427,16 +383,6 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(record_trace = false
         end
       end
   in
-  (* One copy onto the wire: the legacy [?loss] knob first (now a typed
-     [Fault Msg_dropped], visible to verdicts and to the retransmit
-     channel), then the plan's channels. *)
-  let transmit round fl =
-    if lost () then begin
-      observe_fault ~sq:fl.f_seq round Obs.Event.Msg_dropped;
-      schedule_retransmit round fl
-    end
-    else inject round fl
-  in
   let tick_recovery round =
     Timer_wheel.drain recovery_w ~now:round (fun (attempt, fl) ->
         (* Crash-stop: a failed node retransmits nothing, and a failed
@@ -451,14 +397,14 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(record_trace = false
                  round;
                  kind = Obs.Event.Recover (Obs.Event.Msg_retransmitted attempt);
                });
-          if Message.is_timeout fl.f_msg then push_fl fl else transmit round fl
+          if Message.is_timeout fl.f_msg then push_fl fl else inject round fl
         end)
   in
-  (* With neither a fault plan nor a loss knob, nothing between a send
-     and its delivery can touch a message: sends go straight onto the
-     ring, no [in_flight] record exists, and a steady-state round
-     allocates nothing beyond what the scheme itself returns. *)
-  let fast_wire = plan = None && loss_state = None in
+  (* With no fault plan, nothing between a send and its delivery can
+     touch a message: sends go straight onto the ring, no [in_flight]
+     record exists, and a steady-state round allocates nothing beyond
+     what the scheme itself returns. *)
+  let fast_wire = plan = None in
   (* A plain recursive walk, not [List.iter f]: building the closure for
      [f] on every call put seven words on the minor heap per delivery
      (and per [on_start]), for nothing. *)
@@ -497,7 +443,7 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(record_trace = false
            });
       (if fast_wire then ring_push ~src:v ~src_port:port ~dst ~dst_port ~msg ~inf ~sq:!seq ~depth
        else
-         transmit round
+         inject round
            {
              f_src = v;
              f_src_port = port;
@@ -565,9 +511,6 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(record_trace = false
         if sinks_empty then Obs.Counting.note_wake counts ~round
         else observe { Obs.Event.seq = sq; round; kind = Obs.Event.Wake dst }
       end;
-      if record_trace then
-        trace :=
-          { src; src_port; dst; dst_port; msg; informed_sender = inf; round; seq = sq } :: !trace;
       (Array.unsafe_get recv dst) msg ~port:dst_port
     end
   in
@@ -585,7 +528,7 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(record_trace = false
        per-block passes cost more than the locality it buys: a path's
        one-message rounds); every other run visits in batch order. *)
     let block_bits = 12 in
-    let visit_by_block = order_free ~record_trace ~sinks ~loss ~faults && n > 1 lsl block_bits in
+    let visit_by_block = order_free ~sinks ~faults && n > 1 lsl block_bits in
     let blocks = ((n - 1) lsr block_bits) + 1 in
     let block_start = Array.make (if visit_by_block then blocks + 1 else 0) 0 in
     (* Round r+1 delivers exactly the messages sent during round r: the
@@ -761,7 +704,6 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(record_trace = false
     informed;
     all_informed = Array.for_all (fun b -> b) informed;
     quiescent = not !cutoff;
-    deliveries = List.rev !trace;
     per_node_sent;
   }
 

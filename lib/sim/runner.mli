@@ -10,21 +10,6 @@
     The field-by-field metrics contract lives in [DESIGN.md] §"Telemetry:
     the metrics contract". *)
 
-type delivery = {
-  src : int;  (** sending node index *)
-  src_port : int;  (** port the message left through *)
-  dst : int;  (** receiving node index *)
-  dst_port : int;  (** port the message arrived on *)
-  msg : Message.t;  (** the payload itself (telemetry only keeps its class/size) *)
-  informed_sender : bool;  (** was the sender informed when it sent? *)
-  round : int;  (** synchronous round, or async step index *)
-  seq : int;  (** global send sequence number *)
-}
-(** One delivered message, payload included — the in-memory trace record
-    behind [?record_trace].  The telemetry stream carries the same
-    information (minus the payload bits themselves) as
-    {!Obs.Event.Deliver} events with the same [seq]/[round] stamps. *)
-
 type stats = {
   sent : int;  (** total messages produced (the paper's complexity) *)
   source_sent : int;  (** messages of class {!Message.Source} *)
@@ -48,16 +33,13 @@ type result = {
   informed : bool array;  (** per node: source, or reached by an informed sender *)
   all_informed : bool;  (** the broadcast/wakeup success criterion *)
   quiescent : bool;  (** no in-flight messages remained (no cutoff hit) *)
-  deliveries : delivery list;  (** in delivery order; [] unless traced *)
   per_node_sent : int array;  (** transmissions per node (load profile) *)
 }
 
 val run :
   ?scheduler:Scheduler.t ->
   ?max_messages:int ->
-  ?record_trace:bool ->
   ?sinks:Obs.Sink.t list ->
-  ?loss:float * int ->
   ?faults:Fault_plan.t ->
   ?retry:int ->
   advice:(int -> Bitstring.Bitbuf.t) ->
@@ -76,35 +58,27 @@ val run :
     along, as in the paper).  [all_informed] is the broadcast/wakeup
     success criterion.
 
-    [record_trace] (default [false]) grows the in-memory [deliveries]
-    trace.  Off, and with no [sinks], the runner takes its
+    [sinks] (default [[]]) receive the telemetry stream, in emission
+    order: one [Advice_read] per node and the source's [Wake] (round 0),
+    then a [Send] per message — dropped messages included — and, per
+    delivery, a [Deliver] followed by a [Wake] if the receiver becomes
+    informed.  The runner never closes the given sinks; the caller does,
+    after [run] returns.  With no sinks the runner takes its
     allocation-free path: messages ride a struct-of-arrays ring buffer,
     delays and retransmit timers a round-indexed timer wheel, and the
     counters advance through {!Obs.Counting}'s [note_*] mutators, so a
     steady-state round allocates nothing beyond the payloads the scheme
-    itself builds.  Tracing is an observer choice, never a semantics
-    choice: every field of [result] is bit-identical either way (the
-    scale tests assert it across fault plans, schedulers and retry
-    budgets).  [DESIGN.md] §"Performance model" has the inventory;
+    itself builds.  Observing is never a semantics choice: every field
+    of [result] is bit-identical with or without sinks (the scale tests
+    assert it across fault plans, schedulers and retry budgets).
+    [DESIGN.md] §"Performance model" has the inventory;
     [dune build @perf] tracks the numbers.
 
-    [sinks] (default [[]]) receive the telemetry stream, in emission
-    order: one [Advice_read] per node and the source's [Wake] (round 0),
-    then a [Send] per message — lost messages included, when [loss] is
-    set — and, per delivery, a [Deliver] followed by a [Wake] if the
-    receiver becomes informed.  The runner never closes the given sinks;
-    the caller does, after [run] returns.
-
-    [loss] is [(p, seed)]: each copy placed on the wire is dropped with
-    probability [p], deterministically in [seed].  Every loss is emitted
-    as a typed [Fault Msg_dropped] event, exactly like a fault plan's
-    drop channel, so verdicts and replay audits see it.
-
     [retry] (default [0]: recovery off) arms the ack/retransmit channel:
-    when a copy of a message is destroyed in flight (plan drop or
-    [loss]), the sender's per-message timer fires after an exponential
+    when a copy of a message is destroyed in flight (plan drop), the
+    sender's per-message timer fires after an exponential
     backoff (1, 2, 4, … scheduler steps per attempt) and a fresh copy is
-    re-enqueued — facing the loss and fault channels again — at most
+    re-enqueued — facing the fault channels again — at most
     [retry] times per sequence number.  Each re-enqueue is a typed
     [Recover (Msg_retransmitted attempt)] event carrying the original
     [seq]; retransmissions are never [Send] events and never count
@@ -148,30 +122,14 @@ val default_max_messages : Netgraph.Graph.t -> int
     their hardened variants are held to (at most [4m + 3n] sends) fits
     under it, so a run within its bound is never cut off. *)
 
-val order_free :
-  record_trace:bool ->
-  sinks:Obs.Sink.t list ->
-  loss:(float * int) option ->
-  faults:Fault_plan.t ->
-  bool
+val order_free : sinks:Obs.Sink.t list -> faults:Fault_plan.t -> bool
 (** Whether a run with these arguments is observed in no global order:
-    no sinks, no trace, no fault plan and no active loss channel.  Then
+    no sinks and no fault plan.  Then
     the deliveries of one synchronous round commute, because a node's
     scheme state is its own and every counter is a sum or a maximum:
     [run] may visit them in any order that keeps each node's own
     arrivals in batch order, and {!Shard.run} may cut them across
     domains. *)
-
-val telemetry :
-  protocol:string ->
-  scheduler:Scheduler.t ->
-  ?completed:bool ->
-  advice_bits:int ->
-  result ->
-  Obs.Registry.record
-(** Summarise a result as a uniform per-protocol registry record.
-    [completed] defaults to [all_informed]; protocols with a different
-    success criterion (gossip completeness, unique leader) pass theirs. *)
 
 val run_silent_network_check :
   advice:(int -> Bitstring.Bitbuf.t) -> Netgraph.Graph.t -> source:int -> Scheme.factory -> bool

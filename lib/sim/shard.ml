@@ -13,8 +13,8 @@
      [absorb] (sums and maxima — order-insensitive).
 
    Only runs with nothing to observe in global order take this engine:
-   any sink, trace, fault plan or active loss channel delegates to
-   {!Runner.run}, which is the specification. *)
+   any sink or fault plan delegates to {!Runner.run}, which is the
+   specification. *)
 
 module Graph = Netgraph.Graph
 
@@ -341,25 +341,22 @@ let run_parallel ~max_messages ~shards:k ~min_parallel_batch ~advice g ~source f
         informed;
         all_informed = Array.for_all (fun b -> b) informed;
         quiescent = not cutoff;
-        deliveries = [];
         per_node_sent;
       })
 
-let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(record_trace = false) ?(sinks = [])
-    ?loss ?(faults = Fault_plan.none) ?(retry = 0) ?(shards = 1) ?(min_parallel_batch = 256)
-    ~advice g ~source factory =
+let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(sinks = []) ?(faults = Fault_plan.none)
+    ?(retry = 0) ?(shards = 1) ?(min_parallel_batch = 256) ~advice g ~source factory =
   if shards < 1 then invalid_arg "Shard.run: shards must be >= 1";
   if min_parallel_batch < 1 then invalid_arg "Shard.run: min_parallel_batch must be >= 1";
   if
     shards = 1 || scheduler <> Scheduler.Synchronous
-    || not (Runner.order_free ~record_trace ~sinks ~loss ~faults)
+    || not (Runner.order_free ~sinks ~faults)
   then
     (* Everything but the untraced, fault-free synchronous run: the
        asynchronous schedulers are one global delivery order with no
-       round boundary to cut, and sinks, traces and fault channels are
-       global orders too (DESIGN.md §14). *)
-    Runner.run ~scheduler ?max_messages ~record_trace ~sinks ?loss ~faults ~retry ~advice g
-      ~source factory
+       round boundary to cut, and sinks and fault plans are global
+       orders too (DESIGN.md §14). *)
+    Runner.run ~scheduler ?max_messages ~sinks ~faults ~retry ~advice g ~source factory
   else begin
     if source < 0 || source >= Graph.n g then invalid_arg "Shard.run: source out of range";
     if retry < 0 then invalid_arg "Shard.run: negative retry budget";

@@ -2,11 +2,11 @@
 
     [run] has the contract of {!Runner.run} plus a [?shards] knob.  One
     kind of run executes across domains: [shards > 1], the
-    {!Scheduler.Synchronous} scheduler, no sinks, no [record_trace], no
-    fault plan and no active [?loss].  The node array is then
-    partitioned into [shards] contiguous blocks and each round executes
-    as two barrier-separated phases (deliver, then emit) across that
-    many OCaml domains.  Deliveries commute because a node's scheme
+    {!Scheduler.Synchronous} scheduler, no sinks and no fault plan
+    ({!Runner.order_free}).  The node array is then partitioned into
+    [shards] contiguous blocks and each round executes as two
+    barrier-separated phases (deliver, then emit) across that many OCaml
+    domains.  Deliveries commute because a node's scheme
     state is owner-exclusive and counters are per-domain
     {!Obs.Counting} states merged with [absorb]; responses are placed at
     offsets from an exclusive prefix sum over the batch, so they keep
@@ -16,7 +16,7 @@
     Every other call delegates to {!Runner.run}: [shards = 1], the
     asynchronous schedulers (one global delivery order, no round
     boundary to cut), and any run that observes or perturbs that order —
-    sinks, traces, fault plans, loss (DESIGN.md §14).
+    sinks or a fault plan (DESIGN.md §14).
 
     Rounds smaller than [?min_parallel_batch] (default 256) are
     processed inline on the coordinator — same arithmetic, no barrier
@@ -35,9 +35,7 @@
 val run :
   ?scheduler:Scheduler.t ->
   ?max_messages:int ->
-  ?record_trace:bool ->
   ?sinks:Obs.Sink.t list ->
-  ?loss:float * int ->
   ?faults:Fault_plan.t ->
   ?retry:int ->
   ?shards:int ->

@@ -47,7 +47,7 @@ let point_seed ~base ~protocol ~family ~n ~scheduler ~plan ~rep =
       Families.name family;
       string_of_int n;
       Scheduler.name scheduler;
-      Fault_plan.name plan;
+      Fault_plan.to_string plan;
       string_of_int rep;
     ]
 
@@ -89,7 +89,7 @@ let points grid =
 
 let point_label p =
   Printf.sprintf "%s/%s/%d/%s/%s/%d" p.protocol (Families.name p.family) p.n
-    (Scheduler.name p.scheduler) (Fault_plan.name p.plan) p.rep
+    (Scheduler.name p.scheduler) (Fault_plan.to_string p.plan) p.rep
 
 (* Grid spec strings.  Axes separated by ';', values by ','; plan specs
    contain commas, so plan alternatives use '|'. *)
@@ -195,7 +195,7 @@ let to_string grid =
       "families=" ^ String.concat "," (List.map Families.name grid.families);
       "ns=" ^ String.concat "," (List.map string_of_int grid.ns);
       "scheds=" ^ String.concat "," (List.map Scheduler.name grid.schedulers);
-      "plans=" ^ String.concat "|" (List.map Fault_plan.name grid.plans);
+      "plans=" ^ String.concat "|" (List.map Fault_plan.to_string grid.plans);
       "reps=" ^ string_of_int grid.reps;
       "seed=" ^ string_of_int grid.base_seed;
     ]

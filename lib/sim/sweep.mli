@@ -10,7 +10,7 @@
       worker identity, or wall clock;
     - each task writes only its own pre-sized result slot (enforced by
       {!Pool.map});
-    - serialization (JSONL/CSV) is a single ordered pass over the result
+    - serialization (JSONL) is a single ordered pass over the result
       array {e after} the join, owned by the submitting domain.
 
     Per-worker caches ({!Cache}) amortize setup: repeated points that

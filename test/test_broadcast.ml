@@ -64,24 +64,28 @@ let test_trace_invariants () =
   in
   let o = Broadcast.oracle ~tree:(fun _ ~root:_ -> tree) () in
   let advice = Oracles.Oracle.advice_fun o g ~source:0 in
-  let r = Sim.Runner.run ~record_trace:true ~advice g ~source:0 (Broadcast.scheme ()) in
+  let collect, collected = Obs.Sink.collect () in
+  let r = Sim.Runner.run ~sinks:[ collect ] ~advice g ~source:0 (Broadcast.scheme ()) in
   check_bool "informed" true r.Sim.Runner.all_informed;
   let seen_m = Hashtbl.create 64 in
   let seen_hello = Hashtbl.create 64 in
   List.iter
-    (fun d ->
-      let dir = (d.Sim.Runner.src, d.Sim.Runner.dst) in
-      check_bool "only tree edges carry traffic" true (List.mem dir tree_pairs);
-      match d.Sim.Runner.msg with
-      | Sim.Message.Source ->
-        check_bool "M once per direction" false (Hashtbl.mem seen_m dir);
-        Hashtbl.add seen_m dir ()
-      | Sim.Message.Hello ->
-        let undirected = (min (fst dir) (snd dir), max (fst dir) (snd dir)) in
-        check_bool "hello once per edge" false (Hashtbl.mem seen_hello undirected);
-        Hashtbl.add seen_hello undirected ()
-      | Sim.Message.Control _ -> Alcotest.fail "unexpected control message")
-    r.Sim.Runner.deliveries
+    (fun ev ->
+      match ev.Obs.Event.kind with
+      | Obs.Event.Deliver d -> (
+        let dir = (d.Obs.Event.src, d.Obs.Event.dst) in
+        check_bool "only tree edges carry traffic" true (List.mem dir tree_pairs);
+        match d.Obs.Event.cls with
+        | Obs.Event.Source ->
+          check_bool "M once per direction" false (Hashtbl.mem seen_m dir);
+          Hashtbl.add seen_m dir ()
+        | Obs.Event.Hello ->
+          let undirected = (min (fst dir) (snd dir), max (fst dir) (snd dir)) in
+          check_bool "hello once per edge" false (Hashtbl.mem seen_hello undirected);
+          Hashtbl.add seen_hello undirected ()
+        | Obs.Event.Control -> Alcotest.fail "unexpected control message")
+      | _ -> ())
+    (collected ())
 
 let test_weight_assignment_unique_endpoint () =
   let g = Families.build Families.Complete ~n:32 ~seed:0 in

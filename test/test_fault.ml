@@ -298,31 +298,6 @@ let test_runner_fault_determinism () =
   check_int "same stream length" (List.length a) (List.length b);
   List.iter2 (fun x y -> check_bool "bit-identical streams" true (Event.equal x y)) a b
 
-(* {1 The adversarial scheduler wrapper} *)
-
-let test_adversary_names_and_suite () =
-  let plain = Sim.Adversary.make Sim.Scheduler.Async_fifo in
-  check_string "plain adversary keeps the scheduler name" "async-fifo" (Sim.Adversary.name plain);
-  let adv =
-    Sim.Adversary.make ~plan:(Plan.of_string_exn "drop=0.1,seed=7") Sim.Scheduler.Synchronous
-  in
-  check_string "composed name" "sync+drop=0.1,seed=7" (Sim.Adversary.name adv);
-  let plans = [ Plan.none; Plan.of_string_exn "dead=1" ] in
-  let suite = Sim.Adversary.suite plans in
-  check_int "cross product, plans major" (2 * List.length Sim.Scheduler.default_suite)
-    (List.length suite);
-  let names = List.map Sim.Adversary.name suite in
-  check_int "all distinct" (List.length names) (List.length (List.sort_uniq compare names))
-
-let test_adversary_run_injects () =
-  let g = Gen.complete 10 in
-  let adv = Sim.Adversary.make ~plan:(Plan.of_string_exn "drop=0.3,seed=5") Sim.Scheduler.Async_lifo in
-  let r = Sim.Adversary.run ~advice:no_advice adv g ~source:0 Sim.Scheme.flooding in
-  check_bool "faults recorded" true (r.Sim.Runner.stats.Sim.Runner.faults > 0);
-  let plain = Sim.Adversary.make Sim.Scheduler.Async_lifo in
-  let r2 = Sim.Adversary.run ~advice:no_advice plain g ~source:0 Sim.Scheme.flooding in
-  check_int "empty plan injects nothing" 0 r2.Sim.Runner.stats.Sim.Runner.faults
-
 (* {1 Hardened schemes and the harness} *)
 
 let tree24 () = Families.build Families.Random_tree ~n:24 ~seed:7
@@ -609,7 +584,7 @@ let test_acceptance_grid_never_raises () =
                       (Fault.Harness.protocol_name protocol)
                       gname
                       (Sim.Scheduler.name scheduler)
-                      (Plan.name plan)
+                      (Plan.to_string plan)
                   in
                   match Fault.Harness.run ~scheduler ~plan protocol g ~source:0 with
                   | o -> (
@@ -797,13 +772,14 @@ let test_verdict_recovery_budget () =
   | v -> Alcotest.failf "corrections must stay completed, got %s" (Fault.Verdict.to_string v)
 
 let test_loss_emits_typed_drops () =
-  (* the runner's loss knob must flow through the typed fault channel:
-     every loss is a [Fault Msg_dropped] event in the stream *)
+  (* message loss is the plan's drop channel: every loss is a
+     [Fault Msg_dropped] event in the stream *)
   let g = Gen.complete 12 in
   let collect, collected = Obs.Sink.collect () in
   let r =
-    Sim.Runner.run ~sinks:[ collect ] ~loss:(0.3, 5) ~advice:no_advice g ~source:0
-      Sim.Scheme.flooding
+    Sim.Runner.run ~sinks:[ collect ]
+      ~faults:(Plan.of_string_exn "drop=0.3,seed=5")
+      ~advice:no_advice g ~source:0 Sim.Scheme.flooding
   in
   let s = Obs.Counting.of_events (collected ()) in
   check_bool "losses recorded as typed drops" true (s.Obs.Counting.dropped > 0);
@@ -817,8 +793,9 @@ let test_retry_reenqueues_lost_copies () =
   let g = Gen.path 6 in
   let collect, collected = Obs.Sink.collect () in
   let r =
-    Sim.Runner.run ~sinks:[ collect ] ~loss:(0.4, 9) ~retry:8 ~advice:no_advice g ~source:0
-      Sim.Scheme.flooding
+    Sim.Runner.run ~sinks:[ collect ]
+      ~faults:(Plan.of_string_exn "drop=0.4,seed=9")
+      ~retry:8 ~advice:no_advice g ~source:0 Sim.Scheme.flooding
   in
   let s = Obs.Counting.of_events (collected ()) in
   check_bool "retransmissions happened" true (s.Obs.Counting.retransmits > 0);
@@ -984,6 +961,57 @@ let test_max_retry_budget_saturates () =
         protocols)
     Families.all
 
+(* {1 The CLI's [--fault --suite]} *)
+
+(* Relative to the test cwd (_build/default/test). *)
+let exe = "../bin/oraclesize.exe"
+
+(* Exit code and stdout of one CLI run. *)
+let cli args =
+  let out = Filename.temp_file "oracle-fault-suite" ".out" in
+  let code =
+    match Unix.system (Printf.sprintf "%s %s >%s 2>/dev/null" exe args (Filename.quote out)) with
+    | Unix.WEXITED n -> n
+    | Unix.WSIGNALED n | Unix.WSTOPPED n -> 128 + n
+  in
+  let text = In_channel.with_open_bin out In_channel.input_all in
+  Sys.remove out;
+  (code, text)
+
+(* The one token that may differ between job counts. *)
+let mask_jobs text =
+  String.split_on_char ' ' text
+  |> List.map (fun w -> if String.starts_with ~prefix:"jobs=" w then "jobs=_" else w)
+  |> String.concat " "
+
+(* The rows after the table header, one per scheduler. *)
+let suite_rows text =
+  let lines = String.split_on_char '\n' text in
+  let rec after = function
+    | [] -> []
+    | l :: rest -> if String.starts_with ~prefix:"scheduler " l then rest else after rest
+  in
+  List.filter (fun l -> l <> "") (after lines)
+
+let test_cli_suite () =
+  let args retry jobs =
+    Printf.sprintf "broadcast -n 24 --fault drop=0.1,seed=7 --retry %d --suite -j %d" retry jobs
+  in
+  let c1, out1 = cli (args 2 1) in
+  let c2, out2 = cli (args 2 2) in
+  check_int "-j 1 exits 0" 0 c1;
+  check_int "-j 2 exits 0" 0 c2;
+  check_string "stdout equal once jobs= is masked" (mask_jobs out1) (mask_jobs out2);
+  let rows = suite_rows out1 in
+  Alcotest.(check (list string))
+    "one row per scheduler, in default_suite order"
+    (List.map Sim.Scheduler.name Sim.Scheduler.default_suite)
+    (List.map (fun l -> List.hd (String.split_on_char ' ' l)) rows);
+  let c0, out0 = cli (args 0 1) in
+  check_int "--retry 0 exits 1" 1 c0;
+  check_bool "--retry 0 rows stall" true
+    (List.exists (fun l -> List.mem "stalled:" (String.split_on_char ' ' l)) (suite_rows out0))
+
 let suite =
   [
     Alcotest.test_case "plan: none" `Quick test_plan_none;
@@ -1006,8 +1034,6 @@ let suite =
     Alcotest.test_case "runner: reorder and delay complete" `Quick
       test_runner_reorder_and_delay_complete;
     Alcotest.test_case "runner: injection is deterministic" `Quick test_runner_fault_determinism;
-    Alcotest.test_case "adversary: names and suite" `Quick test_adversary_names_and_suite;
-    Alcotest.test_case "adversary: run injects" `Quick test_adversary_run_injects;
     Alcotest.test_case "harness: budgets" `Quick test_harness_budgets;
     Alcotest.test_case "hardened wakeup = plain on clean advice" `Quick
       test_hardened_wakeup_clean_advice;
@@ -1041,4 +1067,5 @@ let suite =
     Alcotest.test_case "recovery: deterministic and replayable" `Quick
       test_recovery_determinism_and_replay;
     Alcotest.test_case "recovery: budgets end to end" `Quick test_recovery_budget_end_to_end;
+    Alcotest.test_case "cli: --suite rows at -j 1 and -j 2" `Quick test_cli_suite;
   ]

@@ -1,5 +1,5 @@
 (* The telemetry layer: event codecs, sinks, the counting contract
-   against the live runner, the registry, and offline replay. *)
+   against the live runner, and offline replay. *)
 
 open Oracle_core
 module Graph = Netgraph.Graph
@@ -175,70 +175,6 @@ let test_ring_under_capacity () =
   Alcotest.check_raises "capacity 0 rejected" (Invalid_argument "Obs.Ring.create: capacity must be positive")
     (fun () -> ignore (Obs.Ring.create ~capacity:0))
 
-(* {1 CSV shape} *)
-
-let test_csv_rows_have_thirteen_columns () =
-  let path = Filename.temp_file "obs_test" ".csv" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let sink = Obs.Csv.file_sink path in
-      List.iter (Obs.Sink.emit sink) sample_events;
-      Obs.Sink.close sink;
-      let ic = open_in path in
-      let lines = ref [] in
-      (try
-         while true do
-           lines := input_line ic :: !lines
-         done
-       with End_of_file -> close_in ic);
-      let lines = List.rev !lines in
-      check_int "header + one row per event" (1 + List.length sample_events) (List.length lines);
-      check_string "header" Obs.Csv.header (List.hd lines);
-      List.iter
-        (fun line ->
-          let cols = List.length (String.split_on_char ',' line) in
-          check_int ("columns in " ^ line) Obs.Csv.columns cols)
-        lines)
-
-(* {1 Registry} *)
-
-let test_registry_private () =
-  let r = Obs.Registry.create () in
-  let g = Families.build Families.Cycle ~n:16 ~seed:2 in
-  let _ = Wakeup.run ~registry:r g ~source:0 in
-  let _ = Broadcast.run ~registry:r g ~source:0 in
-  let _ = Election.with_marked_leader ~registry:r g in
-  let _ = Gossip.run ~registry:r g ~source:0 in
-  check_int "four records" 4 (Obs.Registry.length r);
-  let protocols = List.map (fun rec_ -> rec_.Obs.Registry.protocol) (Obs.Registry.records r) in
-  Alcotest.(check (list string))
-    "protocol names"
-    [ "wakeup"; "broadcast"; "election-marked"; "gossip-tree" ]
-    protocols;
-  List.iter
-    (fun rec_ ->
-      check_bool (rec_.Obs.Registry.protocol ^ " completed") true rec_.Obs.Registry.completed;
-      check_int (rec_.Obs.Registry.protocol ^ " n") 16 rec_.Obs.Registry.n)
-    (Obs.Registry.records r);
-  (match Obs.Registry.by_protocol r "wakeup" with
-  | [ w ] ->
-    check_int "wakeup messages" 15 w.Obs.Registry.messages;
-    check_bool "wakeup advice accounted" true (w.Obs.Registry.advice_bits > 0)
-  | l -> Alcotest.failf "expected one wakeup record, got %d" (List.length l));
-  (match Obs.Registry.by_protocol r "election-marked" with
-  | [ e ] -> check_int "election advice is one bit" 1 e.Obs.Registry.advice_bits
-  | _ -> Alcotest.fail "expected one election record");
-  Obs.Registry.clear r;
-  check_int "cleared" 0 (Obs.Registry.length r)
-
-let test_registry_default_autonotes () =
-  Obs.Registry.clear Obs.Registry.default;
-  let g = Families.build Families.Random_tree ~n:12 ~seed:9 in
-  let _ = Wakeup.run g ~source:0 in
-  check_int "default registry noted" 1 (Obs.Registry.length Obs.Registry.default);
-  Obs.Registry.clear Obs.Registry.default
-
 (* {1 Offline replay} *)
 
 let test_replay_matches_live_run () =
@@ -382,9 +318,6 @@ let suite =
     Alcotest.test_case "of_events = live fold" `Quick test_of_events_equals_live_fold;
     Alcotest.test_case "ring bounds memory" `Quick test_ring_bounds_memory;
     Alcotest.test_case "ring under capacity" `Quick test_ring_under_capacity;
-    Alcotest.test_case "csv has 13 columns" `Quick test_csv_rows_have_thirteen_columns;
-    Alcotest.test_case "private registry" `Quick test_registry_private;
-    Alcotest.test_case "default registry auto-notes" `Quick test_registry_default_autonotes;
     Alcotest.test_case "replay = live run" `Quick test_replay_matches_live_run;
     Alcotest.test_case "replay through jsonl artifact" `Quick test_replay_through_jsonl_artifact;
     Alcotest.test_case "replay decisions" `Quick test_replay_decisions;

@@ -74,11 +74,11 @@ let test_broadcast_100k () =
 
 let test_untraced_bit_identical () =
   (* The allocation-free path is an observer choice, not a semantics
-     choice: with [record_trace:false] and no sinks the runner takes its
-     no-allocation counting path, and every statistic must come out
-     bit-identical to a fully traced run with a live counting sink —
-     across fault plans (exercising the delay and retransmit timer
-     wheels), schedulers and retry budgets. *)
+     choice: with no sinks the runner takes its no-allocation counting
+     path, and every statistic must come out bit-identical to a fully
+     traced run with a live counting sink — across fault plans
+     (exercising the delay and retransmit timer wheels), schedulers and
+     retry budgets. *)
   let g = big_sparse 512 in
   let no_advice _ = Bitstring.Bitbuf.create () in
   let configs =
@@ -101,7 +101,7 @@ let test_untraced_bit_identical () =
           let collect, collected = Obs.Sink.collect () in
           let counts = Obs.Counting.create () in
           let traced =
-            Sim.Runner.run ~scheduler:sched ~record_trace:true
+            Sim.Runner.run ~scheduler:sched
               ~sinks:[ collect; Obs.Counting.sink counts ]
               ~faults ~retry ~advice:no_advice g ~source:0 Sim.Scheme.flooding
           in
@@ -117,11 +117,6 @@ let test_untraced_bit_identical () =
             (bare.Sim.Runner.quiescent = traced.Sim.Runner.quiescent);
           check_bool (name ^ ": load identical") true
             (bare.Sim.Runner.per_node_sent = traced.Sim.Runner.per_node_sent);
-          check_bool (name ^ ": untraced run records no deliveries") true
-            (bare.Sim.Runner.deliveries = []);
-          check_int (name ^ ": trace length = deliveries")
-            (List.length traced.Sim.Runner.deliveries)
-            (Obs.Counting.summary counts).Obs.Counting.delivered;
           (* The replay audit closes the loop: the event stream alone
              reproduces the counters and balances the in-flight ledger. *)
           let r = Obs.Replay.replay ~n:(Graph.n g) (collected ()) in
@@ -213,30 +208,37 @@ let test_block_order_keeps_arrival_order () =
       let name = Printf.sprintf "%s n=%d" (Netgraph.Families.name fam) (Graph.n g) in
       let logs = Hashtbl.create (Graph.n g) in
       let bare = Sim.Runner.run ~scheduler:sync ~advice g ~source:0 (arrival_recorder logs) in
+      let collect, collected = Obs.Sink.collect () in
       let traced =
-        Sim.Runner.run ~scheduler:sync ~record_trace:true ~advice g ~source:0
+        Sim.Runner.run ~scheduler:sync ~sinks:[ collect ] ~advice g ~source:0
           (arrival_recorder (Hashtbl.create 1))
       in
       same_result name traced bare;
+      let deliveries =
+        List.filter_map
+          (function
+            | { Obs.Event.seq; round; kind = Obs.Event.Deliver l } -> Some (seq, round, l)
+            | _ -> None)
+          (collected ())
+      in
       (* A traced run is order-sensitive, so it visits each round in
          batch order: fault-free, that is ascending [seq]. *)
       ignore
         (List.fold_left
-           (fun prev d ->
-             let sq = d.Sim.Runner.seq in
+           (fun prev (sq, _, _) ->
              if sq <= prev then Alcotest.failf "%s: traced delivery seq %d after %d" name sq prev;
              sq)
-           (-1) traced.Sim.Runner.deliveries);
+           (-1) deliveries);
       let expected = Array.make (Graph.n g) [] in
       let same_round = Hashtbl.create 64 in
       let multi = ref 0 in
       List.iter
-        (fun d ->
-          let dst = d.Sim.Runner.dst in
-          expected.(dst) <- d.Sim.Runner.dst_port :: expected.(dst);
-          let key = (dst, d.Sim.Runner.round) in
+        (fun (_, round, l) ->
+          let dst = l.Obs.Event.dst in
+          expected.(dst) <- l.Obs.Event.dst_port :: expected.(dst);
+          let key = (dst, round) in
           if Hashtbl.mem same_round key then incr multi else Hashtbl.add same_round key ())
-        traced.Sim.Runner.deliveries;
+        deliveries;
       check_bool (name ^ ": some node receives twice in one round") true (!multi > 0);
       for v = 0 to Graph.n g - 1 do
         let got = !(Hashtbl.find logs (Graph.label g v)) in

@@ -4,8 +4,8 @@
    [min_parallel_batch:1], so the parallel phases really execute even
    on test-sized graphs, and compare it field by field with
    [Runner.run].  The traced and faulted grids pin the delegation: any
-   sink, trace or fault plan hands the run to [Runner.run], whose bytes
-   must not move with the shard count. *)
+   sink or fault plan hands the run to [Runner.run], whose bytes must
+   not move with the shard count. *)
 
 open Oracle_core
 module Graph = Netgraph.Graph
@@ -118,17 +118,19 @@ let test_protocol_grid () =
 (* The engine driven directly with [min_parallel_batch:1], so every
    round of every run crosses the domain barriers, however small the
    batch.  The untraced run is the parallel engine; the traced one
-   delegates, and its delivery trace must match [Runner.run]'s record
-   for record, sequence numbers included. *)
+   delegates, and its event stream must match [Runner.run]'s event for
+   event, sequence numbers included. *)
 let test_forced_parallel_phases () =
   List.iter
     (fun (fam, build) ->
       let g = build () in
       let advice _ = Bitstring.Bitbuf.create () in
+      let collect, collected = Obs.Sink.collect () in
       let seq =
-        Sim.Runner.run ~scheduler:Sim.Scheduler.Synchronous ~record_trace:true ~advice g
+        Sim.Runner.run ~scheduler:Sim.Scheduler.Synchronous ~sinks:[ collect ] ~advice g
           ~source:0 Sim.Scheme.flooding
       in
+      let seq_trace = jsonl (collected ()) in
       List.iter
         (fun shards ->
           let name = Printf.sprintf "%s/shards=%d" fam shards in
@@ -137,12 +139,12 @@ let test_forced_parallel_phases () =
               ~advice g ~source:0 Sim.Scheme.flooding
           in
           check_same (name ^ " fast") seq fast;
+          let collect, collected = Obs.Sink.collect () in
           let traced =
             Sim.Shard.run ~scheduler:Sim.Scheduler.Synchronous ~shards ~min_parallel_batch:1
-              ~record_trace:true ~advice g ~source:0 Sim.Scheme.flooding
+              ~sinks:[ collect ] ~advice g ~source:0 Sim.Scheme.flooding
           in
-          check_bool (name ^ " traced: deliveries") true
-            (traced.Sim.Runner.deliveries = seq.Sim.Runner.deliveries);
+          check_string (name ^ " traced: event bytes") seq_trace (jsonl (collected ()));
           check_bool (name ^ " traced: stats") true
             (traced.Sim.Runner.stats = seq.Sim.Runner.stats))
         shard_counts)
@@ -166,8 +168,7 @@ let test_fault_grid () =
           let collect, collected = Obs.Sink.collect () in
           let r =
             Sim.Shard.run ~scheduler:Sim.Scheduler.Synchronous ~shards ~min_parallel_batch:1
-              ~record_trace:true ~sinks:[ collect ] ~faults ~retry ~advice g ~source:0
-              Sim.Scheme.flooding
+              ~sinks:[ collect ] ~faults ~retry ~advice g ~source:0 Sim.Scheme.flooding
           in
           let trace = jsonl (collected ()) in
           match !reference with
@@ -176,8 +177,6 @@ let test_fault_grid () =
             let name = Printf.sprintf "%s/retry=%d/shards=%d" spec retry shards in
             check_string (name ^ ": event bytes") t0 trace;
             check_bool (name ^ ": stats") true (r0.Sim.Runner.stats = r.Sim.Runner.stats);
-            check_bool (name ^ ": deliveries") true
-              (r0.Sim.Runner.deliveries = r.Sim.Runner.deliveries);
             check_bool (name ^ ": informed") true (r0.Sim.Runner.informed = r.Sim.Runner.informed))
         shard_counts)
     [
@@ -187,6 +186,47 @@ let test_fault_grid () =
       ("drop=0.15,delay=0.2:5,crash=7@40,seed=13", 2);
       ("dead=3,dead=5,dead=11,seed=17", 1);
     ]
+
+(* Random draws: any family, ports permuted at random, a random source,
+   every round forced across the barriers at each shard count.  Fixed
+   seed, so a failure replays. *)
+let qcheck_random_draws =
+  let families = Array.of_list Netgraph.Families.all in
+  let no_advice _ = Bitstring.Bitbuf.create () in
+  let oracle_advice o g ~source = Oracles.Advice.get (o.Oracles.Oracle.advise g ~source) in
+  let schemes =
+    [|
+      (fun _ ~source:_ -> (no_advice, Sim.Scheme.flooding));
+      (fun g ~source ->
+        ( oracle_advice (Wakeup.oracle ()) g ~source,
+          Sim.Scheme.check_wakeup (Wakeup.scheme ()) ));
+      (fun g ~source -> (oracle_advice (Broadcast.oracle ()) g ~source, Broadcast.scheme ()));
+    |]
+  in
+  QCheck.Test.make ~name:"shard = runner on random family draws" ~count:40
+    QCheck.(
+      quad
+        (int_range 0 (Array.length families - 1))
+        (int_range 2 160) (int_range 0 9999)
+        (int_range 0 (Array.length schemes - 1)))
+    (fun (fam, n, seed, scheme) ->
+      let g = Netgraph.Families.build families.(fam) ~n ~seed in
+      let g = Netgraph.Transform.permute_ports g (Random.State.make [| seed |]) in
+      let source = seed mod Graph.n g in
+      let advice, factory = schemes.(scheme) g ~source in
+      let sync = Sim.Scheduler.Synchronous in
+      let r0 = Sim.Runner.run ~scheduler:sync ~advice g ~source factory in
+      List.for_all
+        (fun shards ->
+          let r =
+            Sim.Shard.run ~scheduler:sync ~shards ~min_parallel_batch:1 ~advice g ~source factory
+          in
+          r.Sim.Runner.stats = r0.Sim.Runner.stats
+          && r.Sim.Runner.informed = r0.Sim.Runner.informed
+          && r.Sim.Runner.all_informed = r0.Sim.Runner.all_informed
+          && r.Sim.Runner.quiescent = r0.Sim.Runner.quiescent
+          && r.Sim.Runner.per_node_sent = r0.Sim.Runner.per_node_sent)
+        [ 2; 3; 7 ])
 
 (* Input validation. *)
 let test_validation () =
@@ -206,4 +246,5 @@ let suite =
     Alcotest.test_case "forced parallel phases bit-identical" `Slow test_forced_parallel_phases;
     Alcotest.test_case "fault plans x shards byte-identical" `Slow test_fault_grid;
     Alcotest.test_case "shard count validation" `Quick test_validation;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20 |]) qcheck_random_draws;
   ]

@@ -183,19 +183,23 @@ let test_out_of_range_port_rejected () =
 
 let test_trace_recording () =
   let g = Netgraph.Gen.path 4 in
-  let r = Sim.Runner.run ~record_trace:true ~advice:no_advice g ~source:0 Sim.Scheme.flooding in
-  check_int "deliveries = sent" r.Sim.Runner.stats.Sim.Runner.sent
-    (List.length r.Sim.Runner.deliveries);
+  let collect, collected = Obs.Sink.collect () in
+  let r = Sim.Runner.run ~sinks:[ collect ] ~advice:no_advice g ~source:0 Sim.Scheme.flooding in
+  let deliveries =
+    List.filter_map
+      (function
+        | { Obs.Event.seq; kind = Obs.Event.Deliver l; _ } -> Some (seq, l) | _ -> None)
+      (collected ())
+  in
+  check_int "deliveries = sent" r.Sim.Runner.stats.Sim.Runner.sent (List.length deliveries);
   (* Sequence numbers are unique. *)
-  let seqs = List.map (fun d -> d.Sim.Runner.seq) r.Sim.Runner.deliveries in
+  let seqs = List.map fst deliveries in
   check_int "unique seqs" (List.length seqs) (List.length (List.sort_uniq compare seqs));
   (* Every delivery is a real edge. *)
   List.iter
-    (fun d ->
-      check_bool "edge exists" true (Netgraph.Graph.has_edge g d.Sim.Runner.src d.Sim.Runner.dst))
-    r.Sim.Runner.deliveries;
-  let untraced = Sim.Runner.run ~advice:no_advice g ~source:0 Sim.Scheme.flooding in
-  check_int "no trace by default" 0 (List.length untraced.Sim.Runner.deliveries)
+    (fun (_, l) ->
+      check_bool "edge exists" true (Netgraph.Graph.has_edge g l.Obs.Event.src l.Obs.Event.dst))
+    deliveries
 
 let test_message_type_counters () =
   let g = Netgraph.Gen.path 3 in
@@ -317,37 +321,36 @@ let suite =
         test_causal_depth_async_invariant;
     ]
 
+let drop p seed = { Sim.Fault_plan.none with drop = p; seed }
+
 let test_lossy_delivery () =
   (* Wakeup-style single-path dissemination dies under loss; redundant
-     flooding survives mild loss.  Deterministic in the loss seed. *)
+     flooding survives mild loss.  Deterministic in the plan's seed. *)
   let g = Netgraph.Gen.complete 24 in
-  let lossy = Sim.Runner.run ~loss:(0.2, 7) ~advice:no_advice g ~source:0 Sim.Scheme.flooding in
+  let lossy =
+    Sim.Runner.run ~faults:(drop 0.2 7) ~advice:no_advice g ~source:0 Sim.Scheme.flooding
+  in
   check_bool "flooding survives 20% loss on K_24" true lossy.Sim.Runner.all_informed;
   (* Sent counts transmissions, including lost ones. *)
   check_bool "sent counted" true (lossy.Sim.Runner.stats.Sim.Runner.sent > 0);
   let path = Netgraph.Gen.path 40 in
-  let fragile = Sim.Runner.run ~loss:(0.3, 7) ~advice:no_advice path ~source:0 Sim.Scheme.flooding in
+  let fragile =
+    Sim.Runner.run ~faults:(drop 0.3 7) ~advice:no_advice path ~source:0 Sim.Scheme.flooding
+  in
   check_bool "a 40-hop chain at 30% loss breaks" false fragile.Sim.Runner.all_informed
 
 let test_loss_zero_is_reliable () =
   let g = Netgraph.Gen.grid ~rows:4 ~cols:4 in
   let a = Sim.Runner.run ~advice:no_advice g ~source:0 Sim.Scheme.flooding in
-  let b = Sim.Runner.run ~loss:(0.0, 1) ~advice:no_advice g ~source:0 Sim.Scheme.flooding in
+  let b = Sim.Runner.run ~faults:(drop 0.0 1) ~advice:no_advice g ~source:0 Sim.Scheme.flooding in
   check_int "same messages" a.Sim.Runner.stats.Sim.Runner.sent b.Sim.Runner.stats.Sim.Runner.sent;
   check_bool "both informed" true (a.Sim.Runner.all_informed && b.Sim.Runner.all_informed)
-
-let test_loss_probability_validation () =
-  let g = Netgraph.Gen.path 2 in
-  match Sim.Runner.run ~loss:(1.0, 1) ~advice:no_advice g ~source:0 Sim.Scheme.flooding with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "loss = 1.0 must be rejected"
 
 let suite =
   suite
   @ [
       Alcotest.test_case "lossy delivery" `Quick test_lossy_delivery;
       Alcotest.test_case "zero loss is reliable" `Quick test_loss_zero_is_reliable;
-      Alcotest.test_case "loss probability validated" `Quick test_loss_probability_validation;
     ]
 
 let test_per_node_load () =

@@ -15,7 +15,8 @@ let test_exact_messages_all_families () =
       let o = Wakeup.run g ~source:0 in
       check_bool (name ^ " informed") true o.Wakeup.result.Sim.Runner.all_informed;
       check_int (name ^ " messages") (Graph.n g - 1) o.Wakeup.result.Sim.Runner.stats.Sim.Runner.sent;
-      check_bool (name ^ " tree ok") true o.Wakeup.tree_ok)
+      check_bool (name ^ " tree ok") true o.Wakeup.tree_ok;
+      check_bool (name ^ " advice accounted") true (o.Wakeup.advice_bits > 0))
     (family_graphs 48)
 
 let test_all_schedulers () =
