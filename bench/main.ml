@@ -1,7 +1,9 @@
 (* Experiment harness: one table per experiment in DESIGN.md §4.
 
    Usage: main.exe [--trace-out=FILE] [--stress-out=FILE] [--resilience-out=FILE]
-                   [e1|e2|e3|e4|e5|e6|e7|e8|e9|e10|smoke|stress|resilience|micro|all]...
+                   [--stress-journal=FILE] [--resilience-journal=FILE]
+                   [e1|e2|e3|e4|e5|e6|e7|e8|e9|e10|e11|e12|e13|e14|e15|e16|e17|e18
+                    |e19b|e20|e3b|smoke|stress|resilience|micro|all]...
    With no argument, runs every table (micro included).  The [smoke]
    experiment writes a JSON Lines telemetry trace to FILE (default
    smoke.jsonl); [dune build @smoke] produces it as a build artifact.
@@ -11,7 +13,9 @@
    mirrors @smoke.  The [resilience] experiment sweeps corruption x
    ECC protection x retry budget and writes one JSON line per run to
    the --resilience-out FILE (default resilience.jsonl); [dune build
-   @resilience] mirrors @stress. *)
+   @resilience] mirrors @stress.  --stress-journal=FILE and
+   --resilience-journal=FILE make those two grids journaled: an
+   interrupted run resumes from FILE (docs/JOURNAL_FORMAT.md). *)
 
 open Oracle_core
 module Graph = Netgraph.Graph

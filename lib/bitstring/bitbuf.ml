@@ -129,6 +129,11 @@ let read_bit r =
    measurable at n = 10^6. *)
 let read_int r ~width =
   if width < 0 then invalid_arg "Bitbuf.read_int: negative width";
+  (* 62 bits are all a non-negative OCaml int holds (Sys.int_size - 1 on
+     the 64-bit hosts OCaml 5 runs on): a wider field would set the sign
+     bit or shift bits out, so reject it rather than return a wrapped
+     value. *)
+  if width > 62 then invalid_arg "Bitbuf.read_int: width above 62";
   if r.cursor + width > r.buf.len then raise End_of_bits;
   let data = r.buf.data in
   let c = ref r.cursor in

@@ -91,7 +91,9 @@ val read_bit : reader -> bool
 (** Consume one bit.  @raise End_of_bits at the end of the buffer. *)
 
 val read_int : reader -> width:int -> int
-(** Consume [width] bits as an MSB-first integer.
+(** Consume [width] bits as an MSB-first integer.  Raises
+    [Invalid_argument] if [width] is negative or above 62, the bits of a
+    non-negative OCaml [int].
     @raise End_of_bits if fewer than [width] bits remain. *)
 
 val remaining : reader -> int

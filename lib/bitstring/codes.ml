@@ -29,11 +29,14 @@ let read_port_list r =
     while not !stop do
       let b1 = Bitbuf.read_bit r in
       let b2 = Bitbuf.read_bit r in
-      match b1, b2 with
+      (match b1, b2 with
       | true, false -> stop := true
       | true, true -> width := (!width lsl 1) lor 1
       | false, false -> width := !width lsl 1
-      | false, true -> invalid_arg "Codes.read_port_list: malformed width header"
+      | false, true -> invalid_arg "Codes.read_port_list: malformed width header");
+      (* No port is wider than an int: stop a long header before the
+         width itself wraps. *)
+      if !width > 62 then invalid_arg "Codes.read_port_list: width above 62"
     done;
     let width = !width in
     if width < 1 then invalid_arg "Codes.read_port_list: zero width";
@@ -65,6 +68,7 @@ let read_marked r =
   let rec loop acc =
     let b = Bitbuf.read_bit r in
     let last = Bitbuf.read_bit r in
+    if acc > max_int lsr 1 then invalid_arg "Codes.read_marked: value wider than an int";
     let acc = (acc lsl 1) lor (if b then 1 else 0) in
     if last then acc else loop acc
   in
@@ -100,9 +104,14 @@ let write_gamma buf n =
   done;
   Bitbuf.add_int buf ~width:(k + 1) v
 
+(* A codeword of [write_gamma] or [write_delta] carries [n + 1 <= max_int],
+   whose highest set bit is at most bit 61. *)
+let max_length_exponent = 61
+
 let read_gamma r =
   let rec zeros k = if Bitbuf.read_bit r then k else zeros (k + 1) in
   let k = zeros 0 in
+  if k > max_length_exponent then invalid_arg "Codes.read_gamma: prefix too long for an int";
   let rest = if k = 0 then 0 else Bitbuf.read_int r ~width:k in
   ((1 lsl k) lor rest) - 1
 
@@ -117,6 +126,7 @@ let write_delta buf n =
 
 let read_delta r =
   let k = read_gamma r in
+  if k > max_length_exponent then invalid_arg "Codes.read_delta: length too long for an int";
   let rest = if k = 0 then 0 else Bitbuf.read_int r ~width:k in
   ((1 lsl k) lor rest) - 1
 
@@ -142,32 +152,3 @@ let read_marked_list_result r = protect "read_marked_list" read_marked_list r
 let read_gamma_list_result r =
   let rec loop acc = if Bitbuf.at_end r then List.rev acc else loop (read_gamma r :: acc) in
   protect "read_gamma_list" (fun _ -> loop []) r
-
-type codec = {
-  codec_name : string;
-  write_list : Bitbuf.t -> int list -> unit;
-  read_list : Bitbuf.reader -> int list;
-}
-
-let list_codec name write read =
-  let write_list buf vs = List.iter (write buf) vs in
-  let read_list r =
-    let rec loop acc = if Bitbuf.at_end r then List.rev acc else loop (read r :: acc) in
-    loop []
-  in
-  { codec_name = name; write_list; read_list }
-
-let paper_doubled ~max_value =
-  if max_value < 0 then invalid_arg "Codes.paper_doubled: negative max_value";
-  let width = max 1 (Binary.ceil_log2 (max_value + 1)) in
-  {
-    codec_name = Printf.sprintf "paper-doubled(w=%d)" width;
-    write_list = (fun buf vs -> write_port_list buf ~width vs);
-    read_list = read_port_list;
-  }
-
-let gamma_codec = list_codec "elias-gamma" write_gamma read_gamma
-let delta_codec = list_codec "elias-delta" write_delta read_delta
-let unary_codec = list_codec "unary" write_unary read_unary
-
-let all_codecs ~max_value = [ paper_doubled ~max_value; gamma_codec; delta_codec; unary_codec ]

@@ -16,8 +16,10 @@
        payload bit followed by a flag bit marking whether it ends the
        value.  Total length exactly [2·Σ #₂(wᵢ)], which is what gives the
        [≤ 8n] oracle of Theorem 3.1.}
-    {- Classical Elias gamma/delta and unary codes, used as ablation
-       baselines (experiment E7).}} *)
+    {- Classical Elias gamma/delta and unary codes.  Gamma is the
+       [Gamma] advice encoding of the wakeup and broadcast oracles (the
+       E7 ablation), and it codes the gossip advice and the whole-graph
+       codec.}} *)
 
 (** {1 The Theorem 2.1 port-list code} *)
 
@@ -31,7 +33,7 @@ val read_port_list : Bitbuf.reader -> int list
 (** Decode a string produced by {!write_port_list}, consuming the reader to
     its end.  An exhausted reader decodes to [[]].
     Raises [Invalid_argument] if the remaining payload length is not a
-    multiple of the decoded width. *)
+    multiple of the decoded width, or if the width header exceeds 62. *)
 
 val port_list_length : width:int -> count:int -> int
 (** Exact encoded size in bits: [0] when [count = 0], otherwise
@@ -43,7 +45,8 @@ val write_marked : Bitbuf.t -> int -> unit
 (** Append one non-negative integer in marked-bit form: [2·#₂(w)] bits. *)
 
 val read_marked : Bitbuf.reader -> int
-(** Decode one marked-bit integer. *)
+(** Decode one marked-bit integer.  Leading zero payload bits are
+    accepted; a value above [max_int] raises [Invalid_argument]. *)
 
 val write_marked_list : Bitbuf.t -> int list -> unit
 
@@ -83,36 +86,17 @@ val write_gamma : Bitbuf.t -> int -> unit
     bits. *)
 
 val read_gamma : Bitbuf.reader -> int
+(** Raises [Invalid_argument] on a zero prefix longer than 61 bits, whose
+    value would not fit in an [int]. *)
 
 val write_delta : Bitbuf.t -> int -> unit
 (** Elias delta of [n ≥ 0] (encodes [n+1] internally). *)
 
 val read_delta : Bitbuf.reader -> int
+(** Raises [Invalid_argument] when the gamma-coded length exceeds 61. *)
 
 val gamma_length : int -> int
 (** Bits used by {!write_gamma}. *)
 
 val delta_length : int -> int
 (** Bits used by {!write_delta}. *)
-
-(** {1 Generic integer-list codecs}
-
-    A uniform interface over the codes above, for the E7 encoding
-    ablation: each codec writes a list of non-negative integers as one
-    self-delimiting string and reads it back by consuming a reader to its
-    end. *)
-
-type codec = {
-  codec_name : string;
-  write_list : Bitbuf.t -> int list -> unit;
-  read_list : Bitbuf.reader -> int list;
-}
-
-val paper_doubled : max_value:int -> codec
-(** The Theorem 2.1 code with [width = max 1 (⌈log₂ (max_value+1)⌉)]. *)
-
-val gamma_codec : codec
-val delta_codec : codec
-val unary_codec : codec
-
-val all_codecs : max_value:int -> codec list

@@ -158,106 +158,62 @@ let scheme ?(encoding = Marked) () static =
   let on_receive msg ~port = receive st msg ~port in
   { Sim.Scheme.on_start; on_receive }
 
-let usable_ports ~degree ports =
-  let seen = Array.make (max 1 degree) false in
-  List.for_all
-    (fun p ->
-      p >= 0 && p < degree && not seen.(p)
-      &&
-      (seen.(p) <- true;
-       true))
-    ports
-
 let hardened_scheme ?(encoding = Marked) ?(protect = Bitstring.Ecc.Raw) ?on_fallback ?on_corrected
-    () static =
-  let degree = static.Sim.History.degree in
-  let is_source = static.Sim.History.is_source in
-  let fallback reason =
-    (match on_fallback with Some f -> f static.Sim.History.id reason | None -> ());
-    None
-  in
-  (* Detect-and-correct first: only when the ECC layer itself gives up,
-     or the corrected payload still fails validation, pay for flooding. *)
-  let advised =
-    match Bitstring.Ecc.unprotect protect static.Sim.History.advice with
-    | Error msg -> fallback ("ecc: " ^ msg)
-    | Ok (payload, corrected) -> (
-      match decode_known_ports_result encoding payload with
-      | Ok ports when usable_ports ~degree ports ->
-        if corrected > 0 then (
-          match on_corrected with
-          | Some f -> f static.Sim.History.id corrected
-          | None -> ());
-        Some ports
-      | Ok _ -> fallback "unusable ports"
-      | Error msg -> fallback msg)
-  in
-  (* Recovery overlay, shared by both modes: on a link timeout an
-     informed node re-disseminates the source message by flooding the
-     [reflood] marker; every hardened node forwards it exactly once
-     (≤ 2m messages), which re-covers the surviving component whatever
-     the failure stranded. *)
-  let reflooded = ref false in
-  let reflood_from arrival =
-    if !reflooded then []
-    else begin
-      reflooded := true;
-      List.filter_map
-        (fun p -> if arrival = Some p then None else Some (Sim.Message.reflood, p))
-        (List.init degree (fun p -> p))
-    end
-  in
-  match advised with
-  | Some ports ->
-    (* Scheme B itself, on validated advice ([usable_ports] has checked
-       the ports are in range and distinct), plus the overlay: a reflood
-       informs like a source message through the same port. *)
-    let st = initial ports ~is_source in
-    let on_start () = start st ~is_source in
-    let on_receive msg ~port =
-      match msg with
-      | Sim.Message.Control _ when Sim.Message.is_timeout msg ->
-        if st.informed then reflood_from (Some port) else []
-      | Sim.Message.Control _ when Sim.Message.is_reflood msg ->
-        let first = not st.informed in
-        st.informed <- true;
-        retire st port;
-        (if first then flush st else []) @ reflood_from (Some port)
-      | _ -> receive st msg ~port
-    in
-    { Sim.Scheme.on_start; on_receive }
-  | None ->
-    (* Degraded mode.  Flooding when informed restores correctness at the
-       advice-free Θ(m) cost; the Hello on {e every} port at start tells
-       advised neighbours — whose legitimately-empty advice the adversary
-       could not touch — how to reach us, exactly as Scheme B's Hellos on
-       known ports do.  Without it an advised node whose tree edges are
-       all known from the degraded side would never learn them. *)
-    let all_ports = List.init degree (fun p -> p) in
-    let informed = ref static.Sim.History.is_source in
-    let flood arrival =
-      List.filter_map
-        (fun p -> if arrival = Some p then None else Some (Sim.Message.Source, p))
-        all_ports
-    in
-    let on_start () =
-      if static.Sim.History.is_source then flood None
-      else List.map (fun p -> (Sim.Message.Hello, p)) all_ports
-    in
-    let on_receive msg ~port =
-      match msg with
-      | Sim.Message.Source when not !informed ->
-        informed := true;
-        flood (Some port)
-      | Sim.Message.Control _ when Sim.Message.is_timeout msg ->
-        if !informed then reflood_from (Some port) else []
-      | Sim.Message.Control _ when Sim.Message.is_reflood msg ->
-        let first = not !informed in
-        informed := true;
-        (if first then flood (Some port) else []) @ reflood_from (Some port)
-      | Sim.Message.Source | Sim.Message.Hello | Sim.Message.Control _ -> []
-    in
-    { Sim.Scheme.on_start; on_receive }
+    () =
+  (* One decoder closure per factory, not one per node. *)
+  let decode = decode_known_ports_result encoding in
+  fun static ->
+    let degree = static.Sim.History.degree in
+    let is_source = static.Sim.History.is_source in
+    let advised = Hardened.advised ~protect ~decode ?on_fallback ?on_corrected static in
+    (* The recovery overlay is shared by both modes: an informed node that
+       sees a link time out refloods, and a reflood informs like a source
+       message through the same port. *)
+    let reflood_from = Hardened.reflood ~degree in
+    match advised with
+    | Some ports ->
+      (* Scheme B itself, on validated advice (the ports are in range and
+         distinct), plus the overlay. *)
+      let st = initial ports ~is_source in
+      let on_start () = start st ~is_source in
+      let on_receive msg ~port =
+        match msg with
+        | Sim.Message.Control _ when Sim.Message.is_timeout msg ->
+          if st.informed then reflood_from (Some port) else []
+        | Sim.Message.Control _ when Sim.Message.is_reflood msg ->
+          let first = not st.informed in
+          st.informed <- true;
+          retire st port;
+          (if first then flush st else []) @ reflood_from (Some port)
+        | _ -> receive st msg ~port
+      in
+      { Sim.Scheme.on_start; on_receive }
+    | None ->
+      (* Degraded mode.  Flooding when informed restores correctness at the
+         advice-free Θ(m) cost; the Hello on {e every} port at start tells
+         advised neighbours — whose legitimately-empty advice the adversary
+         could not touch — how to reach us, exactly as Scheme B's Hellos on
+         known ports do.  Without it an advised node whose tree edges are
+         all known from the degraded side would never learn them. *)
+      let informed = ref is_source in
+      let flood arrival = Hardened.flood Sim.Message.Source ~degree arrival in
+      let on_start () =
+        if is_source then flood None else Hardened.flood Sim.Message.Hello ~degree None
+      in
+      let on_receive msg ~port =
+        match msg with
+        | Sim.Message.Source when not !informed ->
+          informed := true;
+          flood (Some port)
+        | Sim.Message.Control _ when Sim.Message.is_timeout msg ->
+          if !informed then reflood_from (Some port) else []
+        | Sim.Message.Control _ when Sim.Message.is_reflood msg ->
+          let first = not !informed in
+          informed := true;
+          (if first then flood (Some port) else []) @ reflood_from (Some port)
+        | Sim.Message.Source | Sim.Message.Hello | Sim.Message.Control _ -> []
+      in
+      { Sim.Scheme.on_start; on_receive }
 
 type outcome = {
   result : Sim.Runner.result;

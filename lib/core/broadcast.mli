@@ -71,23 +71,21 @@ val hardened_scheme :
   ?on_corrected:(int -> int -> unit) ->
   unit ->
   Sim.Scheme.factory
-(** Scheme B with advice validation: the advice is first decoded through
-    the [protect] ECC level (default [Raw]: pass-through), then a node
-    whose advice does not decode to distinct, in-range ports degrades to
-    advice-free flooding — the source message goes out on every port
-    (except the arrival port) on first informing, which is correct on any
-    connected graph at Θ(m) cost.  With a correcting level, a
-    corrupted-but-correctable codeword is repaired locally instead (the
-    advice must have been written by {!Oracles.Protect.oracle} at the
-    same level).  A degraded non-source node also sends its "hello" on
-    {e every} port at start, so an advised neighbour whose (legitimately
-    empty) advice omits the shared edge still learns it, exactly as
-    Scheme B's hellos on known ports teach; without this, a node that
-    knows none of its tree edges could never serve the subtree behind a
-    degraded neighbour.  [on_fallback] is called once per degraded node
-    with its label and the ECC/decode/validation error; [on_corrected]
-    once per node whose advice was repaired and accepted, with its label
-    and the corrected-error count.  On untampered advice this is
+(** Scheme B behind {!Hardened.advised}: a node trusts its advice only
+    if it passes the [protect] ECC level (default [Raw]: pass-through),
+    decodes with {!decode_known_ports_result} and names distinct,
+    in-range ports; a correcting level repairs a correctable codeword
+    written by {!Oracles.Protect.oracle} at the same level.  A rejected
+    node degrades to {!Hardened.flood}: the source message goes out on
+    every port except the arrival port on first informing, correct on
+    any connected graph at Θ(m) cost.  A degraded non-source node also
+    sends its "hello" on {e every} port at start, so an advised
+    neighbour whose (legitimately empty) advice omits the shared edge
+    still learns it, exactly as Scheme B's hellos on known ports teach;
+    without this, a node that knows none of its tree edges could never
+    serve the subtree behind a degraded neighbour.  Both modes carry
+    {!Hardened.reflood}.  [on_fallback] and [on_corrected] are reported
+    as {!Hardened.advised} describes.  On untampered advice this is
     message-for-message Scheme B. *)
 
 val weight_assignment : Netgraph.Graph.t -> Netgraph.Spanning.t -> int list array

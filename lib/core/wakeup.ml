@@ -83,84 +83,38 @@ let scheme ?(encoding = Paper) () static =
   in
   { Sim.Scheme.on_start; on_receive }
 
-(* A decoded port list is only usable if the scheme could actually have
-   been advised it: every port in range, none repeated.  Tampered advice
-   that still parses but fails this check must also select the fallback,
-   or the runner aborts on an out-of-range send. *)
-let usable_ports ~degree ports =
-  let seen = Array.make (max 1 degree) false in
-  List.for_all
-    (fun p ->
-      p >= 0 && p < degree && not seen.(p)
-      &&
-      (seen.(p) <- true;
-       true))
-    ports
-
 let hardened_scheme ?(encoding = Paper) ?(protect = Bitstring.Ecc.Raw) ?on_fallback ?on_corrected
-    () static =
-  let degree = static.Sim.History.degree in
-  let fallback reason =
-    (match on_fallback with Some f -> f static.Sim.History.id reason | None -> ());
-    None
-  in
-  (* Detect-and-correct first: only when the ECC layer itself gives up,
-     or the corrected payload still fails validation, pay for flooding. *)
-  let advised =
-    match Bitstring.Ecc.unprotect protect static.Sim.History.advice with
-    | Error msg -> fallback ("ecc: " ^ msg)
-    | Ok (payload, corrected) -> (
-      match decode_ports_result encoding payload with
-      | Ok ports when usable_ports ~degree ports ->
-        if corrected > 0 then (
-          match on_corrected with
-          | Some f -> f static.Sim.History.id corrected
-          | None -> ());
-        Some ports
-      | Ok _ -> fallback "unusable ports"
-      | Error msg -> fallback msg)
-  in
-  let woken = ref false in
-  let wake arrival =
-    woken := true;
-    match advised with
-    | Some ports -> List.map (fun p -> (Sim.Message.Source, p)) ports
-    | None ->
-      (* Degraded mode: behave as one node of [Sim.Scheme.flooding] —
-         correct on any connected graph, at the advice-free Θ(m) cost. *)
-      List.filter_map
-        (fun p -> if arrival = Some p then None else Some (Sim.Message.Source, p))
-        (List.init degree (fun p -> p))
-  in
-  (* Recovery overlay: a link timeout means the neighbour crash-stopped,
-     stranding whatever subtree the advised tree routed through it.  The
-     detecting node re-disseminates the source message by flooding the
-     [reflood] marker, which every hardened node forwards exactly once —
-     ≤ 2m messages to re-cover the entire surviving component. *)
-  let reflooded = ref false in
-  let reflood_from arrival =
-    if !reflooded then []
-    else begin
-      reflooded := true;
-      List.filter_map
-        (fun p -> if arrival = Some p then None else Some (Sim.Message.reflood, p))
-        (List.init degree (fun p -> p))
-    end
-  in
-  let on_start () = if static.Sim.History.is_source then wake None else [] in
-  let on_receive msg ~port =
-    match msg with
-    | Sim.Message.Source when not !woken -> wake (Some port)
-    | Sim.Message.Control _ when Sim.Message.is_timeout msg ->
-      (* Only a woken node can have sent the message that timed out, so
-         the wakeup restriction is preserved. *)
-      if !woken then reflood_from (Some port) else []
-    | Sim.Message.Control _ when Sim.Message.is_reflood msg ->
-      let wake_sends = if !woken then [] else wake (Some port) in
-      wake_sends @ reflood_from (Some port)
-    | Sim.Message.Source | Sim.Message.Hello | Sim.Message.Control _ -> []
-  in
-  { Sim.Scheme.on_start; on_receive }
+    () =
+  (* One decoder closure per factory, not one per node. *)
+  let decode = decode_ports_result encoding in
+  fun static ->
+    let degree = static.Sim.History.degree in
+    let advised = Hardened.advised ~protect ~decode ?on_fallback ?on_corrected static in
+    let woken = ref false in
+    let wake arrival =
+      woken := true;
+      match advised with
+      | Some ports -> List.map (fun p -> (Sim.Message.Source, p)) ports
+      | None ->
+        (* Degraded mode: behave as one node of [Sim.Scheme.flooding] —
+           correct on any connected graph, at the advice-free Θ(m) cost. *)
+        Hardened.flood Sim.Message.Source ~degree arrival
+    in
+    let reflood_from = Hardened.reflood ~degree in
+    let on_start () = if static.Sim.History.is_source then wake None else [] in
+    let on_receive msg ~port =
+      match msg with
+      | Sim.Message.Source when not !woken -> wake (Some port)
+      | Sim.Message.Control _ when Sim.Message.is_timeout msg ->
+        (* Only a woken node can have sent the message that timed out, so
+           the wakeup restriction is preserved. *)
+        if !woken then reflood_from (Some port) else []
+      | Sim.Message.Control _ when Sim.Message.is_reflood msg ->
+        let wake_sends = if !woken then [] else wake (Some port) in
+        wake_sends @ reflood_from (Some port)
+      | Sim.Message.Source | Sim.Message.Hello | Sim.Message.Control _ -> []
+    in
+    { Sim.Scheme.on_start; on_receive }
 
 type outcome = { result : Sim.Runner.result; advice_bits : int; tree_ok : bool }
 

@@ -73,20 +73,16 @@ val hardened_scheme :
   ?on_corrected:(int -> int -> unit) ->
   unit ->
   Sim.Scheme.factory
-(** Like {!scheme}, but each node validates its advice once at
-    instantiation: the advice is first decoded through the [protect] ECC
-    level (default [Raw]: pass-through), then it must decode
-    ([decode_ports_result]) to distinct, in-range ports.  A node whose
-    advice fails either stage falls back to the advice-free flooding
-    behaviour of {!Sim.Scheme.flooding} — on first wake it sends the
-    source message on every port except the arrival port — so the run
-    stays correct on any connected graph at Θ(m) cost instead of the
-    advised [n-1].  With a correcting level ([Hamming], odd
-    [Repetition]), a corrupted-but-correctable codeword is repaired
-    locally instead of falling back — the advice must of course have been
-    written by the protected oracle ({!Oracles.Protect.oracle}).  The
-    wakeup restriction (silence before being woken) is preserved in all
-    modes.  [on_fallback] is called once per degraded node with its label
-    and the ECC/decode/validation error; [on_corrected] once per node
-    whose advice was repaired and accepted, with its label and the
-    corrected-error count. *)
+(** Like {!scheme}, but each node first asks {!Hardened.advised}
+    whether to trust its advice: it must pass the [protect] ECC level
+    (default [Raw]: pass-through), decode with {!decode_ports_result}
+    and name distinct, in-range ports.  A correcting level ([Hamming],
+    odd [Repetition]) repairs a correctable codeword written by
+    {!Oracles.Protect.oracle} instead of rejecting it.  A rejected node
+    falls back to {!Hardened.flood}: on first wake it sends the source
+    message on every port except the arrival port, so the run stays
+    correct on any connected graph at Θ(m) cost instead of the advised
+    [n-1].  Every node also carries {!Hardened.reflood}.  The wakeup
+    restriction (silence before being woken) holds in all modes.
+    [on_fallback] and [on_corrected] are reported as
+    {!Hardened.advised} describes. *)

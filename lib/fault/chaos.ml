@@ -9,7 +9,7 @@
    dribble bytes) but their placement is a pure function of the spec.
 
    Two fault families share the grammar.  Process faults (kill, hang,
-   garbage) terminate the worker and are handled inside Worker.serve.
+   garbage) terminate the worker and are handled inside Worker.serve_io.
    Network faults degrade the worker's *transport*: partition falls
    silent with the connection open (the supervisor must tell a dead
    peer from a slow link by its heartbeat deadline), delay stalls the

@@ -431,7 +431,7 @@ let create ~workers ?(batching = Fixed default_batch)
 
 let send_msg w msg =
   let s = Worker.encode msg in
-  Worker.write_all w.to_w (Bytes.unsafe_of_string s) 0 (String.length s)
+  Transport.write_all w.to_w (Bytes.unsafe_of_string s) 0 (String.length s)
 
 let reap pid =
   (* SIGKILL makes exit prompt; a bounded WNOHANG poll keeps a

@@ -1,22 +1,8 @@
-type ratio_summary = { mean : float; max : float; min : float }
-
 let check_lengths xs ys =
   if List.length xs <> List.length ys then invalid_arg "Metrics: length mismatch";
   if xs = [] then invalid_arg "Metrics: empty input"
 
-let ratios ~xs ~ys ~model =
-  check_lengths xs ys;
-  let rs = List.map2 (fun x y -> y /. model x) xs ys in
-  match rs with
-  | [] -> assert false
-  | r0 :: rest ->
-    let sum, mx, mn =
-      List.fold_left (fun (s, mx, mn) r -> (s +. r, Float.max mx r, Float.min mn r)) (r0, r0, r0) rest
-    in
-    { mean = sum /. float_of_int (List.length rs); max = mx; min = mn }
-
 let linear_fit ~xs ~ys =
-  check_lengths xs ys;
   let n = float_of_int (List.length xs) in
   let sx = List.fold_left ( +. ) 0.0 xs in
   let sy = List.fold_left ( +. ) 0.0 ys in
@@ -24,23 +10,11 @@ let linear_fit ~xs ~ys =
   let sxy = List.fold_left2 (fun acc x y -> acc +. (x *. y)) 0.0 xs ys in
   let denom = (n *. sxx) -. (sx *. sx) in
   if Float.abs denom < 1e-12 then invalid_arg "Metrics.linear_fit: degenerate xs";
-  let slope = ((n *. sxy) -. (sx *. sy)) /. denom in
-  let intercept = (sy -. (slope *. sx)) /. n in
-  (slope, intercept)
+  ((n *. sxy) -. (sx *. sy)) /. denom
 
 let loglog_slope ~xs ~ys =
   check_lengths xs ys;
   List.iter2
     (fun x y -> if x <= 0.0 || y <= 0.0 then invalid_arg "Metrics.loglog_slope: non-positive data")
     xs ys;
-  let slope, _ = linear_fit ~xs:(List.map log xs) ~ys:(List.map log ys) in
-  slope
-
-let mean l =
-  if l = [] then invalid_arg "Metrics.mean: empty";
-  List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
-
-let maximum l =
-  match l with
-  | [] -> invalid_arg "Metrics.maximum: empty"
-  | x :: rest -> List.fold_left Float.max x rest
+  linear_fit ~xs:(List.map log xs) ~ys:(List.map log ys)

@@ -1,29 +1,11 @@
-(** Shape statistics for experiment tables.
+(** Growth exponents for experiment tables.
 
-    The paper's claims are asymptotic; the experiment tables report
-    measured quantities against the model functions the theorems name
-    ([n], [n log n], [m], …).  This module computes the ratio statistics
-    and log-log growth slopes those tables print. *)
-
-type ratio_summary = {
-  mean : float;
-  max : float;
-  min : float;
-}
-
-val ratios : xs:float list -> ys:float list -> model:(float -> float) -> ratio_summary
-(** Summary of [y / model x] pointwise.  Raises [Invalid_argument] on
-    length mismatch or empty input. *)
+    The paper's claims are asymptotic; [Oracle_core.Separation.ratio_growth]
+    reports how a measured quantity grows with [n] as the slope of a
+    log-log fit. *)
 
 val loglog_slope : xs:float list -> ys:float list -> float
 (** Least-squares slope of [log y] against [log x] — the empirical growth
-    exponent.  Requires at least two distinct positive [x]. *)
-
-val linear_fit : xs:float list -> ys:float list -> float * float
-(** Least-squares [(slope, intercept)] of [y] against [x]. *)
-
-val mean : float list -> float
-(** Arithmetic mean.  Raises [Invalid_argument] on the empty list. *)
-
-val maximum : float list -> float
-(** Largest element.  Raises [Invalid_argument] on the empty list. *)
+    exponent.  Requires at least two distinct positive [x].  Raises
+    [Invalid_argument] on length mismatch, empty input, non-positive
+    data or coincident [x]. *)

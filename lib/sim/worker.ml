@@ -212,10 +212,6 @@ module Rx = struct
         Ok (Some f)
 end
 
-(* {1 Blocking I/O helpers} *)
-
-let write_all = Transport.write_all
-
 (* {1 Worker-attributed logging}
 
    Multi-host sweeps interleave worker stderr from several machines;
@@ -334,9 +330,3 @@ let serve_io ~id ?(auth = "") ?(chaos = fun ~completed:_ -> `Continue)
        worker's patience. *)
     logf ~id "supervisor silent past the socket read timeout";
     `Lost `Gone
-
-let serve ~id ?auth ?chaos ~exec ~input ~output () =
-  match serve_io ~id ?auth ?chaos ~exec (Transport.fd_io ~input ~output) with
-  | `Exit n -> n
-  | `Lost `Eof -> 0
-  | `Lost `Gone -> 1

@@ -83,11 +83,6 @@ module Rx : sig
   (** Buffered bytes not yet consumed by {!next}. *)
 end
 
-val write_all : Unix.file_descr -> Bytes.t -> int -> int -> unit
-(** [write_all fd buf pos len] writes the whole range, restarting on
-    partial writes and [EINTR].  Shared with {!Dispatch}; raises the
-    underlying [Unix.Unix_error] (notably [EPIPE]) on failure. *)
-
 val logf : id:int -> ('a, unit, string, unit) format4 -> 'a
 (** Worker-attributed stderr logging: each line is prefixed with
     [\[+SECONDS wID\]] — elapsed seconds since this process first
@@ -131,18 +126,3 @@ val serve_io :
     with the connection open — condemned and rejoining if [s] outlasts
     the supervisor's heartbeat timeout, a mere slow link otherwise.
     {!Fault.Chaos} compiles [--chaos] specs into this hook. *)
-
-val serve :
-  id:int ->
-  ?auth:string ->
-  ?chaos:
-    (completed:int ->
-    [ `Continue | `Kill | `Hang | `Garbage of string | `Partition of float ]) ->
-  exec:(Journal.context -> (int -> (Journal.entry, string) result, string) result) ->
-  input:Unix.file_descr ->
-  output:Unix.file_descr ->
-  unit ->
-  int
-(** {!serve_io} over an fd pair, mapped to a process exit code for the
-    pipe mode (no rejoin there — the pipes die with the session):
-    [`Lost `Eof] is 0, [`Lost `Gone] is 1, [`Exit n] is [n]. *)

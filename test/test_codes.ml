@@ -149,17 +149,28 @@ let test_delta_shorter_for_large () =
     "delta beats gamma eventually" true
     (Codes.delta_length 100000 < Codes.gamma_length 100000)
 
-(* {1 Codecs} *)
+(* {1 List roundtrips} *)
 
-let qcheck_codec_roundtrip codec max_value =
+(* Each code writes a list of non-negative integers as one string and
+   reads it back by consuming the reader to its end. *)
+let read_to_end read r =
+  let rec loop acc = if Bitbuf.at_end r then List.rev acc else loop (read r :: acc) in
+  loop []
+
+let qcheck_list_roundtrip name ~write_list ~read_list max_value =
   QCheck.Test.make
-    ~name:(Printf.sprintf "codec %s roundtrip" codec.Codes.codec_name)
+    ~name:(Printf.sprintf "codec %s roundtrip" name)
     ~count:200
     QCheck.(small_list (int_bound max_value))
     (fun values ->
       let b = Bitbuf.create () in
-      codec.Codes.write_list b values;
-      codec.Codes.read_list (Bitbuf.reader b) = values)
+      write_list b values;
+      read_list (Bitbuf.reader b) = values)
+
+let qcheck_each_roundtrip name write read max_value =
+  qcheck_list_roundtrip name
+    ~write_list:(fun b vs -> List.iter (write b) vs)
+    ~read_list:(read_to_end read) max_value
 
 let qcheck_port_list =
   QCheck.Test.make ~name:"port list roundtrip (random widths)" ~count:200
@@ -198,10 +209,17 @@ let suite =
     Alcotest.test_case "gamma: roundtrip" `Quick test_gamma_roundtrip;
     Alcotest.test_case "delta: roundtrip and length" `Quick test_delta_roundtrip_and_length;
     Alcotest.test_case "delta shorter for large values" `Quick test_delta_shorter_for_large;
-    QCheck_alcotest.to_alcotest (qcheck_codec_roundtrip (Codes.paper_doubled ~max_value:1000) 1000);
-    QCheck_alcotest.to_alcotest (qcheck_codec_roundtrip Codes.gamma_codec 100000);
-    QCheck_alcotest.to_alcotest (qcheck_codec_roundtrip Codes.delta_codec 100000);
-    QCheck_alcotest.to_alcotest (qcheck_codec_roundtrip Codes.unary_codec 50);
+    (* Width 10 = max 1 (ceil_log2 (1000 + 1)): every value up to 1000 fits. *)
+    QCheck_alcotest.to_alcotest
+      (qcheck_list_roundtrip "paper-doubled(w=10)"
+         ~write_list:(fun b vs -> Codes.write_port_list b ~width:10 vs)
+         ~read_list:Codes.read_port_list 1000);
+    QCheck_alcotest.to_alcotest
+      (qcheck_each_roundtrip "elias-gamma" Codes.write_gamma Codes.read_gamma 100000);
+    QCheck_alcotest.to_alcotest
+      (qcheck_each_roundtrip "elias-delta" Codes.write_delta Codes.read_delta 100000);
+    QCheck_alcotest.to_alcotest
+      (qcheck_each_roundtrip "unary" Codes.write_unary Codes.read_unary 50);
     QCheck_alcotest.to_alcotest qcheck_port_list;
     QCheck_alcotest.to_alcotest qcheck_marked;
   ]
@@ -241,4 +259,156 @@ let suite =
   @ [
       QCheck_alcotest.to_alcotest qcheck_decoder_fuzz;
       QCheck_alcotest.to_alcotest qcheck_gamma_values_nonnegative;
+    ]
+
+(* {1 Field boundaries}
+
+   A non-negative OCaml int holds 62 bits.  Every decoder must read a
+   field of up to 62 bits exactly and turn anything wider into an error,
+   never into a wrapped value. *)
+
+let bits_of s = Bitbuf.of_string s
+let zeros k = String.make k '0'
+let ones k = String.make k '1'
+
+let check_error name = function
+  | Ok l ->
+    Alcotest.failf "%s: decoded to [%s]" name (String.concat "; " (List.map string_of_int l))
+  | Error _ -> ()
+
+let test_read_int_widths () =
+  check_int "62 ones" max_int (Bitbuf.read_int (Bitbuf.reader (bits_of (ones 62))) ~width:62);
+  Alcotest.check_raises "width 63" (Invalid_argument "Bitbuf.read_int: width above 62")
+    (fun () -> ignore (Bitbuf.read_int (Bitbuf.reader (bits_of (ones 63))) ~width:63))
+
+let test_gamma_wraps_rejected () =
+  check_error "70 zeros, a one, 70 ones"
+    (Codes.read_gamma_list_result (Bitbuf.reader (bits_of (zeros 70 ^ "1" ^ ones 70))));
+  check_error "200 zeros, a one, 200 zeros"
+    (Codes.read_gamma_list_result (Bitbuf.reader (bits_of (zeros 200 ^ "1" ^ zeros 200))));
+  (* The longest legal prefix, 61 zeros, still decodes. *)
+  check_ints "largest gamma codeword" [ max_int - 1 ]
+    (Result.get_ok
+       (Codes.read_gamma_list_result (Bitbuf.reader (bits_of (zeros 61 ^ "1" ^ ones 61)))));
+  check_error "62-zero prefix"
+    (Codes.read_gamma_list_result (Bitbuf.reader (bits_of (zeros 62 ^ "1" ^ zeros 62))))
+
+let test_delta_boundary () =
+  let b = Bitbuf.create () in
+  Codes.write_delta b (max_int - 1);
+  check_int "largest delta codeword" (max_int - 1) (Codes.read_delta (Bitbuf.reader b));
+  (* gamma(62) announces a 62-bit tail: 2^62 does not fit. *)
+  let b = Bitbuf.create () in
+  Codes.write_gamma b 62;
+  Bitbuf.append b (bits_of (zeros 62));
+  match Codes.read_delta (Bitbuf.reader b) with
+  | v -> Alcotest.failf "62-bit delta tail decoded to %d" v
+  | exception Invalid_argument _ -> ()
+
+(* Doubled-bit header for [width], then the terminator. *)
+let port_list_header width =
+  String.concat ""
+    (List.map (fun b -> if b then "11" else "00") (Binary.to_bools width))
+  ^ "10"
+
+let test_port_list_wide_header_rejected () =
+  check_error "width 70"
+    (Codes.read_port_list_result (Bitbuf.reader (bits_of (port_list_header 70 ^ ones 140))));
+  check_error "width 70, no ports"
+    (Codes.read_port_list_result (Bitbuf.reader (bits_of (port_list_header 70))));
+  check_ints "width 62" [ max_int; 0 ]
+    (Result.get_ok
+       (Codes.read_port_list_result
+          (Bitbuf.reader (bits_of (port_list_header 62 ^ ones 62 ^ zeros 62)))))
+
+let test_marked_boundary () =
+  (* Each payload bit is followed by its flag; only the last is set. *)
+  let marked k = String.concat "" (List.init k (fun i -> if i = k - 1 then "11" else "10")) in
+  check_ints "62 payload ones" [ max_int ]
+    (Result.get_ok (Codes.read_marked_list_result (Bitbuf.reader (bits_of (marked 62)))));
+  check_error "63 payload ones"
+    (Codes.read_marked_list_result (Bitbuf.reader (bits_of (marked 63))))
+
+(* {1 Canonical decoding of arbitrary bit strings}
+
+   Every value a canonical decoder accepts must re-encode to exactly the
+   bits it consumed.  The strings are runs of equal bits, with runs up to
+   250 long, so prefixes wider than an int come up often.  The marked
+   code accepts leading zero payload bits, so its values re-encode at the
+   consumed payload width. *)
+
+let run_bits =
+  let open QCheck.Gen in
+  let run = pair bool (frequency [ (4, int_range 1 4); (1, int_range 1 250) ]) in
+  map
+    (fun runs -> List.concat_map (fun (b, k) -> List.init k (fun _ -> b)) runs)
+    (list_size (int_range 1 8) run)
+
+let arb_run_bits =
+  QCheck.make
+    ~print:(fun bits -> String.concat "" (List.map (fun b -> if b then "1" else "0") bits))
+    run_bits
+
+let slice buf ~pos ~len = Bitbuf.of_bits (List.init len (fun i -> Bitbuf.get buf (pos + i)))
+
+(* Decode values one by one until the reader ends or the decoder raises;
+   each accepted value must re-encode to the bits it consumed. *)
+let each_reencodes buf read reencode =
+  let r = Bitbuf.reader buf in
+  let rec loop () =
+    if Bitbuf.at_end r then true
+    else
+      let pos = Bitbuf.pos r in
+      match read r with
+      | exception (Invalid_argument _ | Bitbuf.End_of_bits) -> true
+      | v ->
+        let consumed = slice buf ~pos ~len:(Bitbuf.pos r - pos) in
+        (match reencode v ~consumed with
+        | b -> Bitbuf.equal b consumed
+        | exception Invalid_argument _ -> false)
+        && loop ()
+  in
+  loop ()
+
+let encode write v ~consumed:_ =
+  let b = Bitbuf.create () in
+  write b v;
+  b
+
+(* [v] in exactly as many payload bits as were consumed. *)
+let marked_at_width v ~consumed =
+  let w = Bitbuf.length consumed / 2 in
+  if v < 0 then invalid_arg "negative";
+  let b = Bitbuf.create () in
+  for i = w - 1 downto 0 do
+    Bitbuf.add_bit b (i < 62 && (v lsr i) land 1 = 1);
+    Bitbuf.add_bit b (i = 0)
+  done;
+  b
+
+let qcheck_canonical_decoders =
+  QCheck.Test.make ~name:"canonical decoders re-encode what they consume" ~count:500 arb_run_bits
+    (fun bits ->
+      let buf = Bitbuf.of_bits bits in
+      each_reencodes buf Codes.read_gamma (encode Codes.write_gamma)
+      && each_reencodes buf Codes.read_unary (encode Codes.write_unary)
+      && each_reencodes buf Codes.read_marked marked_at_width
+      &&
+      match Codes.read_gamma_list_result (Bitbuf.reader buf) with
+      | Error _ -> true
+      | Ok l -> (
+        match encode (fun b -> List.iter (Codes.write_gamma b)) l ~consumed:buf with
+        | b -> Bitbuf.equal b buf
+        | exception Invalid_argument _ -> false))
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "read_int: 62-bit boundary" `Quick test_read_int_widths;
+      Alcotest.test_case "gamma: wide prefixes rejected" `Quick test_gamma_wraps_rejected;
+      Alcotest.test_case "delta: 62-bit boundary" `Quick test_delta_boundary;
+      Alcotest.test_case "port list: wide header rejected" `Quick
+        test_port_list_wide_header_rejected;
+      Alcotest.test_case "marked: 62-bit boundary" `Quick test_marked_boundary;
+      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 21 |]) qcheck_canonical_decoders;
     ]

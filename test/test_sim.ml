@@ -230,28 +230,13 @@ let test_scheduler_names () =
 
 (* {1 Metrics} *)
 
-let test_metrics_ratios () =
-  let s =
-    Sim.Metrics.ratios ~xs:[ 1.0; 2.0; 4.0 ] ~ys:[ 2.0; 4.0; 8.0 ] ~model:(fun x -> x)
-  in
-  Alcotest.(check (float 1e-9)) "mean" 2.0 s.Sim.Metrics.mean;
-  Alcotest.(check (float 1e-9)) "max" 2.0 s.Sim.Metrics.max;
-  Alcotest.(check (float 1e-9)) "min" 2.0 s.Sim.Metrics.min
-
-let test_metrics_linear_fit () =
-  let slope, intercept =
-    Sim.Metrics.linear_fit ~xs:[ 0.0; 1.0; 2.0; 3.0 ] ~ys:[ 1.0; 3.0; 5.0; 7.0 ]
-  in
-  Alcotest.(check (float 1e-9)) "slope" 2.0 slope;
-  Alcotest.(check (float 1e-9)) "intercept" 1.0 intercept
-
 let test_metrics_loglog () =
   let xs = [ 2.0; 4.0; 8.0; 16.0 ] in
   let ys = List.map (fun x -> 3.0 *. (x ** 1.5)) xs in
   Alcotest.(check (float 1e-6)) "exponent" 1.5 (Sim.Metrics.loglog_slope ~xs ~ys)
 
 let test_metrics_errors () =
-  (match Sim.Metrics.ratios ~xs:[] ~ys:[] ~model:(fun x -> x) with
+  (match Sim.Metrics.loglog_slope ~xs:[] ~ys:[] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "empty input");
   match Sim.Metrics.loglog_slope ~xs:[ 1.0; -2.0 ] ~ys:[ 1.0; 2.0 ] with
@@ -279,8 +264,6 @@ let suite =
     Alcotest.test_case "message type counters" `Quick test_message_type_counters;
     Alcotest.test_case "silent network check" `Quick test_silent_network_check;
     Alcotest.test_case "scheduler names" `Quick test_scheduler_names;
-    Alcotest.test_case "metrics: ratios" `Quick test_metrics_ratios;
-    Alcotest.test_case "metrics: linear fit" `Quick test_metrics_linear_fit;
     Alcotest.test_case "metrics: log-log slope" `Quick test_metrics_loglog;
     Alcotest.test_case "metrics: errors" `Quick test_metrics_errors;
   ]
@@ -383,15 +366,9 @@ let test_check_wakeup_through_runner () =
   check_int "checked flooding unchanged" 2 r.Sim.Runner.stats.Sim.Runner.sent
 
 let test_metrics_more_errors () =
-  (match Sim.Metrics.ratios ~xs:[ 1.0; 2.0 ] ~ys:[ 1.0 ] ~model:(fun x -> x) with
+  (match Sim.Metrics.loglog_slope ~xs:[ 1.0; 2.0 ] ~ys:[ 1.0 ] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "length mismatch accepted");
-  (match Sim.Metrics.mean [] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "mean of nothing");
-  (match Sim.Metrics.maximum [] with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "maximum of nothing");
   (* the growth exponent needs two distinct positive abscissae *)
   (match Sim.Metrics.loglog_slope ~xs:[ 4.0 ] ~ys:[ 8.0 ] with
   | exception Invalid_argument _ -> ()
