@@ -1,6 +1,6 @@
 (** Disjoint-set union with union by size and path compression, tracking
-    component sizes — the bookkeeping needed by the Claim 3.1 spanning-tree
-    construction, which merges "small" components phase by phase. *)
+    component sizes — the bookkeeping of Kruskal's spanning-tree
+    constructions (random and Claim 3.1 trees, minimum spanning trees). *)
 
 type t
 

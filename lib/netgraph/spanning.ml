@@ -18,7 +18,7 @@ let of_parents g ~root parents =
   let n = Graph.n g in
   if Array.length parents <> n then fail "Spanning.of_parents: wrong array size";
   if parents.(root) >= 0 then fail "Spanning.of_parents: root has a parent";
-  let off = Graph.csr_offsets g and nbr = Graph.csr_neighbors g and prt = Graph.csr_ports g in
+  let off = Graph.csr_offsets g and nbr = Graph.csr_neighbors g in
   let parent_port = Array.make n (-1) in
   for v = 0 to n - 1 do
     let u = parents.(v) in
@@ -61,23 +61,17 @@ let of_parents g ~root parents =
       done
     end
   done;
-  (* Children in port order by a counting sort on graph slots: a child
-     [v] of [u] occupies the slot of [u]'s port towards it, which is
-     [off.(u)] plus the arrival port of [v]'s parent edge.  Scanning the
-     slots in order then lists each row's children by ascending port. *)
-  let by_slot = Array.make off.(n) (-1) in
-  for v = 0 to n - 1 do
-    let u = parents.(v) in
-    if u >= 0 then by_slot.(off.(u) + prt.(off.(v) + parent_port.(v))) <- v
-  done;
+  (* Children in port order: scanning [u]'s slots in port order, the
+     neighbor behind a slot is a child exactly when its parent is [u]
+     (there are no parallel edges). *)
   let child_off = Array.make (n + 1) 0 in
   let child_node = Array.make (n - 1) 0 and child_port = Array.make (n - 1) 0 in
   let k = ref 0 in
   for u = 0 to n - 1 do
     let base = off.(u) in
     for i = base to off.(u + 1) - 1 do
-      let v = by_slot.(i) in
-      if v >= 0 then begin
+      let v = nbr.(i) in
+      if parents.(v) = u then begin
         child_node.(!k) <- v;
         child_port.(!k) <- i - base;
         incr k
@@ -101,27 +95,28 @@ let parents_from_edges g ~root ~count eu ev =
      For a spanning tree the orientation is unique, so neither the edge
      order nor the BFS order shows in the result. *)
   let n = Graph.n g in
+  (* Degrees summed to block ends, then each endpoint placed by
+     decrementing its end, which leaves [off.(u)] at the block start. *)
   let off = Array.make (n + 1) 0 in
+  off.(n) <- 2 * count;
   for i = 0 to count - 1 do
-    off.(eu.(i) + 1) <- off.(eu.(i) + 1) + 1;
-    off.(ev.(i) + 1) <- off.(ev.(i) + 1) + 1
+    off.(eu.(i)) <- off.(eu.(i)) + 1;
+    off.(ev.(i)) <- off.(ev.(i)) + 1
   done;
-  for u = 0 to n - 1 do
-    off.(u + 1) <- off.(u + 1) + off.(u)
+  for u = 1 to n - 1 do
+    off.(u) <- off.(u) + off.(u - 1)
   done;
-  let fill = Array.sub off 0 n in
   let adj = Array.make (2 * count) 0 in
   for i = 0 to count - 1 do
     let u = eu.(i) and v = ev.(i) in
-    adj.(fill.(u)) <- v;
-    fill.(u) <- fill.(u) + 1;
-    adj.(fill.(v)) <- u;
-    fill.(v) <- fill.(v) + 1
+    off.(u) <- off.(u) - 1;
+    adj.(off.(u)) <- v;
+    off.(v) <- off.(v) - 1;
+    adj.(off.(v)) <- u
   done;
+  (* [-1] marks a node not reached yet; the root keeps it. *)
   let parents = Array.make n (-1) in
-  let seen = Array.make n false in
   let queue = Array.make n 0 in
-  seen.(root) <- true;
   queue.(0) <- root;
   let head = ref 0 and tail = ref 1 in
   while !head < !tail do
@@ -129,8 +124,7 @@ let parents_from_edges g ~root ~count eu ev =
     incr head;
     for i = off.(u) to off.(u + 1) - 1 do
       let v = adj.(i) in
-      if not seen.(v) then begin
-        seen.(v) <- true;
+      if parents.(v) < 0 && v <> root then begin
         parents.(v) <- u;
         queue.(!tail) <- v;
         incr tail
@@ -162,100 +156,68 @@ let random g ~root st =
     edges;
   of_parents g ~root (parents_from_edges g ~root ~count:!count tu tv)
 
-(* Claim 3.1.  Phases k = 1, 2, …: every component of size < 2^k selects a
-   minimum-weight outgoing edge (w(e) = min of the two ports); selected
-   edges are merged, a cycle-closing selection being skipped (the paper
-   erases one edge per cycle, which is the same tree up to the arbitrary
-   choice).
-
-   The edges live in one flat table (u, v, w) built once from the CSR
-   arrays in [Graph.fold_edges] order: u ascending, then port.  Each
-   phase scans the table once, and the scan also compacts it in place,
-   dropping edges whose endpoints already share a component while keeping
-   the rest in order, so later phases touch only the edges still between
-   components.  A component's candidate is replaced only by a strictly
-   lighter edge, so ties go to the first minimum in table order; the
-   selections are merged in ascending root order.  Those two rules fix
-   the tree. *)
+(* Claim 3.1.  The paper grows the tree in Borůvka-style phases: in phase
+   k every component of size < 2^k selects a minimum-weight outgoing edge
+   (w(e) = min of the two ports), and the selections are merged.  Fix the
+   ties by a strict total order — weight, then position in the edge table
+   of [Graph.fold_edges] order (u ascending, then port) — and every such
+   selection is the lightest edge leaving its component, so by the cut
+   property it lies in the unique minimum spanning tree for that order.
+   The phases therefore build exactly the tree Kruskal builds over the
+   same order, which is what this does: a stable counting sort of the
+   edges by weight (max degree bounds w), then one DSU pass that stops
+   at n-1 unions.  The accepted edges are compacted into the front of
+   the sorted arrays, which never overtakes the scan. *)
 let light g ~root =
   let n = Graph.n g in
   let off = Graph.csr_offsets g and nbr = Graph.csr_neighbors g and prt = Graph.csr_ports g in
-  let m = Graph.m g in
-  let eu = Array.make m 0 and ev = Array.make m 0 and ew = Array.make m 0 in
-  let len = ref 0 in
+  let max_deg = ref 0 in
+  for u = 0 to n - 1 do
+    max_deg := max !max_deg (off.(u + 1) - off.(u))
+  done;
+  (* [start.(w + 1)] counts the edges of weight w, then the prefix sums
+     make [start.(w)] the first slot of weight w. *)
+  let start = Array.make (!max_deg + 1) 0 in
   for u = 0 to n - 1 do
     let base = off.(u) in
-    for pu = 0 to off.(u + 1) - base - 1 do
-      let v = nbr.(base + pu) in
+    for i = base to off.(u + 1) - 1 do
+      if u < nbr.(i) then begin
+        let w = min (i - base) prt.(i) in
+        start.(w + 1) <- start.(w + 1) + 1
+      end
+    done
+  done;
+  for w = 1 to !max_deg do
+    start.(w) <- start.(w) + start.(w - 1)
+  done;
+  let m = Graph.m g in
+  let eu = Array.make m 0 and ev = Array.make m 0 in
+  for u = 0 to n - 1 do
+    let base = off.(u) in
+    for i = base to off.(u + 1) - 1 do
+      let v = nbr.(i) in
       if u < v then begin
-        eu.(!len) <- u;
-        ev.(!len) <- v;
-        ew.(!len) <- min pu prt.(base + pu);
-        incr len
+        let w = min (i - base) prt.(i) in
+        let j = start.(w) in
+        eu.(j) <- u;
+        ev.(j) <- v;
+        start.(w) <- j + 1
       end
     done
   done;
   let dsu = Dsu.create n in
-  (* Per root: the lightest outgoing edge seen this phase (an index into
-     the compacted table); [max_int] means none. *)
-  let best_w = Array.make n max_int and best_e = Array.make n 0 in
-  let picked = Array.make n 0 in
-  let tu = Array.make (n - 1) 0 and tv = Array.make (n - 1) 0 in
-  let count = ref 0 in
-  let k = ref 1 in
-  while Dsu.components dsu > 1 do
-    let threshold = 1 lsl !k in
-    let kept = ref 0 in
-    for i = 0 to !len - 1 do
-      let u = eu.(i) and v = ev.(i) in
-      let ru = Dsu.find dsu u and rv = Dsu.find dsu v in
-      if ru <> rv then begin
-        let j = !kept and w = ew.(i) in
-        eu.(j) <- u;
-        ev.(j) <- v;
-        ew.(j) <- w;
-        incr kept;
-        if w < best_w.(ru) then begin
-          best_w.(ru) <- w;
-          best_e.(ru) <- j
-        end;
-        if w < best_w.(rv) then begin
-          best_w.(rv) <- w;
-          best_e.(rv) <- j
-        end
-      end
-    done;
-    len := !kept;
-    (* Collect every small component's selection before merging any, so
-       the roots and sizes tested are this phase's. *)
-    let small = ref 0 and selected = ref 0 in
-    for r = 0 to n - 1 do
-      if Dsu.find dsu r = r then begin
-        if Dsu.size dsu r < threshold then begin
-          incr small;
-          if best_w.(r) < max_int then begin
-            picked.(!selected) <- best_e.(r);
-            incr selected
-          end
-        end;
-        best_w.(r) <- max_int
-      end
-    done;
-    (* A phase in which no component is small simply advances k; but a
-       small component with no outgoing edge means the graph is
-       disconnected. *)
-    if !small > 0 && !selected = 0 then fail "Spanning.light: disconnected graph";
-    for i = 0 to !selected - 1 do
-      let e = picked.(i) in
-      if Dsu.union dsu eu.(e) ev.(e) then begin
-        tu.(!count) <- eu.(e);
-        tv.(!count) <- ev.(e);
-        incr count
-      end
-    done;
-    incr k
+  let count = ref 0 and i = ref 0 in
+  while !count < n - 1 && !i < m do
+    let u = eu.(!i) and v = ev.(!i) in
+    if Dsu.union dsu u v then begin
+      eu.(!count) <- u;
+      ev.(!count) <- v;
+      incr count
+    end;
+    incr i
   done;
-  of_parents g ~root (parents_from_edges g ~root ~count:!count tu tv)
+  if !count < n - 1 then fail "Spanning.light: disconnected graph";
+  of_parents g ~root (parents_from_edges g ~root ~count:!count eu ev)
 
 let size t = Array.length t.parent_node
 

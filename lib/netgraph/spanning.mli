@@ -41,10 +41,15 @@ val random : Graph.t -> root:int -> Random.State.t -> t
 (** Spanning tree from a uniformly shuffled edge order (random Kruskal). *)
 
 val light : Graph.t -> root:int -> t
-(** The Claim 3.1 construction: Borůvka-style phases in which every
-    component of size [< 2^k] selects its minimum-weight outgoing edge
-    (weight = [min port]), cycles being broken arbitrarily.  Guarantees
-    [contribution g (edges t) ≤ 4n]. *)
+(** The Claim 3.1 construction.  The paper grows it in Borůvka-style
+    phases in which every component of size [< 2^k] selects a
+    minimum-weight outgoing edge (weight = [min port]).  With ties broken
+    by position in {!Graph.fold_edges} order, each selection is in the
+    unique minimum spanning tree for (weight, position), so the phases
+    build exactly that tree; this computes it by Kruskal.  Any minimum
+    spanning tree under the weight alone has the same contribution, and
+    it is at most [4n].  Raises [Invalid_argument] on a disconnected
+    graph. *)
 
 val size : t -> int
 (** Number of nodes. *)

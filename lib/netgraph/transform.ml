@@ -146,25 +146,35 @@ let permute_labels g st =
   done;
   Graph.make ~labels ~n (Graph.edges g)
 
+(* CSR to CSR: the permutations are drawn node by node into one
+   slot-indexed array (that draw order is what seeded callers
+   reproduce), and the edge behind old port [p] of [u] moves to slot
+   [perm (u, p)], its far end renumbered by the neighbor's permutation.
+   Offsets are unchanged. *)
 let permute_ports g st =
   let n = Graph.n g in
-  let perms =
-    Array.init n (fun v ->
-        let d = Graph.degree g v in
-        let p = Array.init d (fun i -> i) in
-        for i = d - 1 downto 1 do
-          let j = Random.State.int st (i + 1) in
-          let tmp = p.(i) in
-          p.(i) <- p.(j);
-          p.(j) <- tmp
-        done;
-        p)
-  in
-  let edges =
-    List.map
-      (fun e ->
-        { Graph.u = e.Graph.u; pu = perms.(e.Graph.u).(e.Graph.pu); v = e.Graph.v;
-          pv = perms.(e.Graph.v).(e.Graph.pv) })
-      (Graph.edges g)
-  in
-  Graph.make ~labels:(Graph.labels g) ~n edges
+  let off = Graph.csr_offsets g and nbr = Graph.csr_neighbors g and prt = Graph.csr_ports g in
+  let perm = Array.make off.(n) 0 in
+  for v = 0 to n - 1 do
+    let base = off.(v) in
+    let d = off.(v + 1) - base in
+    for i = 0 to d - 1 do
+      perm.(base + i) <- i
+    done;
+    for i = d - 1 downto 1 do
+      let j = Random.State.int st (i + 1) in
+      let tmp = perm.(base + i) in
+      perm.(base + i) <- perm.(base + j);
+      perm.(base + j) <- tmp
+    done
+  done;
+  let nbr' = Array.make off.(n) 0 and prt' = Array.make off.(n) 0 in
+  for u = 0 to n - 1 do
+    for i = off.(u) to off.(u + 1) - 1 do
+      let v = nbr.(i) in
+      let slot = off.(u) + perm.(i) in
+      nbr'.(slot) <- v;
+      prt'.(slot) <- perm.(off.(v) + prt.(i))
+    done
+  done;
+  Graph.of_csr ~labels:(Graph.labels g) ~n ~off:(Array.copy off) ~nbr:nbr' ~prt:prt' ()

@@ -129,8 +129,10 @@ let qcheck_random_spanning =
 
 (* The Claim 3.1 phase loop as it was first written — boxed edges from
    [Graph.fold_edges], a Hashtbl of (weight, edge) per root, [Dsu.roots]
-   — kept as the reference the flat-array [Spanning.light] must match
-   edge for edge.  Returns the tree's edges as sorted (u, v) pairs. *)
+   — kept as an independent oracle: [Spanning.light] builds its tree by
+   Kruskal over (weight, table order) instead, and must match these
+   Borůvka phases edge for edge.  Returns the tree's edges as sorted
+   (u, v) pairs. *)
 let reference_light_pairs g =
   let dsu = Dsu.create (Graph.n g) in
   let pairs = ref [] in
@@ -189,6 +191,39 @@ let test_light_matches_reference () =
           done)
         [ 2; 3; 7; 16; 33; 100; 257; 1000 ])
     Families.all
+
+let test_light_tiny () =
+  (* n = 1: a root-only tree with empty child rows. *)
+  let t = Spanning.light (Graph.make ~n:1 []) ~root:0 in
+  Alcotest.(check (array int)) "n=1 parents" [| -1 |] t.Spanning.parent_node;
+  Alcotest.(check (array int)) "n=1 child offsets" [| 0; 0 |] t.Spanning.child_off;
+  check_int "n=1 no children" 0 (Array.length t.Spanning.child_node);
+  (* n = 2: the one edge, oriented towards either root. *)
+  let g = Gen.path 2 in
+  List.iter
+    (fun root ->
+      let t = Spanning.light g ~root in
+      assert_tree (Printf.sprintf "n=2 root=%d" root) g t;
+      Alcotest.(check (array int))
+        (Printf.sprintf "n=2 root=%d parents" root)
+        (if root = 0 then [| -1; 0 |] else [| 1; -1 |])
+        t.Spanning.parent_node;
+      Alcotest.(check (list (pair int int))) "n=2 edge" [ (0, 1) ] (light_pairs t))
+    [ 0; 1 ]
+
+(* Every minimum spanning tree under w has the same multiset of weights,
+   and #₂ is monotone, so the light tree — the MST under (w, table
+   order) — has the same Σ w and Σ #₂(w) as [Mst.kruskal]'s tree under
+   (w, labels), even where the two trees differ. *)
+let qcheck_light_is_mst =
+  QCheck.Test.make ~name:"light tree has an MST's weight and contribution" ~count:50
+    QCheck.(pair (int_range 1 60) (int_range 0 1000))
+    (fun (n, seed) ->
+      let st = Random.State.make [| n; seed |] in
+      let g = Gen.random_connected ~n ~p:0.3 st in
+      let light = Spanning.edges (Spanning.light g ~root:(n / 2)) and mst = Mst.kruskal g in
+      Mst.weight g light = Mst.weight g mst
+      && Spanning.contribution g light = Spanning.contribution g mst)
 
 let test_light_rejects_disconnected () =
   (* Two disjoint edges: 0-1 and 2-3. *)
@@ -317,6 +352,46 @@ let reference_draws () =
         [ (2, 1); (3, 2); (7, 3); (16, 4); (33, 5); (100, 6); (257, 7); (600, 8) ])
     Families.all
 
+let test_light_same_weights_as_mst () =
+  List.iter
+    (fun (name, g, root) ->
+      let light = Spanning.edges (Spanning.light g ~root) and mst = Mst.kruskal g in
+      check_int (name ^ ": Mst.weight") (Mst.weight g mst) (Mst.weight g light);
+      check_int (name ^ ": contribution") (Spanning.contribution g mst)
+        (Spanning.contribution g light))
+    (reference_draws ())
+
+(* [Transform.permute_ports] as first written: per-node permutation
+   arrays, the edge list rewritten and rebuilt by [Graph.make].  The
+   CSR-to-CSR version must draw the same permutations and build an equal
+   graph. *)
+let reference_permute_ports g st =
+  let perms =
+    Array.init (Graph.n g) (fun v ->
+        let d = Graph.degree g v in
+        let p = Array.init d (fun i -> i) in
+        for i = d - 1 downto 1 do
+          let j = Random.State.int st (i + 1) in
+          let tmp = p.(i) in
+          p.(i) <- p.(j);
+          p.(j) <- tmp
+        done;
+        p)
+  in
+  Graph.make ~labels:(Graph.labels g) ~n:(Graph.n g)
+    (List.map
+       (fun e ->
+         { e with Graph.pu = perms.(e.Graph.u).(e.Graph.pu); pv = perms.(e.Graph.v).(e.Graph.pv) })
+       (Graph.edges g))
+
+let test_permute_ports_matches_reference () =
+  List.iteri
+    (fun i (name, g, _) ->
+      let permuted = Transform.permute_ports g (Random.State.make [| i |]) in
+      check_bool (name ^ ": permute_ports") true
+        (Graph.equal (reference_permute_ports g (Random.State.make [| i |])) permuted))
+    (reference_draws ())
+
 let check_same_tree name g (t : Spanning.t) (r : Ref.t) =
   let n = Graph.n g in
   check_int (name ^ ": root") r.Ref.root t.Spanning.root;
@@ -443,10 +518,16 @@ let suite =
     Alcotest.test_case "light tree matches the reference phase loop" `Quick
       test_light_matches_reference;
     Alcotest.test_case "light rejects a disconnected graph" `Quick test_light_rejects_disconnected;
+    Alcotest.test_case "light tree on one and two nodes" `Quick test_light_tiny;
+    Alcotest.test_case "light tree has an MST's weight and contribution" `Quick
+      test_light_same_weights_as_mst;
+    Alcotest.test_case "permute_ports matches the list-built graph" `Quick
+      test_permute_ports_matches_reference;
     Alcotest.test_case "bfs and dfs parents match the list-based walks" `Quick
       test_traversals_match_reference;
     Alcotest.test_case "flat trees match the list-based trees" `Quick test_trees_match_reference;
     Alcotest.test_case "advice matches the list-based trees" `Quick test_advice_matches_reference;
     QCheck_alcotest.to_alcotest qcheck_light_tree;
+    QCheck_alcotest.to_alcotest qcheck_light_is_mst;
     QCheck_alcotest.to_alcotest qcheck_random_spanning;
   ]
