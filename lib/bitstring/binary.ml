@@ -15,12 +15,6 @@ let ceil_log2 n =
   if n = 1 then 0
   else floor_log2 (n - 1) + 1
 
-let write buf w =
-  if w < 0 then invalid_arg "Binary.write: negative";
-  Bitbuf.add_int buf ~width:(bits w) w
-
-let read r ~width = Bitbuf.read_int r ~width
-
 let to_bools w =
   if w < 0 then invalid_arg "Binary.to_bools: negative";
   let k = bits w in

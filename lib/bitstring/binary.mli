@@ -17,13 +17,6 @@ val floor_log2 : int -> int
 (** [floor_log2 n] is [⌊log₂ n⌋] for [n ≥ 1].
     Raises [Invalid_argument] for [n < 1]. *)
 
-val write : Bitbuf.t -> int -> unit
-(** Append the standard (minimal, MSB-first) binary representation of a
-    non-negative integer: exactly [bits w] bits. *)
-
-val read : Bitbuf.reader -> width:int -> int
-(** [read r ~width] reads back an integer written with [width] bits. *)
-
 val to_bools : int -> bool list
 (** The standard binary representation as a list of bits, MSB first. *)
 

@@ -82,18 +82,7 @@ let read_marked_list r =
 
 let marked_length ws = 2 * List.fold_left (fun acc w -> acc + Binary.bits w) 0 ws
 
-(* Unary and Elias codes. *)
-
-let write_unary buf n =
-  if n < 0 then invalid_arg "Codes.write_unary: negative";
-  for _ = 1 to n do
-    Bitbuf.add_bit buf false
-  done;
-  Bitbuf.add_bit buf true
-
-let read_unary r =
-  let rec loop n = if Bitbuf.read_bit r then n else loop (n + 1) in
-  loop 0
+(* Elias gamma. *)
 
 let write_gamma buf n =
   if n < 0 then invalid_arg "Codes.write_gamma: negative";
@@ -104,8 +93,8 @@ let write_gamma buf n =
   done;
   Bitbuf.add_int buf ~width:(k + 1) v
 
-(* A codeword of [write_gamma] or [write_delta] carries [n + 1 <= max_int],
-   whose highest set bit is at most bit 61. *)
+(* A gamma codeword carries [n + 1 <= max_int], whose highest set bit is
+   at most bit 61. *)
 let max_length_exponent = 61
 
 let read_gamma r =
@@ -116,23 +105,6 @@ let read_gamma r =
   ((1 lsl k) lor rest) - 1
 
 let gamma_length n = (2 * Binary.floor_log2 (n + 1)) + 1
-
-let write_delta buf n =
-  if n < 0 then invalid_arg "Codes.write_delta: negative";
-  let v = n + 1 in
-  let k = Binary.floor_log2 v in
-  write_gamma buf k;
-  if k > 0 then Bitbuf.add_int buf ~width:k (v land ((1 lsl k) - 1))
-
-let read_delta r =
-  let k = read_gamma r in
-  if k > max_length_exponent then invalid_arg "Codes.read_delta: length too long for an int";
-  let rest = if k = 0 then 0 else Bitbuf.read_int r ~width:k in
-  ((1 lsl k) lor rest) - 1
-
-let delta_length n =
-  let k = Binary.floor_log2 (n + 1) in
-  gamma_length k + k
 
 (* Result-typed decoders for adversarial input.  The raising decoders
    above assume well-formed advice (the oracle wrote it); these wrap them

@@ -1,6 +1,6 @@
 (** Self-delimiting codes used by the oracles.
 
-    Three families:
+    Three codes:
 
     {ul
     {- The paper's Theorem 2.1 code for a list of port numbers: the ports
@@ -16,10 +16,10 @@
        payload bit followed by a flag bit marking whether it ends the
        value.  Total length exactly [2·Σ #₂(wᵢ)], which is what gives the
        [≤ 8n] oracle of Theorem 3.1.}
-    {- Classical Elias gamma/delta and unary codes.  Gamma is the
-       [Gamma] advice encoding of the wakeup and broadcast oracles (the
-       E7 ablation), and it codes the gossip advice and the whole-graph
-       codec.}} *)
+    {- The classical Elias gamma code.  It is the [Gamma] advice
+       encoding of the wakeup and broadcast oracles (the E7 ablation),
+       and the integer code of every other advice string and message
+       payload in the library, and of the whole-graph codec.}} *)
 
 (** {1 The Theorem 2.1 port-list code} *)
 
@@ -74,12 +74,7 @@ val read_marked_list_result : Bitbuf.reader -> (int list, string) result
 val read_gamma_list_result : Bitbuf.reader -> (int list, string) result
 (** Read gamma-coded integers to the end of the reader, non-raising. *)
 
-(** {1 Elias and unary codes} *)
-
-val write_unary : Bitbuf.t -> int -> unit
-(** [n] zeros followed by a one: [n+1] bits. *)
-
-val read_unary : Bitbuf.reader -> int
+(** {1 Elias gamma} *)
 
 val write_gamma : Bitbuf.t -> int -> unit
 (** Elias gamma of [n ≥ 0] (encodes [n+1] internally): [2⌊log(n+1)⌋+1]
@@ -89,14 +84,5 @@ val read_gamma : Bitbuf.reader -> int
 (** Raises [Invalid_argument] on a zero prefix longer than 61 bits, whose
     value would not fit in an [int]. *)
 
-val write_delta : Bitbuf.t -> int -> unit
-(** Elias delta of [n ≥ 0] (encodes [n+1] internally). *)
-
-val read_delta : Bitbuf.reader -> int
-(** Raises [Invalid_argument] when the gamma-coded length exceeds 61. *)
-
 val gamma_length : int -> int
 (** Bits used by {!write_gamma}. *)
-
-val delta_length : int -> int
-(** Bits used by {!write_delta}. *)

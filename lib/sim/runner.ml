@@ -39,6 +39,22 @@ let msg_class = function
   | Message.Hello -> Obs.Event.Hello
   | Message.Control _ -> Obs.Event.Control
 
+let result_of_counts counts ~informed ~quiescent ~per_node_sent =
+  let c = Obs.Counting.summary counts in
+  let stats =
+    {
+      sent = c.Obs.Counting.sent;
+      source_sent = c.Obs.Counting.source_sent;
+      hello_sent = c.Obs.Counting.hello_sent;
+      control_sent = c.Obs.Counting.control_sent;
+      bits_on_wire = c.Obs.Counting.bits_on_wire;
+      rounds = c.Obs.Counting.rounds;
+      causal_depth = c.Obs.Counting.causal_depth;
+      faults = c.Obs.Counting.faults;
+    }
+  in
+  { stats; informed; all_informed = Array.for_all Fun.id informed; quiescent; per_node_sent }
+
 (* Four sends per node and edge covers every budget a harness verdict
    accepts (at most 4m + 3n); the floor keeps small graphs' cutoffs
    where they always were. *)
@@ -686,26 +702,7 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(sinks = []) ?(faults
       end
     in
     loop ());
-  let c = Obs.Counting.summary counts in
-  let stats =
-    {
-      sent = c.Obs.Counting.sent;
-      source_sent = c.Obs.Counting.source_sent;
-      hello_sent = c.Obs.Counting.hello_sent;
-      control_sent = c.Obs.Counting.control_sent;
-      bits_on_wire = c.Obs.Counting.bits_on_wire;
-      rounds = c.Obs.Counting.rounds;
-      causal_depth = c.Obs.Counting.causal_depth;
-      faults = c.Obs.Counting.faults;
-    }
-  in
-  {
-    stats;
-    informed;
-    all_informed = Array.for_all (fun b -> b) informed;
-    quiescent = not !cutoff;
-    per_node_sent;
-  }
+  result_of_counts counts ~informed ~quiescent:(not !cutoff) ~per_node_sent
 
 let run_silent_network_check ~advice g ~source factory =
   let n = Graph.n g in

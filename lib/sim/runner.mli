@@ -116,6 +116,15 @@ val run :
 
     Raises [Invalid_argument] if a scheme emits an out-of-range port. *)
 
+val msg_class : Message.t -> Obs.Event.msg_class
+(** The telemetry class a sent message is counted under. *)
+
+val result_of_counts :
+  Obs.Counting.t -> informed:bool array -> quiescent:bool -> per_node_sent:int array -> result
+(** The result of a run whose events [counts] folded: [stats] is its
+    {!Obs.Counting.summary} and [all_informed] is read off [informed].
+    {!run} and {!Shard.run} both build their result here. *)
+
 val default_max_messages : Netgraph.Graph.t -> int
 (** The cutoff [run] applies when [max_messages] is not given:
     [max 1_000_000 (4 (n + m))].  Every budget the paper's schemes and

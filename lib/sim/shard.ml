@@ -2,14 +2,16 @@
    for the contract; the short version of the determinism argument:
 
    - the node array is partitioned into [shards] contiguous blocks; a
-     node's scheme state is only ever touched by its owner domain;
-   - a synchronous round is two phases with a full barrier between them
-     — deliver (each owner processes the batch slots addressed to its
+     node's scheme state is only ever touched by the one task that runs
+     its shard in the current phase;
+   - a synchronous round is two phases, each one {!Pool.map} over the
+     shards, so the pool's join is a full barrier between them —
+     deliver (each shard processes the batch slots addressed to its
      nodes, {e in batch order}) then emit (responses are placed into the
      next batch at offsets precomputed by an exclusive prefix sum over
      the per-slot response counts, which reproduces the sequential
      engine's send order exactly);
-   - counters are per-domain {!Obs.Counting} instances merged with
+   - counters are per-shard {!Obs.Counting} instances merged with
      [absorb] (sums and maxima — order-insensitive).
 
    Only runs with nothing to observe in global order take this engine:
@@ -17,106 +19,6 @@
    specification. *)
 
 module Graph = Netgraph.Graph
-
-let msg_class = function
-  | Message.Source -> Obs.Event.Source
-  | Message.Hello -> Obs.Event.Hello
-  | Message.Control _ -> Obs.Event.Control
-
-(* {1 The phase team}
-
-   [shards - 1] spawned domains plus the coordinator (shard 0).  A phase
-   is one closure executed once per shard; [phase] returns only after
-   every shard has finished, and the mutex hand-off on both edges gives
-   the happens-before that publishes all shared-array writes between
-   phases.  Exceptions raised inside a phase are captured per shard and
-   re-raised on the coordinator, lowest shard first. *)
-
-type team = {
-  t_shards : int;
-  mutex : Mutex.t;
-  work : Condition.t;
-  finished : Condition.t;
-  mutable gen : int;
-  mutable job : (int -> unit) option;
-  mutable remaining : int;
-  mutable stop : bool;
-  exns : exn option array;
-  mutable domains : unit Domain.t array;
-}
-
-let rec team_worker t ~shard ~last_gen =
-  Mutex.lock t.mutex;
-  while (not t.stop) && t.gen = last_gen do
-    Condition.wait t.work t.mutex
-  done;
-  if t.stop then Mutex.unlock t.mutex
-  else begin
-    let gen = t.gen in
-    let job = t.job in
-    Mutex.unlock t.mutex;
-    (match job with
-    | Some f -> ( try f shard with e -> t.exns.(shard) <- Some e)
-    | None -> ());
-    Mutex.lock t.mutex;
-    t.remaining <- t.remaining - 1;
-    if t.remaining = 0 then Condition.broadcast t.finished;
-    Mutex.unlock t.mutex;
-    team_worker t ~shard ~last_gen:gen
-  end
-
-let team_create ~shards =
-  let t =
-    {
-      t_shards = shards;
-      mutex = Mutex.create ();
-      work = Condition.create ();
-      finished = Condition.create ();
-      gen = 0;
-      job = None;
-      remaining = 0;
-      stop = false;
-      exns = Array.make shards None;
-      domains = [||];
-    }
-  in
-  t.domains <-
-    Array.init (shards - 1) (fun w ->
-        Domain.spawn (fun () -> team_worker t ~shard:(w + 1) ~last_gen:0));
-  t
-
-let team_phase t f =
-  Mutex.lock t.mutex;
-  t.job <- Some f;
-  t.gen <- t.gen + 1;
-  t.remaining <- t.t_shards - 1;
-  Condition.broadcast t.work;
-  Mutex.unlock t.mutex;
-  (try f 0 with e -> t.exns.(0) <- Some e);
-  Mutex.lock t.mutex;
-  while t.remaining > 0 do
-    Condition.wait t.finished t.mutex
-  done;
-  t.job <- None;
-  Mutex.unlock t.mutex;
-  Array.iteri
-    (fun s exn ->
-      match exn with
-      | Some e ->
-        t.exns.(s) <- None;
-        raise e
-      | None -> ())
-    t.exns
-
-let team_shutdown t =
-  Mutex.lock t.mutex;
-  if t.stop then Mutex.unlock t.mutex
-  else begin
-    t.stop <- true;
-    Condition.broadcast t.work;
-    Mutex.unlock t.mutex;
-    Array.iter Domain.join t.domains
-  end
 
 (* {1 The sharded synchronous engine} *)
 
@@ -174,27 +76,31 @@ let run_parallel ~max_messages ~shards:k ~min_parallel_batch ~advice g ~source f
   let total_sent () = Array.fold_left (fun acc c -> acc + Obs.Counting.sent c) 0 counts in
   let informed = Array.make n false in
   let per_node_sent = Array.make n 0 in
-  let team = ref None in
-  (* Run [f] once per shard: across the team when the work reaches
-     [min_parallel_batch], inline on the coordinator below it. *)
+  let pool = ref None in
+  (* Run [f] once per shard: one pool task per shard when the work
+     reaches [min_parallel_batch], inline on the caller below it.  The
+     lowest shard's failure is re-raised, with its raise-site
+     backtrace. *)
   let par work f =
     if work >= min_parallel_batch then begin
-      let t =
-        match !team with
-        | Some t -> t
+      let p =
+        match !pool with
+        | Some p -> p
         | None ->
-          let t = team_create ~shards:k in
-          team := Some t;
-          t
+          let p = Pool.create ~jobs:k in
+          pool := Some p;
+          p
       in
-      team_phase t f
+      Array.iter
+        (function Ok () -> () | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+        (Pool.map p f k)
     end
     else
       for s = 0 to k - 1 do
         f s
       done
   in
-  let finish () = match !team with Some t -> team_shutdown t | None -> () in
+  let finish () = Option.iter Pool.shutdown !pool in
   Fun.protect ~finally:finish (fun () ->
       let silent = { Scheme.on_start = (fun () -> []); on_receive = (fun _ ~port:_ -> []) } in
       let nodes = Array.make n silent in
@@ -258,7 +164,7 @@ let run_parallel ~max_messages ~shards:k ~min_parallel_batch ~advice g ~source f
                       invalid_arg
                         (Printf.sprintf "Runner: node %d (degree %d) sends on port %d" v deg port);
                     per_node_sent.(v) <- per_node_sent.(v) + 1;
-                    Obs.Counting.note_send c ~round ~cls:(msg_class msg)
+                    Obs.Counting.note_send c ~round ~cls:(Runner.msg_class msg)
                       ~bits:(Message.size_bits msg);
                     e.dst.(!i) <- g_nbr.(base + port);
                     e.dport.(!i) <- g_prt.(base + port);
@@ -290,9 +196,9 @@ let run_parallel ~max_messages ~shards:k ~min_parallel_batch ~advice g ~source f
             rc.(v) <- List.length out
           done);
       emit 0;
-      (* Deliver phase.  Owners scan the whole batch in slot order and
-         process the slots addressed to their nodes; a node receiving
-         twice in one round is handled by one owner in slot order, so
+      (* Deliver phase.  Each shard scans the whole batch in slot order
+         and processes the slots addressed to its nodes; a node receiving
+         twice in one round is handled by its one shard in slot order, so
          wake decisions match the sequential engine's. *)
       let rec round_loop round =
         let b = !cur in
@@ -323,26 +229,7 @@ let run_parallel ~max_messages ~shards:k ~min_parallel_batch ~advice g ~source f
       let cutoff = round_loop 1 in
       let merged = Obs.Counting.create () in
       Array.iter (fun c -> Obs.Counting.absorb merged c) counts;
-      let c = Obs.Counting.summary merged in
-      let stats =
-        {
-          Runner.sent = c.Obs.Counting.sent;
-          source_sent = c.Obs.Counting.source_sent;
-          hello_sent = c.Obs.Counting.hello_sent;
-          control_sent = c.Obs.Counting.control_sent;
-          bits_on_wire = c.Obs.Counting.bits_on_wire;
-          rounds = c.Obs.Counting.rounds;
-          causal_depth = c.Obs.Counting.causal_depth;
-          faults = c.Obs.Counting.faults;
-        }
-      in
-      {
-        Runner.stats;
-        informed;
-        all_informed = Array.for_all (fun b -> b) informed;
-        quiescent = not cutoff;
-        per_node_sent;
-      })
+      Runner.result_of_counts merged ~informed ~quiescent:(not cutoff) ~per_node_sent)
 
 let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(sinks = []) ?(faults = Fault_plan.none)
     ?(retry = 0) ?(shards = 1) ?(min_parallel_batch = 256) ~advice g ~source factory =

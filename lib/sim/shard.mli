@@ -4,14 +4,15 @@
     kind of run executes across domains: [shards > 1], the
     {!Scheduler.Synchronous} scheduler, no sinks and no fault plan
     ({!Runner.order_free}).  The node array is then partitioned into
-    [shards] contiguous blocks and each round executes as two
-    barrier-separated phases (deliver, then emit) across that many OCaml
-    domains.  Deliveries commute because a node's scheme
-    state is owner-exclusive and counters are per-domain
-    {!Obs.Counting} states merged with [absorb]; responses are placed at
-    offsets from an exclusive prefix sum over the batch, so they keep
-    the sequential engine's send order.  Every field of the result is
-    identical to {!Runner.run}'s at any shard count.
+    [shards] contiguous blocks and each round executes as two phases
+    (deliver, then emit), each one {!Pool.map} of one task per shard
+    over a pool of [shards] jobs; the pool's join is the barrier
+    between phases.  Deliveries commute because a node's scheme
+    state is touched only by its shard's task and counters are
+    per-shard {!Obs.Counting} states merged with [absorb]; responses
+    are placed at offsets from an exclusive prefix sum over the batch,
+    so they keep the sequential engine's send order.  Every field of
+    the result is identical to {!Runner.run}'s at any shard count.
 
     Every other call delegates to {!Runner.run}: [shards = 1], the
     asynchronous schedulers (one global delivery order, no round
@@ -19,18 +20,23 @@
     sinks or a fault plan (DESIGN.md §14).
 
     Rounds smaller than [?min_parallel_batch] (default 256) are
-    processed inline on the coordinator — same arithmetic, no barrier
-    traffic — so tiny runs never pay for domains; worker domains are
-    spawned lazily on the first large phase and joined before [run]
-    returns.  [shards] is clamped to 64; [invalid_arg] if it is not
-    positive.
+    processed inline on the calling domain, shard by shard — same
+    arithmetic, no barrier traffic — so tiny runs never pay for
+    domains; the pool is created lazily on the first large phase and
+    shut down before [run] returns, also when it raises.  A phase in
+    which shards raise re-raises the lowest shard's exception with its
+    raise-site backtrace, so which failure surfaces does not depend on
+    which domain ran which shard, or when.
+    [shards] is clamped to 64; [invalid_arg] if it is not positive.
 
     Concurrency requirements on the caller: on the parallel path
     [advice] and [factory] are called from several domains (at most
     once per node) and must be safe to call concurrently — the built-in
-    schemes only read shared immutable advice, which is safe.  Scheme
-    callbacks are only ever invoked by the owner of their node, never
-    two nodes of one owner concurrently. *)
+    schemes only read shared immutable advice, which is safe.  A
+    shard's scheme callbacks run in one task per phase, so two nodes of
+    one shard are never called concurrently; the domain that runs a
+    shard may change from one phase to the next, and the barrier
+    orders every phase's writes before the next phase's reads. *)
 
 val run :
   ?scheduler:Scheduler.t ->

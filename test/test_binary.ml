@@ -29,16 +29,6 @@ let test_log_invalid () =
   Alcotest.check_raises "floor 0" (Invalid_argument "Binary.floor_log2") (fun () ->
       ignore (Binary.floor_log2 0))
 
-let test_write_read_roundtrip () =
-  List.iter
-    (fun w ->
-      let b = Bitbuf.create () in
-      Binary.write b w;
-      check_int (Printf.sprintf "length %d" w) (Binary.bits w) (Bitbuf.length b);
-      let r = Bitbuf.reader b in
-      check_int (Printf.sprintf "value %d" w) w (Binary.read r ~width:(Binary.bits w)))
-    [ 0; 1; 2; 3; 5; 17; 100; 255; 4096 ]
-
 let test_to_bools () =
   Alcotest.(check (list bool)) "5" [ true; false; true ] (Binary.to_bools 5);
   Alcotest.(check (list bool)) "0" [ false ] (Binary.to_bools 0);
@@ -92,7 +82,6 @@ let suite =
     Alcotest.test_case "ceil_log2" `Quick test_ceil_log2;
     Alcotest.test_case "floor_log2" `Quick test_floor_log2;
     Alcotest.test_case "log2 of 0 rejected" `Quick test_log_invalid;
-    Alcotest.test_case "write/read roundtrip" `Quick test_write_read_roundtrip;
     Alcotest.test_case "to_bools" `Quick test_to_bools;
     Alcotest.test_case "log2_factorial small values" `Quick test_log2_factorial_small;
     Alcotest.test_case "log2_factorial Stirling continuity" `Quick

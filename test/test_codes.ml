@@ -94,18 +94,7 @@ let test_marked_length () =
   check_int "2 * sum #2" (Codes.marked_length ws) (Bitbuf.length b);
   check_int "value" (2 * (1 + 3 + 10)) (Codes.marked_length ws)
 
-(* {1 Unary} *)
-
-let test_unary () =
-  let b = Bitbuf.create () in
-  Codes.write_unary b 0;
-  Codes.write_unary b 3;
-  check_string "encodings" "10001" (Bitbuf.to_string b);
-  let r = Bitbuf.reader b in
-  check_int "0" 0 (Codes.read_unary r);
-  check_int "3" 3 (Codes.read_unary r)
-
-(* {1 Elias gamma/delta} *)
+(* {1 Elias gamma} *)
 
 let test_gamma_known () =
   let enc n =
@@ -134,20 +123,6 @@ let test_gamma_roundtrip () =
       Codes.write_gamma b n;
       check_int (string_of_int n) n (Codes.read_gamma (Bitbuf.reader b)))
     [ 0; 1; 2; 3; 4; 100; 1 lsl 20 ]
-
-let test_delta_roundtrip_and_length () =
-  List.iter
-    (fun n ->
-      let b = Bitbuf.create () in
-      Codes.write_delta b n;
-      check_int (Printf.sprintf "len %d" n) (Codes.delta_length n) (Bitbuf.length b);
-      check_int (string_of_int n) n (Codes.read_delta (Bitbuf.reader b)))
-    [ 0; 1; 2; 3; 4; 255; 256; 1 lsl 20 ]
-
-let test_delta_shorter_for_large () =
-  Alcotest.(check bool)
-    "delta beats gamma eventually" true
-    (Codes.delta_length 100000 < Codes.gamma_length 100000)
 
 (* {1 List roundtrips} *)
 
@@ -203,12 +178,9 @@ let suite =
     Alcotest.test_case "marked: roundtrip" `Quick test_marked_roundtrip;
     Alcotest.test_case "marked: list roundtrip" `Quick test_marked_list_roundtrip;
     Alcotest.test_case "marked: 2-sum length" `Quick test_marked_length;
-    Alcotest.test_case "unary" `Quick test_unary;
     Alcotest.test_case "gamma: known codewords" `Quick test_gamma_known;
     Alcotest.test_case "gamma: length formula" `Quick test_gamma_length;
     Alcotest.test_case "gamma: roundtrip" `Quick test_gamma_roundtrip;
-    Alcotest.test_case "delta: roundtrip and length" `Quick test_delta_roundtrip_and_length;
-    Alcotest.test_case "delta shorter for large values" `Quick test_delta_shorter_for_large;
     (* Width 10 = max 1 (ceil_log2 (1000 + 1)): every value up to 1000 fits. *)
     QCheck_alcotest.to_alcotest
       (qcheck_list_roundtrip "paper-doubled(w=10)"
@@ -216,10 +188,6 @@ let suite =
          ~read_list:Codes.read_port_list 1000);
     QCheck_alcotest.to_alcotest
       (qcheck_each_roundtrip "elias-gamma" Codes.write_gamma Codes.read_gamma 100000);
-    QCheck_alcotest.to_alcotest
-      (qcheck_each_roundtrip "elias-delta" Codes.write_delta Codes.read_delta 100000);
-    QCheck_alcotest.to_alcotest
-      (qcheck_each_roundtrip "unary" Codes.write_unary Codes.read_unary 50);
     QCheck_alcotest.to_alcotest qcheck_port_list;
     QCheck_alcotest.to_alcotest qcheck_marked;
   ]
@@ -242,8 +210,7 @@ let qcheck_decoder_fuzz =
              let rec loop acc =
                if Bitbuf.at_end r then acc else loop (Codes.read_gamma r :: acc)
              in
-             loop [])
-      && try_decode Codes.read_unary)
+             loop []))
 
 let qcheck_gamma_values_nonnegative =
   QCheck.Test.make ~name:"gamma decodes stay non-negative" ~count:300
@@ -292,18 +259,6 @@ let test_gamma_wraps_rejected () =
        (Codes.read_gamma_list_result (Bitbuf.reader (bits_of (zeros 61 ^ "1" ^ ones 61)))));
   check_error "62-zero prefix"
     (Codes.read_gamma_list_result (Bitbuf.reader (bits_of (zeros 62 ^ "1" ^ zeros 62))))
-
-let test_delta_boundary () =
-  let b = Bitbuf.create () in
-  Codes.write_delta b (max_int - 1);
-  check_int "largest delta codeword" (max_int - 1) (Codes.read_delta (Bitbuf.reader b));
-  (* gamma(62) announces a 62-bit tail: 2^62 does not fit. *)
-  let b = Bitbuf.create () in
-  Codes.write_gamma b 62;
-  Bitbuf.append b (bits_of (zeros 62));
-  match Codes.read_delta (Bitbuf.reader b) with
-  | v -> Alcotest.failf "62-bit delta tail decoded to %d" v
-  | exception Invalid_argument _ -> ()
 
 (* Doubled-bit header for [width], then the terminator. *)
 let port_list_header width =
@@ -391,7 +346,6 @@ let qcheck_canonical_decoders =
     (fun bits ->
       let buf = Bitbuf.of_bits bits in
       each_reencodes buf Codes.read_gamma (encode Codes.write_gamma)
-      && each_reencodes buf Codes.read_unary (encode Codes.write_unary)
       && each_reencodes buf Codes.read_marked marked_at_width
       &&
       match Codes.read_gamma_list_result (Bitbuf.reader buf) with
@@ -406,7 +360,6 @@ let suite =
   @ [
       Alcotest.test_case "read_int: 62-bit boundary" `Quick test_read_int_widths;
       Alcotest.test_case "gamma: wide prefixes rejected" `Quick test_gamma_wraps_rejected;
-      Alcotest.test_case "delta: 62-bit boundary" `Quick test_delta_boundary;
       Alcotest.test_case "port list: wide header rejected" `Quick
         test_port_list_wide_header_rejected;
       Alcotest.test_case "marked: 62-bit boundary" `Quick test_marked_boundary;

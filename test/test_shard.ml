@@ -240,11 +240,88 @@ let test_validation () =
       ignore
         (Sim.Shard.run ~shards:2 ~min_parallel_batch:0 ~advice g ~source:0 Sim.Scheme.flooding))
 
+(* {1 Failures}
+
+   A phase in which several shards raise re-raises the lowest shard's
+   exception.  Start-up visits nodes in index order in both engines, so
+   there the lowest shard's failure is the one [Runner.run] raises.
+   Every leg forces the parallel phases with [min_parallel_batch:1]. *)
+
+let sync = Sim.Scheduler.Synchronous
+let no_advice _ = Bitstring.Bitbuf.create ()
+
+(* Flooding, except that the nodes labelled [l] with [chatty l] also
+   send a [Hello] on port [port] at start-up. *)
+let chatty_flooding ~chatty ~port (static : Sim.History.static) =
+  let node = Sim.Scheme.flooding static in
+  if not (chatty static.Sim.History.id) then node
+  else
+    { node with Sim.Scheme.on_start = (fun () -> (Sim.Message.Hello, port) :: node.on_start ()) }
+
+(* The non-source nodes labelled 116, 153, 190, ... transmit
+   spontaneously.  A path labels node [v] with [v + 1], so on 500 nodes
+   they sit in every shard but the first at shards 7, and in both
+   shards at shards 2. *)
+let spontaneous =
+  Sim.Scheme.check_wakeup (chatty_flooding ~chatty:(fun l -> l > 100 && l mod 37 = 5) ~port:0)
+
+let raised f = match f () with _ -> None | exception e -> Some e
+
+let test_failure_order () =
+  let g = Netgraph.Gen.path 500 in
+  let expect name factory ~pinned =
+    let reference =
+      raised (fun () -> Sim.Runner.run ~scheduler:sync ~advice:no_advice g ~source:0 factory)
+    in
+    Alcotest.(check (option string))
+      (name ^ ": runner raises the lowest violation")
+      (Some (Printexc.to_string pinned))
+      (Option.map Printexc.to_string reference);
+    List.iter
+      (fun shards ->
+        Alcotest.check_raises
+          (Printf.sprintf "%s: shards=%d" name shards)
+          pinned
+          (fun () ->
+            ignore
+              (Sim.Shard.run ~scheduler:sync ~shards ~min_parallel_batch:1 ~advice:no_advice g
+                 ~source:0 factory)))
+      [ 2; 7 ]
+  in
+  expect "spontaneous start-up" spontaneous
+    ~pinned:(Failure "wakeup violation: non-source node 116 transmits spontaneously");
+  (* Node 299 (label 300) sits in shard 4 at shards 7, shard 1 at 2. *)
+  expect "out-of-range port"
+    (chatty_flooding ~chatty:(fun l -> l = 300) ~port:5)
+    ~pinned:(Invalid_argument "Runner: node 299 (degree 2) sends on port 5")
+
+(* Each failing run spawns six worker domains and must join them
+   before it raises: 30 in a row spawn 180, past OCaml's limit of 128
+   live domains, so a leak fails here.  A clean run afterwards must
+   still match [Runner.run]. *)
+let test_failure_teardown () =
+  let g = Netgraph.Gen.path 500 in
+  let shard_run factory =
+    Sim.Shard.run ~scheduler:sync ~shards:7 ~min_parallel_batch:1 ~advice:no_advice g ~source:0
+      factory
+  in
+  for i = 1 to 30 do
+    Alcotest.check_raises
+      (Printf.sprintf "failing run %d" i)
+      (Failure "wakeup violation: non-source node 116 transmits spontaneously")
+      (fun () -> ignore (shard_run spontaneous))
+  done;
+  check_same "clean run after 30 failures"
+    (Sim.Runner.run ~scheduler:sync ~advice:no_advice g ~source:0 Sim.Scheme.flooding)
+    (shard_run Sim.Scheme.flooding)
+
 let suite =
   [
     Alcotest.test_case "protocol grid: shards 1/2/7 byte-identical" `Slow test_protocol_grid;
     Alcotest.test_case "forced parallel phases bit-identical" `Slow test_forced_parallel_phases;
     Alcotest.test_case "fault plans x shards byte-identical" `Slow test_fault_grid;
     Alcotest.test_case "shard count validation" `Quick test_validation;
+    Alcotest.test_case "failures raise what the runner raises" `Quick test_failure_order;
+    Alcotest.test_case "failing runs join their domains" `Quick test_failure_teardown;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20 |]) qcheck_random_draws;
   ]
