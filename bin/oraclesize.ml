@@ -251,7 +251,7 @@ let run_faulty protocol plan ~protect ~retry family g ~source ~scheduler sinks =
     stats.Sim.Runner.faults
     (List.length o.Fault.Harness.fallbacks);
   if retry > 0 || protect <> Bitstring.Ecc.Raw then begin
-    let summary = Obs.Counting.of_events o.Fault.Harness.events in
+    let summary = o.Fault.Harness.summary in
     Printf.printf "recovery:     %d retransmissions (budget %d), %d bits corrected at %d nodes\n"
       summary.Obs.Counting.retransmits b.Fault.Verdict.recovery
       summary.Obs.Counting.corrected_bits
@@ -292,10 +292,9 @@ let run_faulty_suite protocol plan ~protect ~retry ~jobs family g ~source =
         Printf.printf "%-18s error: %s\n" sched_name msg
       | Ok o ->
         let stats = o.Fault.Harness.result.Sim.Runner.stats in
-        let recov = Obs.Counting.of_events o.Fault.Harness.events in
         if not (Fault.Verdict.acceptable o.Fault.Harness.verdict) then ok := false;
         Printf.printf "%-18s %9d %7d %11d  %s\n" sched_name stats.Sim.Runner.sent
-          stats.Sim.Runner.faults recov.Obs.Counting.retransmits
+          stats.Sim.Runner.faults o.Fault.Harness.summary.Obs.Counting.retransmits
           (Fault.Verdict.to_string o.Fault.Harness.verdict))
     scheds;
   if not !ok then exit 1

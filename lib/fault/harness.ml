@@ -56,6 +56,7 @@ type outcome = {
   tampered : (int * string) list;
   fallbacks : (int * string) list;
   corrected : (int * int) list;
+  summary : Obs.Counting.summary;
   events : Obs.Event.t list;
 }
 
@@ -66,6 +67,31 @@ let advise protocol g ~source =
     | Broadcast -> Oracle_core.Broadcast.oracle ()
   in
   oracle.Oracles.Oracle.advise g ~source
+
+(* One recorder per domain, reused run after run: its buffer is warm,
+   and the events a run emits die young instead of riding a list the
+   minor collector must promote.  A run that starts while the domain's
+   recorder is busy — one nested inside a user sink, say — records into
+   a fresh one, and the slot is released (and cleared) however the run
+   ends. *)
+type slot = {
+  recorder : Obs.Recorder.t;
+  mutable busy : bool;
+}
+
+let slot_key = Domain.DLS.new_key (fun () -> { recorder = Obs.Recorder.create (); busy = false })
+
+let with_recorder f =
+  let slot = Domain.DLS.get slot_key in
+  if slot.busy then f (Obs.Recorder.create ())
+  else begin
+    slot.busy <- true;
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Recorder.clear slot.recorder;
+        slot.busy <- false)
+      (fun () -> f slot.recorder)
+  end
 
 let run ?(scheduler = Sim.Scheduler.Async_fifo) ?(plan = Plan.none) ?(sinks = []) ?max_messages
     ?(protect = Bitstring.Ecc.Raw) ?(retry = 0) ?raw_advice protocol g ~source =
@@ -80,8 +106,15 @@ let run ?(scheduler = Sim.Scheduler.Async_fifo) ?(plan = Plan.none) ?(sinks = []
   in
   let protected_advice = Oracles.Protect.advice protect raw_advice in
   let corrupted, tampered = Corrupt.apply plan protected_advice in
-  let collector, collected = Obs.Sink.collect () in
-  let all_sinks = collector :: sinks in
+  with_recorder @@ fun recorder ->
+  (* The verdict is a fold over the stream, taken as it arrives. *)
+  let fold = Verdict.create ~n in
+  let own =
+    Obs.Sink.make (fun ev ->
+        Obs.Recorder.push recorder ev;
+        Verdict.observe fold ev)
+  in
+  let all_sinks = own :: sinks in
   let emit_all ev = List.iter (fun s -> Obs.Sink.emit s ev) all_sinks in
   List.iter emit_all (Corrupt.events tampered);
   (* Hardened nodes report fallbacks with their label; telemetry speaks
@@ -109,29 +142,18 @@ let run ?(scheduler = Sim.Scheduler.Async_fifo) ?(plan = Plan.none) ?(sinks = []
     Sim.Runner.run ~scheduler ?max_messages ~sinks:all_sinks ~faults:plan ~retry
       ~advice:(Advice.get corrupted) g ~source factory
   in
-  let events = collected () in
   (* With the recovery layer armed, "stalled" should mean "recoverably
      stalled": survivors the failure pattern physically cut off are
      excluded like the failed nodes themselves.  With [retry = 0] the
      classification stays the paper-pure one. *)
   let unreachable =
-    if retry = 0 then None
-    else begin
-      let failed = Array.make n false in
-      List.iter
-        (fun ev ->
-          match ev.Obs.Event.kind with
-          | Obs.Event.Fault (Obs.Event.Crashed v | Obs.Event.Dead v) -> failed.(v) <- true
-          | _ -> ())
-        events;
-      Some (unreachable_after ~failed g ~source)
-    end
+    if retry = 0 then None else Some (unreachable_after ~failed:(Verdict.failed fold) g ~source)
   in
   let verdict =
-    Verdict.classify ~check_silence:(protocol = Wakeup) ~quiescent:result.Sim.Runner.quiescent
-      ?unreachable ~n
+    Verdict.finish ~check_silence:(protocol = Wakeup) ~quiescent:result.Sim.Runner.quiescent
+      ?unreachable
       ~budgets:(budgets ~retry protocol g)
-      events
+      fold
   in
   {
     verdict;
@@ -141,7 +163,8 @@ let run ?(scheduler = Sim.Scheduler.Async_fifo) ?(plan = Plan.none) ?(sinks = []
     tampered;
     fallbacks = List.rev !fallbacks;
     corrected = List.rev !corrected;
-    events;
+    summary = Verdict.summary fold;
+    events = Obs.Recorder.to_list recorder;
   }
 
 let journal_entry g (o : outcome) =
@@ -150,7 +173,6 @@ let journal_entry g (o : outcome) =
   let informed =
     Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 r.Sim.Runner.informed
   in
-  let recov = Obs.Counting.of_events o.events in
   let verdict_class =
     match o.verdict with
     | Verdict.Completed -> Sim.Journal.Completed
@@ -168,8 +190,8 @@ let journal_entry g (o : outcome) =
     faults = stats.Sim.Runner.faults;
     fallbacks = List.length o.fallbacks;
     tampered = List.length o.tampered;
-    retransmits = recov.Obs.Counting.retransmits;
-    corrected_bits = recov.Obs.Counting.corrected_bits;
+    retransmits = o.summary.Obs.Counting.retransmits;
+    corrected_bits = o.summary.Obs.Counting.corrected_bits;
     informed;
     verdict_class;
     verdict = Verdict.to_string o.verdict;

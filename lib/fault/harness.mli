@@ -9,9 +9,19 @@
     attacks the codewords, which is the point of coding them), execute
     the hardened scheme with the plan's message- and node-level faults
     injected by the runner (and, with [retry > 0], its self-healing
-    retransmit channel armed), and classify the recorded stream
-    ({!Verdict.classify}).  The harness never raises on any plan: every
-    outcome is a structured verdict. *)
+    retransmit channel armed), and classify the stream.  The verdict is a
+    fold ({!Verdict.observe}) attached as a sink, so it is ready when the
+    run drains; the stranded-survivor BFS reads the fold's crashed/dead
+    set.  The harness never raises on any plan: every outcome is a
+    structured verdict.
+
+    The stream is also recorded for {!outcome.events}, into one
+    {!Obs.Recorder} per domain that is cleared and reused run after run:
+    the event records die young, and the list is built once, after the
+    run.  A run nested inside another on the same domain (from a user
+    sink, say) records into a fresh recorder, and a run that raises
+    releases the domain's recorder, so neither corrupts the next run's
+    [events]. *)
 
 type protocol =
   | Wakeup  (** Theorem 2.1 wakeup, hardened ({!Wakeup.hardened_scheme}) *)
@@ -46,7 +56,12 @@ type outcome = {
       (** nodes (by index) whose protected advice decoded with that many
           corrected errors — attacks the ECC layer absorbed without any
           fallback *)
-  events : Obs.Event.t list;  (** the complete recorded stream, verdict input *)
+  summary : Obs.Counting.summary;
+      (** the {!Obs.Counting} fold of the complete stream — [events]
+          counted as it arrived, so callers need not re-fold the list *)
+  events : Obs.Event.t list;
+      (** the complete recorded stream, built once after the run from the
+          domain's packed recorder *)
 }
 
 val advise : protocol -> Netgraph.Graph.t -> source:int -> Oracles.Advice.t

@@ -16,52 +16,71 @@ type t =
 
 let fallback_tag = "fallback-flood"
 
-let classify ?(check_silence = false) ?(quiescent = true) ?unreachable ~n ~budgets events =
-  let out = Obs.Replay.replay ~n events in
-  let excluded = Array.make n false in
-  let failed = ref 0 in
-  let fallbacks = ref 0 in
-  let silent = ref true in
-  List.iter
-    (fun ev ->
-      match ev.Obs.Event.kind with
-      | Obs.Event.Fault (Obs.Event.Crashed v | Obs.Event.Dead v) ->
-        if not excluded.(v) then incr failed;
-        excluded.(v) <- true
-      | Obs.Event.Decide (_, tag) when tag = fallback_tag -> incr fallbacks
-      | Obs.Event.Send l -> if not l.Obs.Event.informed then silent := false
-      | Obs.Event.Deliver _ | Obs.Event.Wake _ | Obs.Event.Decide _ | Obs.Event.Advice_read _
-      | Obs.Event.Fault _ | Obs.Event.Recover _ ->
-        ())
-    events;
+type fold = {
+  n : int;
+  replay : Obs.Replay.t;
+  failed : bool array;  (* crashed or dead *)
+  mutable failures : int;
+  mutable fallbacks : int;
+  mutable silent : bool;
+}
+
+let create ~n =
+  {
+    n;
+    replay = Obs.Replay.create ~n;
+    failed = Array.make n false;
+    failures = 0;
+    fallbacks = 0;
+    silent = true;
+  }
+
+let observe t ev =
+  Obs.Replay.observe t.replay ev;
+  match ev.Obs.Event.kind with
+  | Obs.Event.Fault (Obs.Event.Crashed v | Obs.Event.Dead v) ->
+    if not t.failed.(v) then t.failures <- t.failures + 1;
+    t.failed.(v) <- true
+  | Obs.Event.Decide (_, tag) when tag = fallback_tag -> t.fallbacks <- t.fallbacks + 1
+  | Obs.Event.Send l -> if not l.Obs.Event.informed then t.silent <- false
+  | Obs.Event.Deliver _ | Obs.Event.Wake _ | Obs.Event.Decide _ | Obs.Event.Advice_read _
+  | Obs.Event.Fault _ | Obs.Event.Recover _ ->
+    ()
+
+let failed t = t.failed
+
+let summary t = Obs.Replay.summary t.replay
+
+let finish ?(check_silence = false) ?(quiescent = true) ?unreachable ~budgets t =
+  let n = t.n in
+  let out = Obs.Replay.finish t.replay in
   (* Nodes the caller proved physically unreachable (every path from the
      source crosses a failed node) join the excluded set: no amount of
      retransmission can inform them, so the scheme owes them nothing —
      but unlike failures they are reported under their own label. *)
-  let stranded = ref 0 in
-  (match unreachable with
-  | None -> ()
-  | Some reach ->
-    if Array.length reach <> n then
-      invalid_arg "Fault.Verdict.classify: unreachable array length <> n";
-    for v = 0 to n - 1 do
-      if reach.(v) && not excluded.(v) then begin
-        incr stranded;
-        excluded.(v) <- true
-      end
-    done);
+  let stranded =
+    match unreachable with
+    | None -> fun _ -> false
+    | Some reach ->
+      if Array.length reach <> n then
+        invalid_arg "Fault.Verdict.classify: unreachable array length <> n";
+      fun v -> reach.(v)
+  in
   let sent = out.Obs.Replay.summary.Obs.Counting.sent in
   let retransmits = out.Obs.Replay.summary.Obs.Counting.retransmits in
+  let unreached = ref 0 in
   let survivors = ref 0 in
   let informed = ref 0 in
   for v = 0 to n - 1 do
-    if not excluded.(v) then begin
+    if t.failed.(v) then ()
+    else if stranded v then incr unreached
+    else begin
       incr survivors;
       if out.Obs.Replay.informed.(v) then incr informed
     end
   done;
   let excluded_count = n - !survivors in
-  if check_silence && not !silent then
+  if check_silence && not t.silent then
     Violated "wakeup-silence: a non-woken node transmitted"
   else if not quiescent then
     Violated
@@ -75,18 +94,23 @@ let classify ?(check_silence = false) ?(quiescent = true) ?unreachable ~n ~budge
   else if out.Obs.Replay.in_flight > 0 then
     Violated (Printf.sprintf "runaway: %d messages still in flight" out.Obs.Replay.in_flight)
   else if !informed < !survivors then Stalled { informed = !informed; survivors = !survivors; n }
-  else if !fallbacks = 0 && excluded_count = 0 && retransmits = 0 && sent <= budgets.clean then
+  else if t.fallbacks = 0 && excluded_count = 0 && retransmits = 0 && sent <= budgets.clean then
     Completed
   else begin
     let parts = ref [] in
     if sent > budgets.clean then
       parts := Printf.sprintf "over-clean-budget(%d>%d)" sent budgets.clean :: !parts;
-    if !failed > 0 then parts := Printf.sprintf "node-failures(%d)" !failed :: !parts;
-    if !stranded > 0 then parts := Printf.sprintf "unreachable(%d)" !stranded :: !parts;
-    if !fallbacks > 0 then parts := Printf.sprintf "advice-fallback(%d)" !fallbacks :: !parts;
+    if t.failures > 0 then parts := Printf.sprintf "node-failures(%d)" t.failures :: !parts;
+    if !unreached > 0 then parts := Printf.sprintf "unreachable(%d)" !unreached :: !parts;
+    if t.fallbacks > 0 then parts := Printf.sprintf "advice-fallback(%d)" t.fallbacks :: !parts;
     if retransmits > 0 then parts := Printf.sprintf "retransmissions(%d)" retransmits :: !parts;
     Degraded (String.concat "," !parts)
   end
+
+let classify ?check_silence ?quiescent ?unreachable ~n ~budgets events =
+  let t = create ~n in
+  List.iter (observe t) events;
+  finish ?check_silence ?quiescent ?unreachable ~budgets t
 
 let to_string = function
   | Completed -> "completed"

@@ -1,14 +1,17 @@
 (** Verdicts: classifying an adversarial run against the paper's
     invariants, from its telemetry stream alone.
 
-    The classifier is a replay consumer ({!Obs.Replay}): everything it
-    needs — who woke, who crashed, how many messages the scheme produced,
-    which nodes abandoned their advice, how much repair traffic the
-    network layer injected — is in the typed event stream, so a verdict
-    can equally be computed offline from a recorded JSONL trace.  The two
-    facts a stream cannot carry — was the run cut off by [max_messages],
-    and which nodes the failure pattern physically stranded — arrive as
-    the [?quiescent] and [?unreachable] parameters. *)
+    The classifier is a fold over the stream ({!create}, {!observe},
+    {!finish}) built on {!Obs.Replay}'s: everything it needs — who woke,
+    who crashed, how many messages the scheme produced, which nodes
+    abandoned their advice, how much repair traffic the network layer
+    injected — is in the typed event stream.  {!Harness.run} attaches the
+    fold as a sink, so the verdict is ready when the run drains;
+    {!classify} runs the same fold over a recorded list, so a verdict can
+    equally be computed offline from a JSONL trace.  The two facts a
+    stream cannot carry — was the run cut off by [max_messages], and
+    which nodes the failure pattern physically stranded — arrive as the
+    [?quiescent] and [?unreachable] parameters of {!finish}. *)
 
 type budgets = {
   clean : int;
@@ -53,17 +56,28 @@ type t =
 
 val fallback_tag : string
 (** ["fallback-flood"] — the [Decide] tag a hardened node emits when it
-    rejects its advice; {!classify} counts these. *)
+    rejects its advice; {!observe} counts these. *)
 
-val classify :
-  ?check_silence:bool ->
-  ?quiescent:bool ->
-  ?unreachable:bool array ->
-  n:int ->
-  budgets:budgets ->
-  Obs.Event.t list ->
-  t
-(** Fold a complete run's events into a verdict.  Precedence: a
+type fold
+(** Mutable classification state over a network of [n] nodes. *)
+
+val create : n:int -> fold
+
+val observe : fold -> Obs.Event.t -> unit
+(** Fold one event.  Raises [Invalid_argument] if it names a node
+    outside [0..n-1] (see {!Obs.Replay.observe}). *)
+
+val failed : fold -> bool array
+(** The nodes named by [Crashed]/[Dead] fault events so far — the fold's
+    own array, not a copy; do not mutate it.  {!Harness.run} computes its
+    stranded-survivor set from this. *)
+
+val summary : fold -> Obs.Counting.summary
+(** The {!Obs.Counting} fold of the events observed so far. *)
+
+val finish :
+  ?check_silence:bool -> ?quiescent:bool -> ?unreachable:bool array -> budgets:budgets -> fold -> t
+(** The verdict on the events observed so far.  Precedence: a
     violation dominates — [check_silence] (default false) enables the
     wakeup silence invariant (any [Send] by a non-woken node);
     [quiescent:false] (default [true]) marks a run stopped by the
@@ -82,6 +96,17 @@ val classify :
     source path crosses a failed node, so no retransmission can help;
     {!Harness.run} computes this from the surviving graph.  Raises
     [Invalid_argument] if the array's length is not [n]. *)
+
+val classify :
+  ?check_silence:bool ->
+  ?quiescent:bool ->
+  ?unreachable:bool array ->
+  n:int ->
+  budgets:budgets ->
+  Obs.Event.t list ->
+  t
+(** [classify ~n ~budgets events] is {!finish} after {!observe} on
+    every event of a complete run's list. *)
 
 val acceptable : t -> bool
 (** The CLI's exit criterion: [Completed] or [Degraded] (graceful), not

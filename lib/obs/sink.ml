@@ -44,5 +44,5 @@ let tee sinks =
 let filter p s = make ~close:(fun () -> close s) (fun ev -> if p ev then emit s ev)
 
 let collect () =
-  let events = ref [] in
-  (make (fun ev -> events := ev :: !events), fun () -> List.rev !events)
+  let r = Recorder.create () in
+  (make (Recorder.push r), fun () -> Recorder.to_list r)

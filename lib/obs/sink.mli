@@ -1,8 +1,9 @@
 (** Pluggable telemetry consumers.
 
-    A sink is where {!Event.t} values go: a counter ({!Counting}), a
-    bounded in-memory trace ({!Ring}), a JSONL file ({!Jsonl}), or any
-    user function.  Emitters (the simulation runner, protocol wrappers)
+    A sink is where {!Event.t} values go: a fold such as a counter
+    ({!Counting}) or a replay ({!Replay}), a bounded in-memory trace
+    ({!Ring}), an unbounded packed one ({!collect}, a {!Recorder}), a
+    JSONL file ({!Jsonl}), or any user function.  Emitters (the simulation runner, protocol wrappers)
     call {!emit} per event; the party that created a sink is responsible
     for calling {!close} on it once no more events will arrive —
     emitters never close sinks they were handed.
@@ -45,5 +46,7 @@ val filter : (Event.t -> bool) -> t -> t
 
 val collect : unit -> t * (unit -> Event.t list)
 (** An unbounded in-memory sink and a function returning everything
-    collected so far, oldest first.  For tests and small runs; use
-    {!Ring} when the trace must stay bounded. *)
+    collected so far, oldest first.  The sink records into a fresh
+    {!Recorder}, so a long run's events are kept packed, not as a live
+    list.  For tests and small runs; use {!Ring} when the trace must stay
+    bounded. *)

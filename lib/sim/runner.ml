@@ -55,6 +55,9 @@ let result_of_counts counts ~informed ~quiescent ~per_node_sent =
   in
   { stats; informed; all_informed = Array.for_all Fun.id informed; quiescent; per_node_sent }
 
+let bad_port ~node ~degree ~port =
+  invalid_arg (Printf.sprintf "Runner: node %d (degree %d) sends on port %d" node degree port)
+
 (* Four sends per node and edge covers every budget a harness verdict
    accepts (at most 4m + 3n); the floor keeps small graphs' cutoffs
    where they always were. *)
@@ -430,9 +433,7 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(sinks = []) ?(faults
     | (msg, port) :: rest ->
       let base = g_off.(v) in
       if port < 0 || port >= g_off.(v + 1) - base then
-        invalid_arg
-          (Printf.sprintf "Runner: node %d (degree %d) sends on port %d" v (g_off.(v + 1) - base)
-             port);
+        bad_port ~node:v ~degree:(g_off.(v + 1) - base) ~port;
       let dst = g_nbr.(base + port) in
       let dst_port = g_prt.(base + port) in
       per_node_sent.(v) <- per_node_sent.(v) + 1;

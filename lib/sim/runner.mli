@@ -125,6 +125,11 @@ val result_of_counts :
     {!Obs.Counting.summary} and [all_informed] is read off [informed].
     {!run} and {!Shard.run} both build their result here. *)
 
+val bad_port : node:int -> degree:int -> port:int -> 'a
+(** Raises the [Invalid_argument] a run raises when [node] (of that
+    [degree]) sends on [port] outside [0..degree-1]; {!Shard.run} raises
+    the same. *)
+
 val default_max_messages : Netgraph.Graph.t -> int
 (** The cutoff [run] applies when [max_messages] is not given:
     [max 1_000_000 (4 (n + m))].  Every budget the paper's schemes and

@@ -160,9 +160,7 @@ let run_parallel ~max_messages ~shards:k ~min_parallel_batch ~advice g ~source f
                 let i = ref ro.(o) in
                 List.iter
                   (fun (msg, port) ->
-                    if port < 0 || port >= deg then
-                      invalid_arg
-                        (Printf.sprintf "Runner: node %d (degree %d) sends on port %d" v deg port);
+                    if port < 0 || port >= deg then Runner.bad_port ~node:v ~degree:deg ~port;
                     per_node_sent.(v) <- per_node_sent.(v) + 1;
                     Obs.Counting.note_send c ~round ~cls:(Runner.msg_class msg)
                       ~bits:(Message.size_bits msg);

@@ -963,6 +963,121 @@ let test_max_retry_budget_saturates () =
 
 (* {1 The CLI's [--fault --suite]} *)
 
+(* {1 The harness's recorder and streaming verdict} *)
+
+(* What [outcome.events] must equal: the list a plain cons-and-reverse
+   sink builds from the same stream. *)
+let plain_collector () =
+  let acc = ref [] in
+  (Obs.Sink.make (fun ev -> acc := ev :: !acc), fun () -> List.rev !acc)
+
+let test_recorder_matches_plain_collector () =
+  (* Seeded runs over every family and scheduler, under drop, crash,
+     dead and advice-tampering plans, at retry 0 and 2: the packed
+     recorder, [Sink.collect] and a plain list agree event for event,
+     and the streaming verdict and summary agree with the list folds. *)
+  let rng = Random.State.make [| 24 |] in
+  let kinds = Hashtbl.create 8 in
+  let runs = ref 0 in
+  List.iter
+    (fun family ->
+      let g = Families.build family ~n:(12 + Random.State.int rng 17) ~seed:(Random.State.bits rng) in
+      let n = Graph.n g in
+      let node () = 1 + Random.State.int rng (n - 1) in
+      let seed = Random.State.int rng 1000 in
+      let plans =
+        List.map Plan.of_string_exn
+          [
+            Printf.sprintf "drop=0.1,seed=%d" seed;
+            Printf.sprintf "crash=%d@%d,seed=%d" (node ()) (Random.State.int rng 20) seed;
+            Printf.sprintf "dead=%d,drop=0.05,seed=%d" (node ()) seed;
+            Printf.sprintf "advice-garbage=4,seed=%d" seed;
+            Printf.sprintf "advice-trunc=2,advice-flip=1,dup=0.1,seed=%d" seed;
+          ]
+      in
+      List.iter
+        (fun scheduler ->
+          List.iteri
+            (fun i plan ->
+              List.iter
+                (fun protocol ->
+                  incr runs;
+                  let retry = if (!runs + i) mod 2 = 0 then 0 else 2 in
+                  let plain, plain_list = plain_collector () in
+                  let collect, collected = Obs.Sink.collect () in
+                  let o =
+                    Fault.Harness.run ~scheduler ~plan ~retry ~sinks:[ plain; collect ] protocol g
+                      ~source:0
+                  in
+                  let label =
+                    Printf.sprintf "%s %s %s %s retry=%d"
+                      (Fault.Harness.protocol_name protocol)
+                      (Families.name family) (Sim.Scheduler.name scheduler) (Plan.to_string plan)
+                      retry
+                  in
+                  let events = plain_list () in
+                  List.iter (fun ev -> Hashtbl.replace kinds (Event.kind_name ev.Event.kind) ()) events;
+                  if o.Fault.Harness.events <> events then Alcotest.failf "%s: recorder differs" label;
+                  if collected () <> events then Alcotest.failf "%s: Sink.collect differs" label;
+                  if o.Fault.Harness.summary <> Obs.Counting.of_events events then
+                    Alcotest.failf "%s: summary differs from the list fold" label;
+                  if retry = 0 then begin
+                    let listed =
+                      Fault.Verdict.classify ~check_silence:(protocol = Fault.Harness.Wakeup)
+                        ~quiescent:o.Fault.Harness.result.Sim.Runner.quiescent ~n
+                        ~budgets:(Fault.Harness.budgets protocol g)
+                        events
+                    in
+                    if listed <> o.Fault.Harness.verdict then
+                      Alcotest.failf "%s: streaming verdict %s, list verdict %s" label
+                        (Fault.Verdict.to_string o.Fault.Harness.verdict)
+                        (Fault.Verdict.to_string listed)
+                  end)
+                [ Fault.Harness.Wakeup; Fault.Harness.Broadcast ])
+            plans)
+        Sim.Scheduler.default_suite)
+    Families.all;
+  check_int "every draw ran" (List.length Families.all * 5 * 5 * 2) !runs;
+  List.iter
+    (fun k -> check_bool (k ^ " events occurred") true (Hashtbl.mem kinds k))
+    [ "send"; "deliver"; "wake"; "advice"; "decide"; "fault"; "recover" ]
+
+let test_recorder_survives_nesting_and_raises () =
+  let plan = Plan.of_string_exn "drop=0.1,advice-trunc=1,seed=7" in
+  let run ?sinks g = Fault.Harness.run ?sinks ~plan ~retry:2 Fault.Harness.Broadcast g ~source:0 in
+  let reference g =
+    let sink, got = plain_collector () in
+    ignore (run ~sinks:[ sink ] g);
+    got ()
+  in
+  let g = tree24 () and h = sparse24 () in
+  let g_events = reference g and h_events = reference h in
+  (* A user sink that runs a whole harness run on the same domain, from
+     inside the outer run. *)
+  let inner = ref None in
+  let nesting =
+    Obs.Sink.make (fun ev ->
+        match ev.Event.kind with
+        | Event.Send _ when !inner = None -> inner := Some (run h)
+        | _ -> ())
+  in
+  let outer = run ~sinks:[ nesting ] g in
+  check_bool "outer run's events intact" true (outer.Fault.Harness.events = g_events);
+  (match !inner with
+  | Some o -> check_bool "nested run's events intact" true (o.Fault.Harness.events = h_events)
+  | None -> Alcotest.fail "the nested run never ran");
+  let raising =
+    let k = ref 0 in
+    Obs.Sink.make (fun _ ->
+        incr k;
+        if !k = 50 then failwith "sink gave up")
+  in
+  (match run ~sinks:[ raising ] g with
+  | _ -> Alcotest.fail "a run whose sink raised returned"
+  | exception Failure _ -> ());
+  check_bool "the run after a raise is intact" true ((run h).Fault.Harness.events = h_events);
+  check_bool "and the one after that" true ((run g).Fault.Harness.events = g_events)
+
 (* Relative to the test cwd (_build/default/test). *)
 let exe = "../bin/oraclesize.exe"
 
@@ -1068,4 +1183,8 @@ let suite =
       test_recovery_determinism_and_replay;
     Alcotest.test_case "recovery: budgets end to end" `Quick test_recovery_budget_end_to_end;
     Alcotest.test_case "cli: --suite rows at -j 1 and -j 2" `Quick test_cli_suite;
+    Alcotest.test_case "recorder = plain collector on seeded runs" `Quick
+      test_recorder_matches_plain_collector;
+    Alcotest.test_case "recorder survives nested and raising runs" `Quick
+      test_recorder_survives_nesting_and_raises;
   ]

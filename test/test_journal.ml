@@ -134,6 +134,81 @@ let test_frame_rejects () =
     | Ok _ -> Alcotest.failf "prefix %d decoded" len
   done
 
+(* {1 Frame header boundaries}
+
+   All zeros, all ones, and every header field at its largest legal
+   value and one past it (the pattern of chamelon's littlefs tag
+   tests).  Each malformed input must map to the error of the first
+   field that objects, never to an exception. *)
+
+let test_frame_header_boundaries () =
+  let len = Frame.header_bytes + Frame.crc_bytes in
+  let expect name s ok =
+    match Frame.decode s ~pos:0 with
+    | r when ok r -> ()
+    | Ok _ -> Alcotest.failf "%s: decoded" name
+    | Error e -> Alcotest.failf "%s: wrong error %s" name (Frame.error_to_string e)
+  in
+  expect "all zeros" (String.make len '\000') (function
+    | Error (Frame.Bad_magic { offset = 0; found = 0 }) -> true
+    | _ -> false);
+  expect "all ones" (String.make len '\xff') (function
+    | Error (Frame.Bad_magic { offset = 0; found = 0xffff }) -> true
+    | _ -> false);
+  (* A valid prefix, then all ones: each field in turn is the first to
+     object. *)
+  let ones_after prefix = prefix ^ String.make (len - String.length prefix) '\xff' in
+  expect "kind all ones" (ones_after "OJ") (function
+    | Error (Frame.Bad_kind { found = 0xff; _ }) -> true
+    | _ -> false);
+  expect "version all ones" (ones_after "OJR") (function
+    | Error (Frame.Unsupported_version { found = 0xff; _ }) -> true
+    | _ -> false);
+  expect "key all ones" (ones_after "OJR\001") (function
+    | Error (Frame.Key_out_of_range _) -> true
+    | _ -> false);
+  (* The key at its maximum round-trips under every kind; one past it
+     (bit 62 of the 64-bit field) is reserved. *)
+  List.iter
+    (fun kind ->
+      let t = { Frame.kind; version = Frame.current_version; key = Frame.max_key; payload = payload_of_bits 9 } in
+      let s = Frame.encode t in
+      (match Frame.decode s ~pos:0 with
+      | Ok (t', _) ->
+        check_int "max key survives" Frame.max_key t'.Frame.key;
+        check_string "max-key frame re-encodes" s (Frame.encode t')
+      | Error e -> Alcotest.failf "max key rejected: %s" (Frame.error_to_string e));
+      let past = Bytes.of_string s in
+      Bytes.set past 4 '\x40';
+      for i = 5 to 11 do
+        Bytes.set past i '\000'
+      done;
+      expect "key max + 1" (Bytes.to_string past) (function
+        | Error (Frame.Key_out_of_range _) -> true
+        | _ -> false))
+    [
+      Frame.Superblock; Frame.Record; Frame.Hello; Frame.Task; Frame.Result; Frame.Heartbeat;
+      Frame.Shutdown;
+    ];
+  (* The length field at its maximum frames 2^21 body bytes: a header
+     alone is a torn frame missing exactly the rest. *)
+  let header = Bytes.of_string (Frame.encode { Frame.kind = Frame.Record; version = 1; key = 0; payload = Bitbuf.create () }) in
+  Bytes.blit_string "\xff\xff\xff" 0 header 12 3;
+  let body = (Frame.max_payload_bits + 7) / 8 in
+  expect "length all ones" (Bytes.sub_string header 0 Frame.header_bytes) (function
+    | Error (Frame.Truncated { offset = 0; missing }) -> missing = body + Frame.crc_bytes
+    | _ -> false);
+  (* One bit past the length field's range is refused at encode. *)
+  let over = Bitbuf.of_bytes (Bytes.make (body + 1) '\xff') ~pos:0 ~bits:(Frame.max_payload_bits + 1) in
+  Alcotest.check_raises "payload max + 1" (Invalid_argument "Frame.encode: payload too large")
+    (fun () ->
+      ignore (Frame.encode { Frame.kind = Frame.Record; version = 1; key = 0; payload = over }));
+  (* The version field above the writer's is refused at encode too. *)
+  Alcotest.check_raises "version max + 1" (Invalid_argument "Frame.encode: version out of range")
+    (fun () ->
+      ignore
+        (Frame.encode { Frame.kind = Frame.Record; version = 0x100; key = 0; payload = Bitbuf.create () }))
+
 (* {1 Entry payload codec: field boundaries} *)
 
 let base_entry =
@@ -801,6 +876,8 @@ let suite =
     Alcotest.test_case "frame roundtrips: kinds x keys x payload widths" `Quick
       test_frame_roundtrip;
     Alcotest.test_case "frame rejects malformed input totally" `Quick test_frame_rejects;
+    Alcotest.test_case "frame header: zeros, ones, every field at its maximum" `Quick
+      test_frame_header_boundaries;
     Alcotest.test_case "entry fields roundtrip at every boundary" `Quick
       test_entry_field_boundaries;
     Alcotest.test_case "verdict strings: empty, binary, long" `Quick test_entry_verdict_strings;

@@ -304,6 +304,87 @@ let test_replay_matches_live_under_faults () =
   check_int "faulty network still drains" 0 r.Obs.Replay.in_flight;
   check_bool "tampering visible offline" true (r.Obs.Replay.summary.Obs.Counting.faults > 0)
 
+(* {1 The flat recorder} *)
+
+let recorded events =
+  let r = Obs.Recorder.create () in
+  List.iter (Obs.Recorder.push r) events;
+  r
+
+let test_recorder_field_boundaries () =
+  (* Every packed field at its maximum, one past it and negative, and the
+     verbatim fields at both ends of [int]: packed or boxed, each event
+     must come back [=] to what was pushed, in order. *)
+  let wide = (1 lsl 30) - 1 and narrow = (1 lsl 21) - 1 in
+  let edges m = [ 0; m; m + 1; -1; min_int; max_int ] in
+  let send ?(seq = 5) ?(round = 2) l = { Event.seq; round; kind = Event.Send l } in
+  let events =
+    List.concat
+      [
+        List.concat_map
+          (fun x ->
+            [
+              send { link with Event.src = x };
+              { Event.seq = 5; round = 2; kind = Event.Deliver { link with Event.dst = x } };
+              send { link with Event.depth = x };
+              send ~round:x link;
+              { Event.seq = 0; round = x; kind = Event.Wake 3 };
+              { Event.seq = 0; round = x; kind = Event.Advice_read (3, 8) };
+            ])
+          (edges wide);
+        List.concat_map
+          (fun x ->
+            [
+              send { link with Event.src_port = x };
+              send { link with Event.dst_port = x };
+              send { link with Event.bits = x };
+            ])
+          (edges narrow);
+        List.concat_map
+          (fun x ->
+            [
+              send ~seq:x link;
+              { Event.seq = x; round = 0; kind = Event.Wake x };
+              { Event.seq = 0; round = 0; kind = Event.Advice_read (x, x) };
+            ])
+          [ max_int; max_int - 1; min_int; -1 ];
+        [
+          send
+            {
+              Event.src = wide;
+              src_port = narrow;
+              dst = wide;
+              dst_port = narrow;
+              cls = Event.Control;
+              bits = narrow;
+              informed = true;
+              depth = wide;
+            }
+            ~seq:max_int ~round:wide;
+          send { link with Event.cls = Event.Hello; informed = false };
+          { Event.seq = 0; round = 0; kind = Event.Decide (1, "") };
+        ];
+        fault_events;
+        sample_events;
+      ]
+  in
+  let r = recorded events in
+  check_bool "every boundary round-trips" true (Obs.Recorder.to_list r = events);
+  check_bool "to_list leaves the recorder as it was" true (Obs.Recorder.to_list r = events)
+
+let test_recorder_grows_and_clears () =
+  let many =
+    List.init 5000 (fun i ->
+        if i mod 97 = 0 then { Event.seq = i; round = i; kind = Event.Decide (i, "d") }
+        else { Event.seq = i; round = i / 3; kind = Event.Send { link with Event.depth = i } })
+  in
+  let r = recorded many in
+  check_bool "grown buffer keeps every event" true (Obs.Recorder.to_list r = many);
+  Obs.Recorder.clear r;
+  check_bool "nothing survives a clear" true (Obs.Recorder.to_list r = []);
+  List.iter (Obs.Recorder.push r) sample_events;
+  check_bool "reused after a clear" true (Obs.Recorder.to_list r = sample_events)
+
 let suite =
   [
     Alcotest.test_case "jsonl roundtrip, every kind" `Quick test_jsonl_roundtrip;
@@ -326,4 +407,8 @@ let suite =
     Alcotest.test_case "fault events roundtrip jsonl" `Quick test_fault_jsonl_roundtrip;
     Alcotest.test_case "fault streams are deterministic" `Quick test_fault_stream_determinism;
     Alcotest.test_case "replay = live under faults" `Quick test_replay_matches_live_under_faults;
+    Alcotest.test_case "recorder: every field boundary round-trips" `Quick
+      test_recorder_field_boundaries;
+    Alcotest.test_case "recorder: grows, clears and is reused" `Quick
+      test_recorder_grows_and_clears;
   ]

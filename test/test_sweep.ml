@@ -424,6 +424,37 @@ let test_context_rejects_non_canonical () =
       "protect=none;retry=0";
     ]
 
+(* All zeros, all ones and every field at its maximum: the byte strings
+   of the canonical context's length, [N] at [max_int] under the last
+   protection level, and [N] one past [max_int]. *)
+let test_context_boundaries () =
+  let top = List.nth Bitstring.Ecc.all (List.length Bitstring.Ecc.all - 1) in
+  let max_ctx = Fault.Sweep_point.context ~protect:top ~retry:max_int in
+  List.iter
+    (fun c ->
+      List.iter
+        (fun len ->
+          match Fault.Sweep_point.parse_context (String.make len c) with
+          | Ok _ -> Alcotest.failf "%d bytes of %C accepted" len c
+          | Error _ -> ())
+        [ 0; 1; String.length max_ctx ])
+    [ '\000'; '\xff' ];
+  (match Fault.Sweep_point.parse_context max_ctx with
+  | Ok (p, r) ->
+    check_string "top level" (Bitstring.Ecc.name top) (Bitstring.Ecc.name p);
+    check_int "max retry" max_int r
+  | Error e -> Alcotest.failf "%s rejected: %s" max_ctx e);
+  let prefix = "protect=" ^ Bitstring.Ecc.name top ^ ";retry=" in
+  List.iter
+    (fun retry ->
+      match Fault.Sweep_point.parse_context (prefix ^ retry) with
+      | Ok _ -> Alcotest.failf "retry=%s accepted" retry
+      | Error _ -> ())
+    [ "4611686018427387904"; "9999999999999999999"; "00"; "0" ^ string_of_int max_int ];
+  match Fault.Sweep_point.parse_context "protect=raw;retry=0" with
+  | Ok (Bitstring.Ecc.Raw, 0) -> ()
+  | _ -> Alcotest.fail "the all-zero retry rejected"
+
 let suite =
   [
     Alcotest.test_case "pool: map preserves index order" `Quick test_pool_map_order;
@@ -453,6 +484,8 @@ let suite =
     Alcotest.test_case "sweep point: context round-trips" `Quick test_context_roundtrip;
     Alcotest.test_case "sweep point: context is canonical only" `Quick
       test_context_rejects_non_canonical;
+    Alcotest.test_case "sweep point: context at zeros, ones and maxima" `Quick
+      test_context_boundaries;
     Alcotest.test_case "sink: cross-domain emit rejected" `Quick
       test_sink_rejects_cross_domain_emit;
   ]
