@@ -47,11 +47,11 @@ let e1 () =
               Table.i o.Wakeup.advice_bits;
               Table.f2 (float_of_int o.Wakeup.advice_bits /. (float_of_int actual *. log2f actual));
               Table.i budget;
-              Table.i o.Wakeup.result.Sim.Runner.stats.Sim.Runner.sent;
+              Table.i o.Wakeup.result.Sim.Runner.stats.Obs.Counting.sent;
               Table.i (actual - 1);
               Table.b
                 (o.Wakeup.result.Sim.Runner.all_informed
-                && o.Wakeup.result.Sim.Runner.stats.Sim.Runner.sent = actual - 1);
+                && o.Wakeup.result.Sim.Runner.stats.Obs.Counting.sent = actual - 1);
             ])
           ns_medium)
       Families.default_sweep
@@ -197,8 +197,8 @@ let e4 () =
             let sync = Broadcast.run ~scheduler:Sim.Scheduler.Synchronous g ~source:0 in
             let asy = Broadcast.run ~scheduler:(Sim.Scheduler.Async_random 7) g ~source:0 in
             let worst =
-              max sync.Broadcast.result.Sim.Runner.stats.Sim.Runner.sent
-                asy.Broadcast.result.Sim.Runner.stats.Sim.Runner.sent
+              max sync.Broadcast.result.Sim.Runner.stats.Obs.Counting.sent
+                asy.Broadcast.result.Sim.Runner.stats.Obs.Counting.sent
             in
             [
               Families.name fam;
@@ -393,11 +393,11 @@ let e9 () =
         [
           Table.f2 p;
           Table.i (Graph.m g);
-          Table.i flood.Sim.Runner.stats.Sim.Runner.sent;
-          Table.i b.Broadcast.result.Sim.Runner.stats.Sim.Runner.sent;
+          Table.i flood.Sim.Runner.stats.Obs.Counting.sent;
+          Table.i b.Broadcast.result.Sim.Runner.stats.Obs.Counting.sent;
           Table.f2
-            (float_of_int flood.Sim.Runner.stats.Sim.Runner.sent
-            /. float_of_int b.Broadcast.result.Sim.Runner.stats.Sim.Runner.sent);
+            (float_of_int flood.Sim.Runner.stats.Obs.Counting.sent
+            /. float_of_int b.Broadcast.result.Sim.Runner.stats.Obs.Counting.sent);
           Table.i b.Broadcast.advice_bits;
         ])
       [ 0.02; 0.05; 0.1; 0.2; 0.4; 0.8 ]
@@ -474,16 +474,16 @@ let e11 () =
             [
               Families.name fam;
               Table.i actual;
-              Table.i flood.Sim.Runner.stats.Sim.Runner.sent;
-              Table.i flood.Sim.Runner.stats.Sim.Runner.causal_depth;
+              Table.i flood.Sim.Runner.stats.Obs.Counting.sent;
+              Table.i flood.Sim.Runner.stats.Obs.Counting.causal_depth;
               Table.i bc.Broadcast.advice_bits;
-              Table.i bc.Broadcast.result.Sim.Runner.stats.Sim.Runner.sent;
-              Table.i bc.Broadcast.result.Sim.Runner.stats.Sim.Runner.causal_depth;
+              Table.i bc.Broadcast.result.Sim.Runner.stats.Obs.Counting.sent;
+              Table.i bc.Broadcast.result.Sim.Runner.stats.Obs.Counting.causal_depth;
               Table.i bc_bfs.Broadcast.advice_bits;
-              Table.i bc_bfs.Broadcast.result.Sim.Runner.stats.Sim.Runner.causal_depth;
+              Table.i bc_bfs.Broadcast.result.Sim.Runner.stats.Obs.Counting.causal_depth;
               Table.i wk.Wakeup.advice_bits;
-              Table.i wk.Wakeup.result.Sim.Runner.stats.Sim.Runner.sent;
-              Table.i wk.Wakeup.result.Sim.Runner.stats.Sim.Runner.causal_depth;
+              Table.i wk.Wakeup.result.Sim.Runner.stats.Obs.Counting.sent;
+              Table.i wk.Wakeup.result.Sim.Runner.stats.Obs.Counting.causal_depth;
             ])
           [ 64; 256; 1024 ])
       [ Families.Sparse_random; Families.Dense_random; Families.Complete; Families.Grid ]
@@ -520,9 +520,9 @@ let e12 () =
               Families.name fam;
               Table.i actual;
               Table.i tree.Gossip.advice_bits;
-              Table.i tree.Gossip.result.Sim.Runner.stats.Sim.Runner.sent;
+              Table.i tree.Gossip.result.Sim.Runner.stats.Obs.Counting.sent;
               Table.i (2 * (actual - 1));
-              Table.i flood.Gossip.result.Sim.Runner.stats.Sim.Runner.sent;
+              Table.i flood.Gossip.result.Sim.Runner.stats.Obs.Counting.sent;
               Table.b (tree.Gossip.complete && flood.Gossip.complete);
             ])
           [ 32; 64; 128 ])
@@ -552,7 +552,7 @@ let e13 () =
               Table.i (Graph.m g);
               Table.i rho;
               Table.i o.Neighborhood.advice_bits;
-              Table.i o.Neighborhood.result.Sim.Runner.stats.Sim.Runner.sent;
+              Table.i o.Neighborhood.result.Sim.Runner.stats.Obs.Counting.sent;
               Table.b o.Neighborhood.result.Sim.Runner.all_informed;
             ])
           [ 0; 1; 2; 3 ])
@@ -719,9 +719,9 @@ let e16 () =
             [
               Families.name fam;
               Table.i actual;
-              Table.i free.Election.result.Sim.Runner.stats.Sim.Runner.sent;
+              Table.i free.Election.result.Sim.Runner.stats.Obs.Counting.sent;
               Table.i marked.Election.advice_bits;
-              Table.i marked.Election.result.Sim.Runner.stats.Sim.Runner.sent;
+              Table.i marked.Election.result.Sim.Runner.stats.Obs.Counting.sent;
               Table.i b.Broadcast.advice_bits;
               Table.i w.Wakeup.advice_bits;
               Table.b (free.Election.ok && marked.Election.ok);
@@ -756,10 +756,10 @@ let e17 () =
               Families.name fam;
               Table.i actual;
               Table.i (Graph.m g);
-              Table.i flood.Tree_construction.result.Sim.Runner.stats.Sim.Runner.sent;
+              Table.i flood.Tree_construction.result.Sim.Runner.stats.Obs.Counting.sent;
               Table.b flood.Tree_construction.is_bfs;
               Table.i advised.Tree_construction.advice_bits;
-              Table.i advised.Tree_construction.result.Sim.Runner.stats.Sim.Runner.sent;
+              Table.i advised.Tree_construction.result.Sim.Runner.stats.Obs.Counting.sent;
               Table.b
                 (flood.Tree_construction.tree <> None && advised.Tree_construction.tree <> None);
             ])
@@ -897,10 +897,10 @@ let smoke () =
   Printf.printf
     "smoke: wakeup on sparse-random n=%d — %d msgs, %d advice bits; trace %s (%d events,\n\
     \  ring kept last %d); replay agrees: %b\n"
-    (Graph.n g) stats.Sim.Runner.sent o.Wakeup.advice_bits !trace_out (List.length events)
+    (Graph.n g) stats.Obs.Counting.sent o.Wakeup.advice_bits !trace_out (List.length events)
     (Obs.Ring.length ring)
     (replayed.Obs.Replay.all_informed = o.Wakeup.result.Sim.Runner.all_informed
-    && replayed.Obs.Replay.summary.Obs.Counting.sent = stats.Sim.Runner.sent)
+    && replayed.Obs.Replay.summary.Obs.Counting.sent = stats.Obs.Counting.sent)
 
 (* {1 Stress — every builtin fault plan x every scheduler x graph family} *)
 

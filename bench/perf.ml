@@ -148,8 +148,8 @@ let measure ~clock ~protocol ~family g =
   done;
   let dt = !dt in
   let r = !last in
-  let sent = r.Sim.Runner.stats.Sim.Runner.sent in
-  let rounds = r.Sim.Runner.stats.Sim.Runner.rounds in
+  let sent = r.Sim.Runner.stats.Obs.Counting.sent in
+  let rounds = r.Sim.Runner.stats.Obs.Counting.rounds in
   let per_run = dt /. float_of_int reps in
   let per_msg words = if sent > 0 then words /. float_of_int sent else 0.0 in
   {

@@ -245,18 +245,16 @@ let run_faulty protocol plan ~protect ~retry family g ~source ~scheduler sinks =
     Printf.printf "oracle bits:  %d protected (%s) from %d raw, tampering with %d nodes\n"
       o.Fault.Harness.advice_bits (Bitstring.Ecc.name protect) o.Fault.Harness.raw_advice_bits
       (List.length (List.sort_uniq compare (List.map fst o.Fault.Harness.tampered)));
-  Printf.printf "messages:     %d  (clean budget %d, degraded budget %d)\n" stats.Sim.Runner.sent
+  Printf.printf "messages:     %d  (clean budget %d, degraded budget %d)\n" stats.Obs.Counting.sent
     b.Fault.Verdict.clean b.Fault.Verdict.degraded;
   Printf.printf "faults:       %d injected, %d nodes fell back to flooding\n"
-    stats.Sim.Runner.faults
+    stats.Obs.Counting.faults
     (List.length o.Fault.Harness.fallbacks);
-  if retry > 0 || protect <> Bitstring.Ecc.Raw then begin
-    let summary = o.Fault.Harness.summary in
+  if retry > 0 || protect <> Bitstring.Ecc.Raw then
     Printf.printf "recovery:     %d retransmissions (budget %d), %d bits corrected at %d nodes\n"
-      summary.Obs.Counting.retransmits b.Fault.Verdict.recovery
-      summary.Obs.Counting.corrected_bits
-      (List.length o.Fault.Harness.corrected)
-  end;
+      stats.Obs.Counting.retransmits b.Fault.Verdict.recovery
+      (List.fold_left (fun acc (_, bits) -> acc + bits) 0 o.Fault.Harness.corrected)
+      (List.length o.Fault.Harness.corrected);
   Printf.printf "verdict:      %s\n" (Fault.Verdict.to_string o.Fault.Harness.verdict);
   if not (Fault.Verdict.acceptable o.Fault.Harness.verdict) then exit 1
 
@@ -293,8 +291,8 @@ let run_faulty_suite protocol plan ~protect ~retry ~jobs family g ~source =
       | Ok o ->
         let stats = o.Fault.Harness.result.Sim.Runner.stats in
         if not (Fault.Verdict.acceptable o.Fault.Harness.verdict) then ok := false;
-        Printf.printf "%-18s %9d %7d %11d  %s\n" sched_name stats.Sim.Runner.sent
-          stats.Sim.Runner.faults o.Fault.Harness.summary.Obs.Counting.retransmits
+        Printf.printf "%-18s %9d %7d %11d  %s\n" sched_name stats.Obs.Counting.sent
+          stats.Obs.Counting.faults stats.Obs.Counting.retransmits
           (Fault.Verdict.to_string o.Fault.Harness.verdict))
     scheds;
   if not !ok then exit 1
@@ -401,7 +399,7 @@ let wakeup_cmd =
           Printf.printf "oracle bits:  %d  (Theorem 2.1 budget %d)\n"
             o.Oracle_core.Wakeup.advice_bits
             (Oracle_core.Bounds.wakeup_advice_upper ~n:(Graph.n g));
-          Printf.printf "messages:     %d  (optimal: %d)\n" stats.Sim.Runner.sent (Graph.n g - 1);
+          Printf.printf "messages:     %d  (optimal: %d)\n" stats.Obs.Counting.sent (Graph.n g - 1);
           Printf.printf "all awake:    %b\n" o.Oracle_core.Wakeup.result.Sim.Runner.all_informed;
           if not o.Oracle_core.Wakeup.result.Sim.Runner.all_informed then exit 1)
   in
@@ -444,7 +442,7 @@ let broadcast_cmd =
           Printf.printf "oracle bits:  %d  (Theorem 3.1 budget %d)\n"
             o.Oracle_core.Broadcast.advice_bits (8 * Graph.n g);
           Printf.printf "messages:     %d = %d source + %d hello  (budget < %d)\n"
-            stats.Sim.Runner.sent stats.Sim.Runner.source_sent stats.Sim.Runner.hello_sent
+            stats.Obs.Counting.sent stats.Obs.Counting.source_sent stats.Obs.Counting.hello_sent
             (3 * Graph.n g);
           Printf.printf "all informed: %b\n"
             o.Oracle_core.Broadcast.result.Sim.Runner.all_informed;
@@ -546,9 +544,9 @@ let gossip_cmd =
     Printf.printf "network:      %s, %d nodes, %d edges\n" (Families.name family) (Graph.n g)
       (Graph.m g);
     Printf.printf "oracle bits:  %d\n" o.Oracle_core.Gossip.advice_bits;
-    Printf.printf "messages:     %d (tree gossip optimum: %d)\n" stats.Sim.Runner.sent
+    Printf.printf "messages:     %d (tree gossip optimum: %d)\n" stats.Obs.Counting.sent
       (2 * (Graph.n g - 1));
-    Printf.printf "bits on wire: %d\n" stats.Sim.Runner.bits_on_wire;
+    Printf.printf "bits on wire: %d\n" stats.Obs.Counting.bits_on_wire;
     Printf.printf "complete:     %b\n" o.Oracle_core.Gossip.complete;
     if not o.Oracle_core.Gossip.complete then exit 1
   in

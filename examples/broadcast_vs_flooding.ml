@@ -20,8 +20,8 @@ let () =
       let b = Oracle_core.Broadcast.run g ~source:0 in
       assert (flood.Sim.Runner.all_informed);
       assert (b.Oracle_core.Broadcast.result.Sim.Runner.all_informed);
-      let fm = flood.Sim.Runner.stats.Sim.Runner.sent in
-      let bm = b.Oracle_core.Broadcast.result.Sim.Runner.stats.Sim.Runner.sent in
+      let fm = flood.Sim.Runner.stats.Obs.Counting.sent in
+      let bm = b.Oracle_core.Broadcast.result.Sim.Runner.stats.Obs.Counting.sent in
       Printf.printf "%5.2f %8d %14d %14d %10.1f %14d\n" p (Netgraph.Graph.m g) fm bm
         (float_of_int fm /. float_of_int bm)
         b.Oracle_core.Broadcast.advice_bits)

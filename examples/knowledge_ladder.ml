@@ -18,22 +18,22 @@ let () =
   let advice_free _ = Bitstring.Bitbuf.create () in
   let flood = Sim.Runner.run ~advice:advice_free g ~source:0 Sim.Scheme.flooding in
   row "broadcast / nothing (flooding)" 0
-    (Printf.sprintf "%d msgs" flood.Sim.Runner.stats.Sim.Runner.sent);
+    (Printf.sprintf "%d msgs" flood.Sim.Runner.stats.Obs.Counting.sent);
   let bc = Oracle_core.Broadcast.run g ~source:0 in
   row "broadcast / Thm 3.1 oracle" bc.Oracle_core.Broadcast.advice_bits
-    (Printf.sprintf "%d msgs" bc.Oracle_core.Broadcast.result.Sim.Runner.stats.Sim.Runner.sent);
+    (Printf.sprintf "%d msgs" bc.Oracle_core.Broadcast.result.Sim.Runner.stats.Obs.Counting.sent);
   let wk = Oracle_core.Wakeup.run g ~source:0 in
   row "wakeup / Thm 2.1 oracle" wk.Oracle_core.Wakeup.advice_bits
-    (Printf.sprintf "%d msgs" wk.Oracle_core.Wakeup.result.Sim.Runner.stats.Sim.Runner.sent);
+    (Printf.sprintf "%d msgs" wk.Oracle_core.Wakeup.result.Sim.Runner.stats.Obs.Counting.sent);
   let rho1 = Oracle_core.Neighborhood.run ~rho:1 g ~source:0 in
   row "wakeup / radius-1 maps (AGPV)" rho1.Oracle_core.Neighborhood.advice_bits
     (Printf.sprintf "%d msgs"
-       rho1.Oracle_core.Neighborhood.result.Sim.Runner.stats.Sim.Runner.sent);
+       rho1.Oracle_core.Neighborhood.result.Sim.Runner.stats.Obs.Counting.sent);
 
   (* Gossip. *)
   let gossip = Oracle_core.Gossip.run g ~source:0 in
   row "gossip / tree oracle" gossip.Oracle_core.Gossip.advice_bits
-    (Printf.sprintf "%d msgs" gossip.Oracle_core.Gossip.result.Sim.Runner.stats.Sim.Runner.sent);
+    (Printf.sprintf "%d msgs" gossip.Oracle_core.Gossip.result.Sim.Runner.stats.Obs.Counting.sent);
 
   (* Exploration. *)
   let no_advice = Bitstring.Bitbuf.create () in

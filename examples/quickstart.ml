@@ -17,7 +17,7 @@ let () =
     outcome.Oracle_core.Broadcast.advice_bits
     (8 * Netgraph.Graph.n g);
   Printf.printf "messages: %d total = %d source + %d hello (Theorem 3.1 allows < %d)\n"
-    stats.Sim.Runner.sent stats.Sim.Runner.source_sent stats.Sim.Runner.hello_sent
+    stats.Obs.Counting.sent stats.Obs.Counting.source_sent stats.Obs.Counting.hello_sent
     (3 * Netgraph.Graph.n g);
   Printf.printf "everyone informed: %b\n"
     outcome.Oracle_core.Broadcast.result.Sim.Runner.all_informed;
@@ -27,7 +27,7 @@ let () =
   let wakeup = Oracle_core.Wakeup.run g ~source:0 in
   Printf.printf "\nwakeup on the same network: %d advice bits, %d messages\n"
     wakeup.Oracle_core.Wakeup.advice_bits
-    wakeup.Oracle_core.Wakeup.result.Sim.Runner.stats.Sim.Runner.sent;
+    wakeup.Oracle_core.Wakeup.result.Sim.Runner.stats.Obs.Counting.sent;
   Printf.printf "oracle-size separation (wakeup/broadcast): %.2fx\n"
     (float_of_int wakeup.Oracle_core.Wakeup.advice_bits
     /. float_of_int outcome.Oracle_core.Broadcast.advice_bits)

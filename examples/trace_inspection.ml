@@ -21,7 +21,7 @@ let () =
   in
   let live_stats = live.Oracle_core.Wakeup.result.Sim.Runner.stats in
   Printf.printf "recorded %s: wakeup on %d nodes, %d messages, %d advice bits\n" path n
-    live_stats.Sim.Runner.sent live.Oracle_core.Wakeup.advice_bits;
+    live_stats.Obs.Counting.sent live.Oracle_core.Wakeup.advice_bits;
 
   (* The ring kept only the tail of the stream. *)
   Printf.printf "\nring kept the last %d of %d events:\n" (Obs.Ring.length ring)
@@ -36,11 +36,11 @@ let () =
   let s = replayed.Obs.Replay.summary in
   Printf.printf "\nreplayed %d events from the artifact:\n" (List.length events);
   Printf.printf "  messages:      %d  (live run counted %d)\n" s.Obs.Counting.sent
-    live_stats.Sim.Runner.sent;
+    live_stats.Obs.Counting.sent;
   Printf.printf "  bits on wire:  %d  (live: %d)\n" s.Obs.Counting.bits_on_wire
-    live_stats.Sim.Runner.bits_on_wire;
+    live_stats.Obs.Counting.bits_on_wire;
   Printf.printf "  causal depth:  %d  (live: %d)\n" s.Obs.Counting.causal_depth
-    live_stats.Sim.Runner.causal_depth;
+    live_stats.Obs.Counting.causal_depth;
   Printf.printf "  advice bits:   %d  (live: %d)\n" s.Obs.Counting.advice_bits
     live.Oracle_core.Wakeup.advice_bits;
 
@@ -56,7 +56,7 @@ let () =
   let agrees =
     replayed.Obs.Replay.all_informed = live.Oracle_core.Wakeup.result.Sim.Runner.all_informed
     && replayed.Obs.Replay.informed = live.Oracle_core.Wakeup.result.Sim.Runner.informed
-    && s.Obs.Counting.sent = live_stats.Sim.Runner.sent
+    && s.Obs.Counting.sent = live_stats.Obs.Counting.sent
   in
   Printf.printf "\noffline replay agrees with the live run: %b\n" agrees;
   Sys.remove path

@@ -16,7 +16,7 @@ let run_on name g =
      woken) but pays one message per edge direction explored. *)
   let advice_free _ = Bitstring.Bitbuf.create () in
   let flood = Sim.Runner.run ~advice:advice_free g ~source:0 Sim.Scheme.flooding in
-  Printf.printf "flooding (no oracle):   %6d messages\n" flood.Sim.Runner.stats.Sim.Runner.sent;
+  Printf.printf "flooding (no oracle):   %6d messages\n" flood.Sim.Runner.stats.Obs.Counting.sent;
 
   (* The Theorem 2.1 oracle, under three encodings. *)
   List.iter
@@ -24,7 +24,7 @@ let run_on name g =
       let o = Oracle_core.Wakeup.run ~encoding:enc g ~source:0 in
       Printf.printf "oracle [%-13s]: %6d messages, %6d advice bits%s\n"
         (Oracle_core.Wakeup.encoding_name enc)
-        o.Oracle_core.Wakeup.result.Sim.Runner.stats.Sim.Runner.sent
+        o.Oracle_core.Wakeup.result.Sim.Runner.stats.Obs.Counting.sent
         o.Oracle_core.Wakeup.advice_bits
         (if o.Oracle_core.Wakeup.result.Sim.Runner.all_informed then "" else "  [FAILED]"))
     [ Oracle_core.Wakeup.Paper; Oracle_core.Wakeup.Paper_minimal; Oracle_core.Wakeup.Gamma ];
@@ -32,7 +32,7 @@ let run_on name g =
   (* The wakeup also works under fully asynchronous, adversarial delivery. *)
   let async = Oracle_core.Wakeup.run ~scheduler:Sim.Scheduler.Async_lifo g ~source:0 in
   Printf.printf "async-lifo delivery:    %6d messages, informed=%b\n"
-    async.Oracle_core.Wakeup.result.Sim.Runner.stats.Sim.Runner.sent
+    async.Oracle_core.Wakeup.result.Sim.Runner.stats.Obs.Counting.sent
     async.Oracle_core.Wakeup.result.Sim.Runner.all_informed
 
 let () =

@@ -117,8 +117,8 @@ let collect ?max_messages ?(sinks = []) g scheduler ~advice ~advice_bits make_sc
       (fun v r ->
         let ev =
           {
-            Obs.Event.seq = result.Sim.Runner.stats.Sim.Runner.sent;
-            round = result.Sim.Runner.stats.Sim.Runner.rounds;
+            Obs.Event.seq = result.Sim.Runner.stats.Obs.Counting.sent;
+            round = result.Sim.Runner.stats.Obs.Counting.rounds;
             kind = Obs.Event.Decide (v, role_name r);
           }
         in

@@ -61,9 +61,9 @@ let wakeup_experiment ~n ~seed =
   in
   {
     wp_n = n;
-    informed_messages = informed.Wakeup.result.Sim.Runner.stats.Sim.Runner.sent;
+    informed_messages = informed.Wakeup.result.Sim.Runner.stats.Obs.Counting.sent;
     informed_bits = informed.Wakeup.advice_bits;
-    oblivious_messages = flood.Sim.Runner.stats.Sim.Runner.sent;
+    oblivious_messages = flood.Sim.Runner.stats.Obs.Counting.sent;
     counting_bound = Bounds.wakeup_message_lower_bound ~n ~advice_bits:capped_bits;
     capped_bits;
     threshold_bits;
@@ -127,9 +127,9 @@ let broadcast_experiment ~n ~k ~seed =
   {
     bp_n = n;
     bp_k = k;
-    advised_messages = advised.Broadcast.result.Sim.Runner.stats.Sim.Runner.sent;
+    advised_messages = advised.Broadcast.result.Sim.Runner.stats.Obs.Counting.sent;
     advised_bits = advised.Broadcast.advice_bits;
-    starved_messages = flood.Sim.Runner.stats.Sim.Runner.sent;
+    starved_messages = flood.Sim.Runner.stats.Obs.Counting.sent;
     clique_bound = Bounds.broadcast_message_lower_bound ~n ~k;
     starved_completes = flood.Sim.Runner.all_informed;
   }
@@ -164,7 +164,7 @@ let starvation_sweep g ~source ~budgets =
       in
       {
         sv_budget = budget;
-        sv_messages = result.Sim.Runner.stats.Sim.Runner.sent;
+        sv_messages = result.Sim.Runner.stats.Obs.Counting.sent;
         sv_informed = informed_count;
         sv_completed = result.Sim.Runner.all_informed;
       })

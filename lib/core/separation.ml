@@ -24,14 +24,14 @@ let measure fam ~n ~seed =
     wakeup_bits = w.Wakeup.advice_bits;
     broadcast_bits = b.Broadcast.advice_bits;
     bits_ratio = float_of_int w.Wakeup.advice_bits /. float_of_int (max 1 b.Broadcast.advice_bits);
-    wakeup_messages = w.Wakeup.result.Sim.Runner.stats.Sim.Runner.sent;
-    broadcast_messages = b.Broadcast.result.Sim.Runner.stats.Sim.Runner.sent;
+    wakeup_messages = w.Wakeup.result.Sim.Runner.stats.Obs.Counting.sent;
+    broadcast_messages = b.Broadcast.result.Sim.Runner.stats.Obs.Counting.sent;
     wakeup_ok =
       w.Wakeup.result.Sim.Runner.all_informed
-      && w.Wakeup.result.Sim.Runner.stats.Sim.Runner.sent = actual_n - 1;
+      && w.Wakeup.result.Sim.Runner.stats.Obs.Counting.sent = actual_n - 1;
     broadcast_ok =
       b.Broadcast.result.Sim.Runner.all_informed
-      && b.Broadcast.result.Sim.Runner.stats.Sim.Runner.sent < 3 * actual_n;
+      && b.Broadcast.result.Sim.Runner.stats.Obs.Counting.sent < 3 * actual_n;
   }
 
 let sweep fam ~ns ~seed = List.map (fun n -> measure fam ~n ~seed) ns

@@ -56,7 +56,6 @@ type outcome = {
   tampered : (int * string) list;
   fallbacks : (int * string) list;
   corrected : (int * int) list;
-  summary : Obs.Counting.summary;
   events : Obs.Event.t list;
 }
 
@@ -163,7 +162,6 @@ let run ?(scheduler = Sim.Scheduler.Async_fifo) ?(plan = Plan.none) ?(sinks = []
     tampered;
     fallbacks = List.rev !fallbacks;
     corrected = List.rev !corrected;
-    summary = Verdict.summary fold;
     events = Obs.Recorder.to_list recorder;
   }
 
@@ -183,15 +181,15 @@ let journal_entry g (o : outcome) =
   {
     Sim.Journal.n = Graph.n g;
     m = Graph.m g;
-    messages = stats.Sim.Runner.sent;
-    rounds = stats.Sim.Runner.rounds;
+    messages = stats.Obs.Counting.sent;
+    rounds = stats.Obs.Counting.rounds;
     advice_bits = o.advice_bits;
     raw_advice_bits = o.raw_advice_bits;
-    faults = stats.Sim.Runner.faults;
+    faults = stats.Obs.Counting.faults;
     fallbacks = List.length o.fallbacks;
     tampered = List.length o.tampered;
-    retransmits = o.summary.Obs.Counting.retransmits;
-    corrected_bits = o.summary.Obs.Counting.corrected_bits;
+    retransmits = stats.Obs.Counting.retransmits;
+    corrected_bits = List.fold_left (fun acc (_, bits) -> acc + bits) 0 o.corrected;
     informed;
     verdict_class;
     verdict = Verdict.to_string o.verdict;

@@ -55,10 +55,8 @@ type outcome = {
   corrected : (int * int) list;
       (** nodes (by index) whose protected advice decoded with that many
           corrected errors — attacks the ECC layer absorbed without any
-          fallback *)
-  summary : Obs.Counting.summary;
-      (** the {!Obs.Counting} fold of the complete stream — [events]
-          counted as it arrived, so callers need not re-fold the list *)
+          fallback; one per [Recover (Advice_corrected _)] event in
+          [events], so their sum is the stream's corrected bits *)
   events : Obs.Event.t list;
       (** the complete recorded stream, built once after the run from the
           domain's packed recorder *)
@@ -108,7 +106,9 @@ val run :
 val journal_entry : Netgraph.Graph.t -> outcome -> Sim.Journal.entry
 (** Flatten an outcome into the persistent sweep journal's entry record
     — the exact numbers a sweep row reports, in the fixed-width fields
-    [docs/JOURNAL_FORMAT.md] assigns them.  Journaled sweeps call this
+    [docs/JOURNAL_FORMAT.md] assigns them: messages, rounds, faults and
+    retransmits from [result.stats], corrected bits summed over
+    [corrected].  Journaled sweeps call this
     once per completed point and re-emit rows from the entry alone, so
     anything a row needs must come through here. *)
 

@@ -49,8 +49,6 @@ let observe t ev =
 
 let failed t = t.failed
 
-let summary t = Obs.Replay.summary t.replay
-
 let finish ?(check_silence = false) ?(quiescent = true) ?unreachable ~budgets t =
   let n = t.n in
   let out = Obs.Replay.finish t.replay in

@@ -72,9 +72,6 @@ val failed : fold -> bool array
     own array, not a copy; do not mutate it.  {!Harness.run} computes its
     stranded-survivor set from this. *)
 
-val summary : fold -> Obs.Counting.summary
-(** The {!Obs.Counting} fold of the events observed so far. *)
-
 val finish :
   ?check_silence:bool -> ?quiescent:bool -> ?unreachable:bool array -> budgets:budgets -> fold -> t
 (** The verdict on the events observed so far.  Precedence: a

@@ -22,13 +22,4 @@ let union t a b =
     true
   end
 
-let size t x = t.csize.(find t x)
-
 let components t = t.count
-
-let roots t =
-  let acc = ref [] in
-  for i = Array.length t.parent - 1 downto 0 do
-    if find t i = i then acc := i :: !acc
-  done;
-  !acc

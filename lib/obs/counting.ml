@@ -56,40 +56,9 @@ let create () =
     c_corrected = 0;
   }
 
-let observe t (ev : Event.t) =
-  if ev.Event.round > t.c_rounds then t.c_rounds <- ev.Event.round;
-  match ev.Event.kind with
-  | Event.Send l ->
-    t.c_sent <- t.c_sent + 1;
-    (match l.Event.cls with
-    | Event.Source -> t.c_source <- t.c_source + 1
-    | Event.Hello -> t.c_hello <- t.c_hello + 1
-    | Event.Control -> t.c_control <- t.c_control + 1);
-    t.c_bits <- t.c_bits + l.Event.bits
-  | Event.Deliver l ->
-    t.c_delivered <- t.c_delivered + 1;
-    if l.Event.depth > t.c_depth then t.c_depth <- l.Event.depth
-  | Event.Wake _ -> t.c_wakes <- t.c_wakes + 1
-  | Event.Decide _ -> t.c_decides <- t.c_decides + 1
-  | Event.Advice_read (_, bits) -> t.c_advice <- t.c_advice + bits
-  | Event.Fault f -> (
-    t.c_faults <- t.c_faults + 1;
-    match f with
-    | Event.Msg_dropped -> t.c_dropped <- t.c_dropped + 1
-    | Event.Msg_duplicated -> t.c_duplicated <- t.c_duplicated + 1
-    | Event.Msg_delayed _ | Event.Msg_reordered _ | Event.Crashed _ | Event.Dead _
-    | Event.Advice_tampered _ ->
-      ())
-  | Event.Recover r -> (
-    match r with
-    | Event.Msg_retransmitted _ -> t.c_retransmits <- t.c_retransmits + 1
-    | Event.Advice_corrected (_, bits) -> t.c_corrected <- t.c_corrected + bits)
-
-(* Allocation-free entry points: each mirrors the [observe] arm for the
-   corresponding event kind, field for field, so a caller that counts
-   through these without ever materialising an [Event.t] (the runner's
-   sink-less hot path) lands on bit-identical counters.  Any change to an
-   [observe] arm must be mirrored here and vice versa. *)
+(* One arm per event kind.  [observe] dispatches an event to its arm;
+   the runner's sink-less hot path calls the arms directly, so it counts
+   without ever building an [Event.t] and lands on the same counters. *)
 
 let note_round t round = if round > t.c_rounds then t.c_rounds <- round
 
@@ -128,6 +97,22 @@ let note_fault t ~round f =
 let note_retransmit t ~round =
   note_round t round;
   t.c_retransmits <- t.c_retransmits + 1
+
+let observe t (ev : Event.t) =
+  let round = ev.Event.round in
+  match ev.Event.kind with
+  | Event.Send l -> note_send t ~round ~cls:l.Event.cls ~bits:l.Event.bits
+  | Event.Deliver l -> note_deliver t ~round ~depth:l.Event.depth
+  | Event.Wake _ -> note_wake t ~round
+  | Event.Decide _ ->
+    note_round t round;
+    t.c_decides <- t.c_decides + 1
+  | Event.Advice_read (_, bits) -> note_advice t ~round ~bits
+  | Event.Fault f -> note_fault t ~round f
+  | Event.Recover (Event.Msg_retransmitted _) -> note_retransmit t ~round
+  | Event.Recover (Event.Advice_corrected (_, bits)) ->
+    note_round t round;
+    t.c_corrected <- t.c_corrected + bits
 
 (* Merging is exact, not approximate: every counter is a sum except
    [c_rounds] and [c_depth], which are maxima — both commutative and

@@ -1,11 +1,11 @@
 (** The counting sink: folds an event stream into the run statistics.
 
-    This is the telemetry-side definition of every counter in
-    {!Sim.Runner.stats}; the runner derives its statistics from exactly
-    this fold, so an external counting sink attached to the same run is
-    guaranteed to reproduce the legacy numbers (the tests assert it).
-    The contract for each field is spelled out in [DESIGN.md]
-    §"Telemetry: the metrics contract". *)
+    This fold is the one definition of every counter a run reports:
+    {!Sim.Runner.result}'s [stats] is its {!summary} over the run's
+    stream, so an external counting sink attached to the same run
+    reproduces it exactly (the tests assert it).  The contract for each
+    field is spelled out in [DESIGN.md] §"Telemetry: the metrics
+    contract". *)
 
 type summary = {
   sent : int;  (** number of [Send] events — the paper's message complexity *)
@@ -48,18 +48,18 @@ type t
 val create : unit -> t
 
 val observe : t -> Event.t -> unit
-(** Fold one event into the counters. *)
+(** Fold one event into the counters: the [note_*] arm of its kind
+    below, or, for [Decide] and [Recover Advice_corrected], the bump of
+    [decides] or [corrected_bits]. *)
 
 (** {2 Allocation-free counting}
 
-    Each [note_*] function applies exactly the [observe] arm of the
-    corresponding event kind without requiring the caller to build an
-    {!Event.t}.  They exist for the runner's sink-less hot path: with no
-    sinks attached, a million-message run counts through these and
-    allocates no event records at all, yet lands on counters bit-identical
-    to a traced run (the scale tests assert it).  [round] is the event's
-    round stamp — every note folds it into [rounds] exactly like
-    [observe] does. *)
+    Each [note_*] function is the arm {!observe} applies to one event
+    kind, taking the event's fields instead of an {!Event.t}.  The
+    runner's sink-less hot path counts through them: a million-message
+    run allocates no event records at all, yet lands on the counters a
+    traced run reports (the scale tests assert it).  [round] is the
+    event's round stamp, folded into [rounds]. *)
 
 val note_send : t -> round:int -> cls:Event.msg_class -> bits:int -> unit
 (** The [Send] arm of [observe]: bumps [sent], the class counter and

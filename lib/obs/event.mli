@@ -5,8 +5,8 @@
     informed), a node committing to a protocol-level decision, or a node's
     advice string being read at start-up.  The simulation runner
     ({!Sim.Runner.run}) emits these events into {!Sink.t} values; the
-    counting sink ({!Counting}) folds them back into the exact legacy
-    statistics, and the {!Jsonl} exporter serialises them.
+    counting sink ({!Counting}) folds them into the run's statistics,
+    and the {!Jsonl} exporter serialises them.
 
     The precise meaning of every derived counter is written down in
     [DESIGN.md], section "Telemetry: the metrics contract"; this module is

@@ -39,10 +39,8 @@ let observe t ev =
   | Event.Recover (Event.Advice_corrected (v, _)) -> check t v
   | Event.Recover (Event.Msg_retransmitted _) -> ()
 
-let summary t = Counting.summary t.counts
-
 let finish t =
-  let summary = summary t in
+  let summary = Counting.summary t.counts in
   {
     summary;
     informed = t.woke;

@@ -35,9 +35,6 @@ val observe : t -> Event.t -> unit
 (** Fold one event.  Raises [Invalid_argument] if it names a node
     outside [0..n-1]. *)
 
-val summary : t -> Counting.summary
-(** The counters folded so far. *)
-
 val finish : t -> outcome
 (** The outcome of the events observed so far.  Its [informed] array is
     the fold's own: observing more events afterwards updates it. *)

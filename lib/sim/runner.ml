@@ -1,18 +1,7 @@
 module Graph = Netgraph.Graph
 
-type stats = {
-  sent : int;
-  source_sent : int;
-  hello_sent : int;
-  control_sent : int;
-  bits_on_wire : int;
-  rounds : int;
-  causal_depth : int;
-  faults : int;
-}
-
 type result = {
-  stats : stats;
+  stats : Obs.Counting.summary;
   informed : bool array;
   all_informed : bool;
   quiescent : bool;
@@ -40,20 +29,27 @@ let msg_class = function
   | Message.Control _ -> Obs.Event.Control
 
 let result_of_counts counts ~informed ~quiescent ~per_node_sent =
-  let c = Obs.Counting.summary counts in
-  let stats =
-    {
-      sent = c.Obs.Counting.sent;
-      source_sent = c.Obs.Counting.source_sent;
-      hello_sent = c.Obs.Counting.hello_sent;
-      control_sent = c.Obs.Counting.control_sent;
-      bits_on_wire = c.Obs.Counting.bits_on_wire;
-      rounds = c.Obs.Counting.rounds;
-      causal_depth = c.Obs.Counting.causal_depth;
-      faults = c.Obs.Counting.faults;
-    }
-  in
-  { stats; informed; all_informed = Array.for_all Fun.id informed; quiescent; per_node_sent }
+  {
+    stats = Obs.Counting.summary counts;
+    informed;
+    all_informed = Array.for_all Fun.id informed;
+    quiescent;
+    per_node_sent;
+  }
+
+(* An [order_free] run on more than one block of [1 lsl block_bits]
+   nodes visits a synchronous round's deliveries grouped by destination
+   block, once the round holds at least one delivery per block (below
+   that the sort's per-block passes cost more than the locality it
+   buys: a path's one-message rounds); every other run visits in batch
+   order. *)
+let block_bits = 12
+
+let blocks n = ((n - 1) lsr block_bits) + 1
+
+let by_block ~n ~batch = n > 1 lsl block_bits && batch >= blocks n
+
+let visit_rank ~n ~batch ~dst k = if by_block ~n ~batch then ((dst lsr block_bits) * batch) + k else k
 
 let bad_port ~node ~degree ~port =
   invalid_arg (Printf.sprintf "Runner: node %d (degree %d) sends on port %d" node degree port)
@@ -84,8 +80,8 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(sinks = []) ?(faults
      the same fold over the same stream as [result.stats].
 
      With no sinks attached, the fold runs through the allocation-free
-     [Obs.Counting.note_*] mutators instead — each is by contract the
-     [observe] arm of its event kind, so the counters land bit-identical
+     [Obs.Counting.note_*] mutators instead — each is the arm [observe]
+     applies to its event kind, so the counters land bit-identical
      without an [Obs.Event.t] ever being built (the scale tests assert
      the bit-identity across the fault/retry grid). *)
   let counts = Obs.Counting.create () in
@@ -539,14 +535,8 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(sinks = []) ?(faults
     (* Per-slot stash of the round being delivered, indexed by batch
        position and grown with the largest batch seen. *)
     let r_dst = ref [||] and r_depth = ref [||] and r_sends = ref [||] and r_order = ref [||] in
-    (* An [order_free] run on more than one block visits a round's
-       deliveries grouped by destination block, once the round holds
-       at least one delivery per block (below that the sort's
-       per-block passes cost more than the locality it buys: a path's
-       one-message rounds); every other run visits in batch order. *)
-    let block_bits = 12 in
     let visit_by_block = order_free ~sinks ~faults && n > 1 lsl block_bits in
-    let blocks = ((n - 1) lsr block_bits) + 1 in
+    let blocks = blocks n in
     let block_start = Array.make (if visit_by_block then blocks + 1 else 0) 0 in
     (* Round r+1 delivers exactly the messages sent during round r: the
        batch is the ring's population at the top of the round; wheel
@@ -592,7 +582,7 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(sinks = []) ?(faults
         let h0 = !head in
         head := h0 + batch;
         let q_dst = !q_dst and mask = !mask in
-        let by_block = visit_by_block && batch >= blocks in
+        let by_block = visit_by_block && by_block ~n ~batch in
         if by_block then begin
           (* Stable counting sort of batch positions by destination
              block: deliveries to one node keep their batch order, and

@@ -4,32 +4,19 @@
 
     The runner is also the telemetry source of the whole stack: every
     observable fact of a run is emitted as a typed {!Obs.Event.t} into the
-    sinks passed via [?sinks], and the statistics below are {e defined} as
-    the {!Obs.Counting} fold of that stream (the runner folds its own copy,
+    sinks passed via [?sinks], and a run's statistics are the
+    {!Obs.Counting.summary} of that stream (the runner folds its own copy,
     so attaching an external counting sink reproduces [stats] exactly).
     The field-by-field metrics contract lives in [DESIGN.md] §"Telemetry:
     the metrics contract". *)
 
-type stats = {
-  sent : int;  (** total messages produced (the paper's complexity) *)
-  source_sent : int;  (** messages of class {!Message.Source} *)
-  hello_sent : int;  (** messages of class {!Message.Hello} *)
-  control_sent : int;  (** messages of class {!Message.Control} *)
-  bits_on_wire : int;  (** sum of {!Message.size_bits} over sent messages *)
-  rounds : int;  (** rounds under [Synchronous]; steps otherwise *)
-  causal_depth : int;
-      (** longest chain of causally dependent deliveries — the standard
-          asynchronous time complexity (delays normalised to ≤ 1).  Equals
-          [rounds] under the synchronous scheduler. *)
-  faults : int;
-      (** number of {!Obs.Event.Fault} events the adversary injected
-          (0 unless [?faults] is given a non-empty plan) *)
-}
-(** Aggregate counters of one run; each equals the corresponding field of
-    the {!Obs.Counting.summary} of the run's event stream. *)
-
 type result = {
-  stats : stats;
+  stats : Obs.Counting.summary;
+      (** the {!Obs.Counting} fold of the run's stream: [sent] is the
+          paper's message complexity; [rounds] counts rounds under
+          [Synchronous] and steps otherwise; [causal_depth], the longest
+          chain of causally dependent deliveries, is the asynchronous
+          time complexity and equals [rounds] under [Synchronous] *)
   informed : bool array;  (** per node: source, or reached by an informed sender *)
   all_informed : bool;  (** the broadcast/wakeup success criterion *)
   quiescent : bool;  (** no in-flight messages remained (no cutoff hit) *)
@@ -121,9 +108,16 @@ val msg_class : Message.t -> Obs.Event.msg_class
 
 val result_of_counts :
   Obs.Counting.t -> informed:bool array -> quiescent:bool -> per_node_sent:int array -> result
-(** The result of a run whose events [counts] folded: [stats] is its
-    {!Obs.Counting.summary} and [all_informed] is read off [informed].
+(** The result of a run whose events [counts] folded: [stats] is
+    [Obs.Counting.summary counts] and [all_informed] is read off [informed].
     {!run} and {!Shard.run} both build their result here. *)
+
+val visit_rank : n:int -> batch:int -> dst:int -> int -> int
+(** [visit_rank ~n ~batch ~dst k] is the rank of batch slot [k], a
+    delivery to [dst], in the order {!run} visits the deliveries of one
+    {!order_free} synchronous round of [batch] messages on [n] nodes:
+    lower ranks are visited first, and a round's ranks are distinct.
+    {!Shard.run} re-raises the deliver-phase failure of lowest rank. *)
 
 val bad_port : node:int -> degree:int -> port:int -> 'a
 (** Raises the [Invalid_argument] a run raises when [node] (of that

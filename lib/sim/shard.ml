@@ -100,6 +100,26 @@ let run_parallel ~max_messages ~shards:k ~min_parallel_batch ~advice g ~source f
         f s
       done
   in
+  (* Failures of the slot phases.  Shard [s] keeps its failure of
+     lowest rank in [Runner.run]'s visiting order: its scan skips the
+     slots ranked after it, and a raising slot replaces it, so a
+     by-block round finds the right one although the scan is in slot
+     order.  [raise_first] re-raises the lowest over all shards, the
+     one [Runner.run] raises. *)
+  let failures = Array.make k None in
+  let scan s ~rank len body =
+    for o = 0 to len - 1 do
+      match failures.(s) with
+      | Some (r, _, _) when rank o >= r -> ()
+      | _ -> ( try body o with e -> failures.(s) <- Some (rank o, e, Printexc.get_raw_backtrace ()))
+    done
+  in
+  let raise_first () =
+    let rank = function Some (r, _, _) -> r | None -> max_int in
+    match Array.fold_left (fun acc f -> if rank f < rank acc then f else acc) None failures with
+    | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
+    | None -> ()
+  in
   let finish () = Option.iter Pool.shutdown !pool in
   Fun.protect ~finally:finish (fun () ->
       let silent = { Scheme.on_start = (fun () -> []); on_receive = (fun _ ~port:_ -> []) } in
@@ -150,7 +170,7 @@ let run_parallel ~max_messages ~shards:k ~min_parallel_batch ~advice g ~source f
         par b.len (fun s ->
             let lo = s * q and hi = min n ((s * q) + q) in
             let c = counts.(s) in
-            for o = 0 to b.len - 1 do
+            scan s ~rank:Fun.id b.len (fun o ->
               let v = b.dst.(o) in
               if v >= lo && v < hi && rc.(o) > 0 then begin
                 let depth = b.depth.(o) + 1 in
@@ -172,8 +192,8 @@ let run_parallel ~max_messages ~shards:k ~min_parallel_batch ~advice g ~source f
                     incr i)
                   rs.(o);
                 rs.(o) <- []
-              end
-            done);
+              end));
+        raise_first ();
         e.len <- total;
         cur := e;
         next := b
@@ -188,11 +208,14 @@ let run_parallel ~max_messages ~shards:k ~min_parallel_batch ~advice g ~source f
       reserve_resp n;
       par n (fun s ->
           let rs = !sends and rc = !cnt in
-          for v = s * q to min n ((s * q) + q) - 1 do
-            let out = nodes.(v).Scheme.on_start () in
-            rs.(v) <- out;
-            rc.(v) <- List.length out
-          done);
+          let lo = s * q in
+          scan s ~rank:(( + ) lo)
+            (min n (lo + q) - lo)
+            (fun i ->
+              let v = lo + i in
+              let out = nodes.(v).Scheme.on_start () in
+              rs.(v) <- out;
+              rc.(v) <- List.length out));
       emit 0;
       (* Deliver phase.  Each shard scans the whole batch in slot order
          and processes the slots addressed to its nodes; a node receiving
@@ -203,11 +226,12 @@ let run_parallel ~max_messages ~shards:k ~min_parallel_batch ~advice g ~source f
         if b.len = 0 then false
         else begin
           reserve_resp b.len;
+          let rank o = Runner.visit_rank ~n ~batch:b.len ~dst:b.dst.(o) o in
           par b.len (fun s ->
               let lo = s * q and hi = min n ((s * q) + q) in
               let c = counts.(s) in
               let rs = !sends and rc = !cnt in
-              for o = 0 to b.len - 1 do
+              scan s ~rank b.len (fun o ->
                 let dst = b.dst.(o) in
                 if dst >= lo && dst < hi then begin
                   Obs.Counting.note_deliver c ~round ~depth:b.depth.(o);
@@ -218,8 +242,8 @@ let run_parallel ~max_messages ~shards:k ~min_parallel_batch ~advice g ~source f
                   let out = nodes.(dst).Scheme.on_receive b.msg.(o) ~port:b.dport.(o) in
                   rs.(o) <- out;
                   rc.(o) <- List.length out
-                end
-              done);
+                end));
+          raise_first ();
           emit round;
           total_sent () > max_messages || round_loop (round + 1)
         end

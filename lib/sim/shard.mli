@@ -23,10 +23,15 @@
     processed inline on the calling domain, shard by shard — same
     arithmetic, no barrier traffic — so tiny runs never pay for
     domains; the pool is created lazily on the first large phase and
-    shut down before [run] returns, also when it raises.  A phase in
-    which shards raise re-raises the lowest shard's exception with its
-    raise-site backtrace, so which failure surfaces does not depend on
-    which domain ran which shard, or when.
+    shut down before [run] returns, also when it raises.
+
+    Failures: [run] raises the exception {!Runner.run} raises, with its
+    raise-site backtrace, whichever shards and domains meet failures.
+    Each shard keeps its first failure in the runner's order — node
+    order at start-up, batch order in an emit phase, {!Runner.visit_rank}
+    order in a deliver phase — and the phase re-raises the first over
+    all shards.  Callbacks the runner would not have reached before
+    raising may still run on other nodes.
     [shards] is clamped to 64; [invalid_arg] if it is not positive.
 
     Concurrency requirements on the caller: on the parallel path

@@ -16,7 +16,7 @@ let test_theorem_claims_all_families () =
       let n = Graph.n g in
       let o = Broadcast.run g ~source:0 in
       check_bool (name ^ " informed") true o.Broadcast.result.Sim.Runner.all_informed;
-      let sent = o.Broadcast.result.Sim.Runner.stats.Sim.Runner.sent in
+      let sent = o.Broadcast.result.Sim.Runner.stats.Obs.Counting.sent in
       check_bool (Printf.sprintf "%s: %d < 3*%d" name sent n) true (sent < 3 * n);
       check_bool
         (Printf.sprintf "%s: advice %d <= 8*%d" name o.Broadcast.advice_bits n)
@@ -37,7 +37,7 @@ let test_all_schedulers () =
       check_bool (Sim.Scheduler.name sched ^ " informed") true
         o.Broadcast.result.Sim.Runner.all_informed;
       check_bool (Sim.Scheduler.name sched ^ " linear") true
-        (o.Broadcast.result.Sim.Runner.stats.Sim.Runner.sent < 3 * n))
+        (o.Broadcast.result.Sim.Runner.stats.Obs.Counting.sent < 3 * n))
     Sim.Scheduler.default_suite
 
 let test_message_breakdown () =
@@ -45,12 +45,12 @@ let test_message_breakdown () =
   let n = Graph.n g in
   let o = Broadcast.run g ~source:0 in
   let stats = o.Broadcast.result.Sim.Runner.stats in
-  check_bool "hellos at most n-1" true (stats.Sim.Runner.hello_sent <= n - 1);
+  check_bool "hellos at most n-1" true (stats.Obs.Counting.hello_sent <= n - 1);
   check_bool "source messages at most 2(n-1)" true
-    (stats.Sim.Runner.source_sent <= 2 * (n - 1));
-  check_int "no control messages" 0 stats.Sim.Runner.control_sent;
-  check_int "sum" stats.Sim.Runner.sent
-    (stats.Sim.Runner.hello_sent + stats.Sim.Runner.source_sent)
+    (stats.Obs.Counting.source_sent <= 2 * (n - 1));
+  check_int "no control messages" 0 stats.Obs.Counting.control_sent;
+  check_int "sum" stats.Obs.Counting.sent
+    (stats.Obs.Counting.hello_sent + stats.Obs.Counting.source_sent)
 
 let test_trace_invariants () =
   (* M crosses each directed tree edge at most once; hellos cross each
@@ -132,7 +132,7 @@ let test_gamma_encoding_works () =
   let o = Broadcast.run ~encoding:Broadcast.Gamma g ~source:0 in
   check_bool "informed" true o.Broadcast.result.Sim.Runner.all_informed;
   check_bool "linear" true
-    (o.Broadcast.result.Sim.Runner.stats.Sim.Runner.sent < 3 * Graph.n g)
+    (o.Broadcast.result.Sim.Runner.stats.Obs.Counting.sent < 3 * Graph.n g)
 
 let test_other_trees_complete () =
   (* Scheme B is correct with any spanning tree; only the 8n size bound
@@ -143,7 +143,7 @@ let test_other_trees_complete () =
       let o = Broadcast.run ~tree g ~source:0 in
       check_bool (name ^ " informed") true o.Broadcast.result.Sim.Runner.all_informed;
       check_bool (name ^ " linear") true
-        (o.Broadcast.result.Sim.Runner.stats.Sim.Runner.sent < 3 * Graph.n g))
+        (o.Broadcast.result.Sim.Runner.stats.Obs.Counting.sent < 3 * Graph.n g))
     [
       ("bfs", fun g ~root -> Spanning.bfs g ~root);
       ("dfs", fun g ~root -> Spanning.dfs g ~root);
@@ -158,7 +158,7 @@ let test_single_node () =
   let g = Netgraph.Gen.path 1 in
   let o = Broadcast.run g ~source:0 in
   check_bool "informed" true o.Broadcast.result.Sim.Runner.all_informed;
-  check_int "no messages" 0 o.Broadcast.result.Sim.Runner.stats.Sim.Runner.sent;
+  check_int "no messages" 0 o.Broadcast.result.Sim.Runner.stats.Obs.Counting.sent;
   check_int "no advice" 0 o.Broadcast.advice_bits
 
 let test_zero_advice_fails () =
@@ -168,15 +168,15 @@ let test_zero_advice_fails () =
   let advice _ = Bitstring.Bitbuf.create () in
   let r = Sim.Runner.run ~advice g ~source:0 (Broadcast.scheme ()) in
   check_bool "not informed" false r.Sim.Runner.all_informed;
-  check_int "silent network" 0 r.Sim.Runner.stats.Sim.Runner.sent
+  check_int "silent network" 0 r.Sim.Runner.stats.Obs.Counting.sent
 
 let test_label_independence () =
   let g = Families.build Families.Grid ~n:36 ~seed:53 in
   let permuted = Netgraph.Transform.permute_labels g (Random.State.make [| 59 |]) in
   let a = Broadcast.run g ~source:0 in
   let b = Broadcast.run permuted ~source:0 in
-  check_int "same messages" a.Broadcast.result.Sim.Runner.stats.Sim.Runner.sent
-    b.Broadcast.result.Sim.Runner.stats.Sim.Runner.sent
+  check_int "same messages" a.Broadcast.result.Sim.Runner.stats.Obs.Counting.sent
+    b.Broadcast.result.Sim.Runner.stats.Obs.Counting.sent
 
 let qcheck_broadcast_random_graphs =
   QCheck.Test.make ~name:"broadcast: Theorem 3.1 on random graphs" ~count:50
@@ -187,7 +187,7 @@ let qcheck_broadcast_random_graphs =
       let scheduler = List.nth Sim.Scheduler.default_suite sched_idx in
       let o = Broadcast.run ~scheduler g ~source:(seed mod n) in
       o.Broadcast.result.Sim.Runner.all_informed
-      && o.Broadcast.result.Sim.Runner.stats.Sim.Runner.sent < 3 * n
+      && o.Broadcast.result.Sim.Runner.stats.Obs.Counting.sent < 3 * n
       && o.Broadcast.advice_bits <= 8 * n
       && o.Broadcast.tree_contribution <= 4 * n)
 
@@ -235,10 +235,10 @@ let test_pure_paper_scheme_matches_stateful () =
       let stateful_run = Sim.Runner.run ~scheduler:sched ~advice g ~source:0 (Broadcast.scheme ()) in
       check_bool (Sim.Scheduler.name sched ^ " informed") true pure_run.Sim.Runner.all_informed;
       check_int (Sim.Scheduler.name sched ^ " same sends")
-        stateful_run.Sim.Runner.stats.Sim.Runner.sent pure_run.Sim.Runner.stats.Sim.Runner.sent;
+        stateful_run.Sim.Runner.stats.Obs.Counting.sent pure_run.Sim.Runner.stats.Obs.Counting.sent;
       check_int (Sim.Scheduler.name sched ^ " same hellos")
-        stateful_run.Sim.Runner.stats.Sim.Runner.hello_sent
-        pure_run.Sim.Runner.stats.Sim.Runner.hello_sent)
+        stateful_run.Sim.Runner.stats.Obs.Counting.hello_sent
+        pure_run.Sim.Runner.stats.Obs.Counting.hello_sent)
     Sim.Scheduler.default_suite
 
 let suite =
@@ -258,7 +258,7 @@ let test_default_cap_scales_with_graph () =
   let r = o.Broadcast.result in
   check_bool "all informed" true r.Sim.Runner.all_informed;
   check_bool "quiescent" true r.Sim.Runner.quiescent;
-  check_bool "past the old 10^6 cap" true (r.Sim.Runner.stats.Sim.Runner.sent > 1_000_000)
+  check_bool "past the old 10^6 cap" true (r.Sim.Runner.stats.Obs.Counting.sent > 1_000_000)
 
 let suite =
   suite

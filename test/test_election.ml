@@ -38,7 +38,7 @@ let test_marked_leader_one_bit () =
       check_int (Families.name fam ^ " one bit of advice") 1 o.Election.advice_bits;
       (* Announcement flooding: at most 2m messages. *)
       check_bool (Families.name fam ^ " cheap") true
-        (o.Election.result.Sim.Runner.stats.Sim.Runner.sent <= 2 * Graph.m g))
+        (o.Election.result.Sim.Runner.stats.Obs.Counting.sent <= 2 * Graph.m g))
     Families.all
 
 let test_marked_leader_on_ring_messages () =
@@ -47,7 +47,7 @@ let test_marked_leader_on_ring_messages () =
   check_bool "ok" true o.Election.ok;
   (* Leader sends 2; each of the other n-1 nodes forwards once except the
      two whose announcements cross: n+1 or n messages. *)
-  let sent = o.Election.result.Sim.Runner.stats.Sim.Runner.sent in
+  let sent = o.Election.result.Sim.Runner.stats.Obs.Counting.sent in
   check_bool (Printf.sprintf "n-ish messages (%d)" sent) true (sent >= 20 && sent <= 22)
 
 let test_marked_oracle_shape () =

@@ -223,7 +223,7 @@ let test_runner_accounting_balance () =
   check_int "delivered = sent + dup - dropped"
     (s.Obs.Counting.sent + s.Obs.Counting.duplicated - s.Obs.Counting.dropped)
     s.Obs.Counting.delivered;
-  check_int "stats mirror the stream" s.Obs.Counting.faults r.Sim.Runner.stats.Sim.Runner.faults;
+  check_bool "stats mirror the stream" true (s = r.Sim.Runner.stats);
   check_bool "quiescent" true r.Sim.Runner.quiescent
 
 let test_runner_dead_node () =
@@ -321,7 +321,7 @@ let test_hardened_wakeup_clean_advice () =
   let g = tree24 () in
   let o = Fault.Harness.run Fault.Harness.Wakeup g ~source:0 in
   check_bool "completed" true (o.Fault.Harness.verdict = Fault.Verdict.Completed);
-  check_int "n-1 messages" (Graph.n g - 1) o.Fault.Harness.result.Sim.Runner.stats.Sim.Runner.sent;
+  check_int "n-1 messages" (Graph.n g - 1) o.Fault.Harness.result.Sim.Runner.stats.Obs.Counting.sent;
   check_int "no fallbacks" 0 (List.length o.Fault.Harness.fallbacks);
   check_int "no tampering" 0 (List.length o.Fault.Harness.tampered);
   check_bool "all informed" true o.Fault.Harness.result.Sim.Runner.all_informed
@@ -331,7 +331,7 @@ let test_hardened_broadcast_clean_advice () =
   let o = Fault.Harness.run Fault.Harness.Broadcast g ~source:0 in
   check_bool "completed" true (o.Fault.Harness.verdict = Fault.Verdict.Completed);
   check_bool "within the 3n Scheme B budget" true
-    (o.Fault.Harness.result.Sim.Runner.stats.Sim.Runner.sent <= 3 * Graph.n g);
+    (o.Fault.Harness.result.Sim.Runner.stats.Obs.Counting.sent <= 3 * Graph.n g);
   check_bool "all informed" true o.Fault.Harness.result.Sim.Runner.all_informed
 
 let test_truncated_advice_degrades_to_flooding () =
@@ -354,7 +354,7 @@ let test_truncated_advice_degrades_to_flooding () =
             (List.length o.Fault.Harness.fallbacks > 0);
           let budgets = Fault.Harness.budgets protocol g in
           check_bool (label ^ ": within the degraded budget") true
-            (o.Fault.Harness.result.Sim.Runner.stats.Sim.Runner.sent
+            (o.Fault.Harness.result.Sim.Runner.stats.Obs.Counting.sent
             <= budgets.Fault.Verdict.degraded))
         [ Fault.Harness.Wakeup; Fault.Harness.Broadcast ])
     [ ("tree", tree24 ()); ("G_{n,S}", hard12 ()) ]
@@ -551,7 +551,7 @@ let test_hardened_broadcast_matches_reference () =
                       check_bool (label ^ ": fallbacks") true (fb = fb');
                       incr runs;
                       if fb <> [] then incr with_fallbacks;
-                      if r.Sim.Runner.stats.Sim.Runner.control_sent > 0 then incr with_control)
+                      if r.Sim.Runner.stats.Obs.Counting.control_sent > 0 then incr with_control)
                     [ 0; 2 ])
                 [
                   Sim.Scheduler.Synchronous;
@@ -784,7 +784,7 @@ let test_loss_emits_typed_drops () =
   let s = Obs.Counting.of_events (collected ()) in
   check_bool "losses recorded as typed drops" true (s.Obs.Counting.dropped > 0);
   check_bool "losses count as faults in the stats" true
-    (r.Sim.Runner.stats.Sim.Runner.faults >= s.Obs.Counting.dropped);
+    (r.Sim.Runner.stats.Obs.Counting.faults >= s.Obs.Counting.dropped);
   check_int "loss balance" (s.Obs.Counting.sent - s.Obs.Counting.dropped)
     s.Obs.Counting.delivered
 
@@ -890,7 +890,7 @@ let test_unprotected_flip_falls_back () =
   check_bool "raw advice cannot absorb a flip silently" true
     (o.Fault.Harness.verdict <> Fault.Verdict.Completed
     || List.length o.Fault.Harness.fallbacks > 0
-    || o.Fault.Harness.result.Sim.Runner.stats.Sim.Runner.sent > Graph.n (tree24 ()) - 1
+    || o.Fault.Harness.result.Sim.Runner.stats.Obs.Counting.sent > Graph.n (tree24 ()) - 1
     || not o.Fault.Harness.result.Sim.Runner.all_informed)
 
 let test_recovery_determinism_and_replay () =
@@ -911,7 +911,7 @@ let test_recovery_determinism_and_replay () =
   check_bool "verdicts agree" true (a.Fault.Harness.verdict = b.Fault.Harness.verdict);
   check_bool "the run recovered" true (Fault.Verdict.acceptable a.Fault.Harness.verdict);
   let replayed = Obs.Replay.replay ~n:(Graph.n g) a.Fault.Harness.events in
-  check_int "replay agrees on sends" a.Fault.Harness.result.Sim.Runner.stats.Sim.Runner.sent
+  check_int "replay agrees on sends" a.Fault.Harness.result.Sim.Runner.stats.Obs.Counting.sent
     replayed.Obs.Replay.summary.Obs.Counting.sent;
   check_int "replay balance closes with retransmissions" 0 replayed.Obs.Replay.in_flight
 
@@ -1019,8 +1019,13 @@ let test_recorder_matches_plain_collector () =
                   List.iter (fun ev -> Hashtbl.replace kinds (Event.kind_name ev.Event.kind) ()) events;
                   if o.Fault.Harness.events <> events then Alcotest.failf "%s: recorder differs" label;
                   if collected () <> events then Alcotest.failf "%s: Sink.collect differs" label;
-                  if o.Fault.Harness.summary <> Obs.Counting.of_events events then
-                    Alcotest.failf "%s: summary differs from the list fold" label;
+                  let folded = Obs.Counting.of_events events in
+                  let stats = o.Fault.Harness.result.Sim.Runner.stats in
+                  if
+                    folded.Obs.Counting.retransmits <> stats.Obs.Counting.retransmits
+                    || folded.Obs.Counting.corrected_bits
+                       <> List.fold_left (fun acc (_, bits) -> acc + bits) 0 o.Fault.Harness.corrected
+                  then Alcotest.failf "%s: recovery counts differ from the list fold" label;
                   if retry = 0 then begin
                     let listed =
                       Fault.Verdict.classify ~check_silence:(protocol = Fault.Harness.Wakeup)

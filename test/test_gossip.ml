@@ -15,7 +15,7 @@ let test_tree_gossip_all_families () =
       check_int
         (Families.name fam ^ " messages")
         (2 * (n - 1))
-        o.Gossip.result.Sim.Runner.stats.Sim.Runner.sent)
+        o.Gossip.result.Sim.Runner.stats.Obs.Counting.sent)
     Families.all
 
 let test_learned_sets () =
@@ -34,14 +34,14 @@ let test_all_schedulers () =
       check_bool (Sim.Scheduler.name sched) true o.Gossip.complete;
       check_int (Sim.Scheduler.name sched)
         (2 * (Graph.n g - 1))
-        o.Gossip.result.Sim.Runner.stats.Sim.Runner.sent)
+        o.Gossip.result.Sim.Runner.stats.Obs.Counting.sent)
     Sim.Scheduler.default_suite
 
 let test_single_node () =
   let g = Netgraph.Gen.path 1 in
   let o = Gossip.run g ~source:0 in
   check_bool "complete" true o.Gossip.complete;
-  check_int "no messages" 0 o.Gossip.result.Sim.Runner.stats.Sim.Runner.sent
+  check_int "no messages" 0 o.Gossip.result.Sim.Runner.stats.Obs.Counting.sent
 
 let test_advice_roundtrip () =
   let g = Netgraph.Gen.grid ~rows:4 ~cols:4 in
@@ -67,8 +67,8 @@ let test_flooding_gossip () =
   check_int "no advice" 0 o.Gossip.advice_bits;
   let tree = Gossip.run g ~source:0 in
   check_bool "flooding costs more" true
-    (o.Gossip.result.Sim.Runner.stats.Sim.Runner.sent
-    > 3 * tree.Gossip.result.Sim.Runner.stats.Sim.Runner.sent)
+    (o.Gossip.result.Sim.Runner.stats.Obs.Counting.sent
+    > 3 * tree.Gossip.result.Sim.Runner.stats.Obs.Counting.sent)
 
 let test_bits_on_wire_accounted () =
   (* Rumor payloads are real control messages, so the wire carries far
@@ -76,14 +76,14 @@ let test_bits_on_wire_accounted () =
   let g = Netgraph.Gen.path 8 in
   let o = Gossip.run g ~source:0 in
   check_bool "payload bits counted" true
-    (o.Gossip.result.Sim.Runner.stats.Sim.Runner.bits_on_wire
-    > o.Gossip.result.Sim.Runner.stats.Sim.Runner.sent)
+    (o.Gossip.result.Sim.Runner.stats.Obs.Counting.bits_on_wire
+    > o.Gossip.result.Sim.Runner.stats.Obs.Counting.sent)
 
 let test_causal_depth_tracks_tree_height () =
   (* Convergecast + broadcast over a path from one end: depth ≈ 2(n-1). *)
   let g = Netgraph.Gen.path 10 in
   let o = Gossip.run g ~source:0 in
-  let depth = o.Gossip.result.Sim.Runner.stats.Sim.Runner.causal_depth in
+  let depth = o.Gossip.result.Sim.Runner.stats.Obs.Counting.causal_depth in
   check_bool (Printf.sprintf "depth %d ~ 18" depth) true (depth >= 17 && depth <= 19)
 
 let qcheck_tree_gossip =
@@ -93,7 +93,7 @@ let qcheck_tree_gossip =
       let st = Random.State.make [| n; seed |] in
       let g = Netgraph.Gen.random_connected ~n ~p:0.2 st in
       let o = Gossip.run g ~source:(seed mod n) in
-      o.Gossip.complete && o.Gossip.result.Sim.Runner.stats.Sim.Runner.sent = 2 * (n - 1))
+      o.Gossip.complete && o.Gossip.result.Sim.Runner.stats.Obs.Counting.sent = 2 * (n - 1))
 
 let suite =
   [
@@ -114,7 +114,7 @@ let test_gossip_alternate_trees () =
     (fun (name, tree) ->
       let o = Gossip.run ~tree g ~source:3 in
       check_bool (name ^ " complete") true o.Gossip.complete;
-      check_int (name ^ " messages") (2 * 15) o.Gossip.result.Sim.Runner.stats.Sim.Runner.sent)
+      check_int (name ^ " messages") (2 * 15) o.Gossip.result.Sim.Runner.stats.Obs.Counting.sent)
     [
       ("light", fun g ~root -> Netgraph.Spanning.light g ~root);
       ("dfs", fun g ~root -> Netgraph.Spanning.dfs g ~root);

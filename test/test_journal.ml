@@ -685,6 +685,52 @@ let test_rewritten_record_caught_by_byte_compare () =
           = Journal.encode_entry ~key:(mk_key 1) truth);
         Journal.close j)
 
+(* [Journal.decode_context], through [open_], on all-zero and all-one
+   superblock payloads.  Two zero length fields over exactly their 32
+   bits are the empty context, canonically encoded; a longer zero
+   payload has trailing bits; a shorter one, or an all-ones length field
+   over any short payload, is too short.  Each is a value or an error,
+   never an exception. *)
+let test_superblock_payload_boundaries () =
+  let superblock fill bits =
+    Frame.encode
+      {
+        Frame.kind = Frame.Superblock;
+        version = Frame.current_version;
+        key = 0;
+        payload = Bitbuf.of_bits (List.init bits (fun _ -> fill));
+      }
+  in
+  let open_data name data =
+    with_tmp (fun path ->
+        write_file path data;
+        match Journal.open_ ~path () with
+        | exception e -> Alcotest.failf "%s: open_ raised %s" name (Printexc.to_string e)
+        | Ok (j, _) ->
+          Journal.close j;
+          Ok (Journal.context j)
+        | Error e -> Error e)
+  in
+  let empty = { Journal.spec = ""; extra = "" } in
+  check_string "32 zero bits are the canonical empty superblock"
+    (Journal.encode_superblock empty) (superblock false 32);
+  (match open_data "zeros, 32 bits" (superblock false 32) with
+  | Ok ctx -> check_bool "empty context" true (ctx = empty)
+  | Error e -> Alcotest.failf "all-zero superblock refused: %s" e);
+  List.iter
+    (fun (name, data, why) ->
+      match open_data name data with
+      | Ok _ -> Alcotest.failf "%s: opened" name
+      | Error e ->
+        check_bool (Printf.sprintf "%s: %s (got %S)" name why e) true (String.ends_with ~suffix:why e))
+    [
+      ("zeros, 33 bits", superblock false 33, "superblock payload has trailing bits");
+      ("zeros, 0 bits", superblock false 0, "superblock payload too short");
+      ("zeros, 16 bits", superblock false 16, "superblock payload too short");
+      ("ones, 32 bits", superblock true 32, "superblock payload too short");
+      ("ones, 1024 bits", superblock true 1024, "superblock payload too short");
+    ]
+
 let test_superblock_reinit_window () =
   with_tmp (fun path ->
       (* A file holding half a superblock is the crash-during-creation
@@ -897,6 +943,8 @@ let suite =
     Alcotest.test_case "rewritten record: replay passes, byte-compare catches" `Quick
       test_rewritten_record_caught_by_byte_compare;
     Alcotest.test_case "superblock reinit window" `Quick test_superblock_reinit_window;
+    Alcotest.test_case "superblock payload: all zeros, all ones" `Quick
+      test_superblock_payload_boundaries;
     Alcotest.test_case "map_journaled without journal = map" `Quick
       test_map_journaled_without_journal;
     Alcotest.test_case "resume equivalence at jobs 1, 2, 7" `Quick test_resume_equivalence;

@@ -149,7 +149,7 @@ let test_remark_family_shape () =
   check_bool "connected" true (Graph.is_connected g);
   (* A wakeup with full advice still spends exactly N-1 messages there. *)
   let o = Oracle_core.Wakeup.run g ~source:0 in
-  check_int "N-1 messages" (Graph.n g - 1) o.Oracle_core.Wakeup.result.Sim.Runner.stats.Sim.Runner.sent
+  check_int "N-1 messages" (Graph.n g - 1) o.Oracle_core.Wakeup.result.Sim.Runner.stats.Obs.Counting.sent
 
 let test_remark_threshold_ordering () =
   (* At a fixed n the normalized threshold increases with c, matching the

@@ -12,7 +12,7 @@ let test_blind_wakes_everyone () =
   check_int "zero advice" 0 o.Neighborhood.advice_bits;
   (* Blind token DFS: bounded by ~4m. *)
   check_bool "Theta(m) messages" true
-    (o.Neighborhood.result.Sim.Runner.stats.Sim.Runner.sent <= 4 * Graph.m g)
+    (o.Neighborhood.result.Sim.Runner.stats.Obs.Counting.sent <= 4 * Graph.m g)
 
 let test_radius_one_is_2n () =
   List.iter
@@ -23,7 +23,7 @@ let test_radius_one_is_2n () =
       check_bool (Families.name fam ^ " informed") true
         o.Neighborhood.result.Sim.Runner.all_informed;
       check_int (Families.name fam ^ " messages") (2 * (n - 1))
-        o.Neighborhood.result.Sim.Runner.stats.Sim.Runner.sent)
+        o.Neighborhood.result.Sim.Runner.stats.Obs.Counting.sent)
     Families.all
 
 let test_messages_drop_at_radius_one () =
@@ -34,11 +34,11 @@ let test_messages_drop_at_radius_one () =
   let m1 = Neighborhood.run ~rho:1 g ~source:0 in
   let m2 = Neighborhood.run ~rho:2 g ~source:0 in
   check_bool "big drop" true
-    (m0.Neighborhood.result.Sim.Runner.stats.Sim.Runner.sent
-    > 4 * m1.Neighborhood.result.Sim.Runner.stats.Sim.Runner.sent);
+    (m0.Neighborhood.result.Sim.Runner.stats.Obs.Counting.sent
+    > 4 * m1.Neighborhood.result.Sim.Runner.stats.Obs.Counting.sent);
   check_int "no further gain"
-    m1.Neighborhood.result.Sim.Runner.stats.Sim.Runner.sent
-    m2.Neighborhood.result.Sim.Runner.stats.Sim.Runner.sent;
+    m1.Neighborhood.result.Sim.Runner.stats.Obs.Counting.sent
+    m2.Neighborhood.result.Sim.Runner.stats.Obs.Counting.sent;
   check_bool "advice grows" true
     (m2.Neighborhood.advice_bits > 2 * m1.Neighborhood.advice_bits);
   check_bool "rho-1 advice already Theta(m log n)" true
@@ -75,7 +75,7 @@ let test_single_node () =
   let g = Netgraph.Gen.path 1 in
   let o = Neighborhood.run ~rho:1 g ~source:0 in
   check_bool "informed" true o.Neighborhood.result.Sim.Runner.all_informed;
-  check_int "no messages" 0 o.Neighborhood.result.Sim.Runner.stats.Sim.Runner.sent
+  check_int "no messages" 0 o.Neighborhood.result.Sim.Runner.stats.Obs.Counting.sent
 
 let test_negative_radius_rejected () =
   match Neighborhood.oracle ~rho:(-1) with
@@ -91,7 +91,7 @@ let qcheck_token_dfs =
       let o = Neighborhood.run ~rho g ~source:(seed mod n) in
       o.Neighborhood.result.Sim.Runner.all_informed
       && (rho = 0
-         || o.Neighborhood.result.Sim.Runner.stats.Sim.Runner.sent = 2 * (n - 1)))
+         || o.Neighborhood.result.Sim.Runner.stats.Obs.Counting.sent = 2 * (n - 1)))
 
 let suite =
   [
@@ -113,7 +113,7 @@ let test_all_schedulers_rho1 () =
       let o = Neighborhood.run ~scheduler:sched ~rho:1 g ~source:0 in
       check_bool (Sim.Scheduler.name sched) true o.Neighborhood.result.Sim.Runner.all_informed;
       check_int (Sim.Scheduler.name sched) (2 * (Graph.n g - 1))
-        o.Neighborhood.result.Sim.Runner.stats.Sim.Runner.sent)
+        o.Neighborhood.result.Sim.Runner.stats.Obs.Counting.sent)
     Sim.Scheduler.default_suite
 
 let suite =

@@ -94,14 +94,8 @@ let test_jsonl_file_roundtrip () =
 
 (* {1 The counting contract against live runs} *)
 
-let stats_match name (stats : Sim.Runner.stats) (s : Obs.Counting.summary) =
-  check_int (name ^ " sent") stats.Sim.Runner.sent s.Obs.Counting.sent;
-  check_int (name ^ " source_sent") stats.Sim.Runner.source_sent s.Obs.Counting.source_sent;
-  check_int (name ^ " hello_sent") stats.Sim.Runner.hello_sent s.Obs.Counting.hello_sent;
-  check_int (name ^ " control_sent") stats.Sim.Runner.control_sent s.Obs.Counting.control_sent;
-  check_int (name ^ " bits_on_wire") stats.Sim.Runner.bits_on_wire s.Obs.Counting.bits_on_wire;
-  check_int (name ^ " rounds") stats.Sim.Runner.rounds s.Obs.Counting.rounds;
-  check_int (name ^ " causal_depth") stats.Sim.Runner.causal_depth s.Obs.Counting.causal_depth
+let summary = Alcotest.testable Obs.Counting.pp ( = )
+let stats_match name stats s = Alcotest.check summary (name ^ " stats") s stats
 
 let test_counting_matches_wakeup_tree_family () =
   (* the Theorem 2.1 family: wakeup on random trees, every scheduler *)
@@ -295,10 +289,10 @@ let test_replay_matches_live_under_faults () =
   let o = Fault.Harness.run ~plan Fault.Harness.Broadcast g ~source:0 in
   let r = Obs.Replay.replay ~n:(Graph.n g) o.Fault.Harness.events in
   let live = o.Fault.Harness.result in
-  check_int "sent agrees" live.Sim.Runner.stats.Sim.Runner.sent r.Obs.Replay.summary.Obs.Counting.sent;
+  check_int "sent agrees" live.Sim.Runner.stats.Obs.Counting.sent r.Obs.Replay.summary.Obs.Counting.sent;
   (* the stream also carries the pre-run tampering the runner never saw *)
   check_int "faults agree"
-    (live.Sim.Runner.stats.Sim.Runner.faults + List.length o.Fault.Harness.tampered)
+    (live.Sim.Runner.stats.Obs.Counting.faults + List.length o.Fault.Harness.tampered)
     r.Obs.Replay.summary.Obs.Counting.faults;
   check_bool "informed sets agree" true (r.Obs.Replay.informed = live.Sim.Runner.informed);
   check_int "faulty network still drains" 0 r.Obs.Replay.in_flight;

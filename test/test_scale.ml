@@ -15,7 +15,7 @@ let test_wakeup_4096 () =
   let g = big_sparse n in
   let o = Wakeup.run g ~source:0 in
   check_bool "informed" true o.Wakeup.result.Sim.Runner.all_informed;
-  check_int "n-1 messages" (n - 1) o.Wakeup.result.Sim.Runner.stats.Sim.Runner.sent;
+  check_int "n-1 messages" (n - 1) o.Wakeup.result.Sim.Runner.stats.Obs.Counting.sent;
   check_bool "advice within budget" true (o.Wakeup.advice_bits <= Bounds.wakeup_advice_upper ~n)
 
 let test_broadcast_4096 () =
@@ -23,7 +23,7 @@ let test_broadcast_4096 () =
   let g = big_sparse n in
   let o = Broadcast.run g ~source:0 in
   check_bool "informed" true o.Broadcast.result.Sim.Runner.all_informed;
-  check_bool "< 3n messages" true (o.Broadcast.result.Sim.Runner.stats.Sim.Runner.sent < 3 * n);
+  check_bool "< 3n messages" true (o.Broadcast.result.Sim.Runner.stats.Obs.Counting.sent < 3 * n);
   check_bool "<= 8n bits" true (o.Broadcast.advice_bits <= 8 * n);
   check_bool "contribution <= 4n" true (o.Broadcast.tree_contribution <= 4 * n)
 
@@ -41,7 +41,7 @@ let test_gossip_2048 () =
   let g = big_sparse n in
   let o = Gossip.run g ~source:0 in
   check_bool "complete" true o.Gossip.complete;
-  check_int "2(n-1)" (2 * (n - 1)) o.Gossip.result.Sim.Runner.stats.Sim.Runner.sent
+  check_int "2(n-1)" (2 * (n - 1)) o.Gossip.result.Sim.Runner.stats.Obs.Counting.sent
 
 let test_counting_pipeline_large () =
   (* The threshold keeps its shape out to n = 2^18 without numeric
@@ -60,7 +60,7 @@ let test_wakeup_100k () =
   let r = o.Wakeup.result in
   check_bool "informed" true r.Sim.Runner.all_informed;
   check_bool "quiescent" true r.Sim.Runner.quiescent;
-  check_int "n-1 messages" (n - 1) r.Sim.Runner.stats.Sim.Runner.sent
+  check_int "n-1 messages" (n - 1) r.Sim.Runner.stats.Obs.Counting.sent
 
 let test_broadcast_100k () =
   let n = 100_000 in
@@ -69,8 +69,8 @@ let test_broadcast_100k () =
   let r = o.Broadcast.result in
   check_bool "informed" true r.Sim.Runner.all_informed;
   check_bool "quiescent" true r.Sim.Runner.quiescent;
-  check_int "n-1 source messages" (n - 1) r.Sim.Runner.stats.Sim.Runner.source_sent;
-  check_bool "< 3n messages" true (r.Sim.Runner.stats.Sim.Runner.sent < 3 * n)
+  check_int "n-1 source messages" (n - 1) r.Sim.Runner.stats.Obs.Counting.source_sent;
+  check_bool "< 3n messages" true (r.Sim.Runner.stats.Obs.Counting.sent < 3 * n)
 
 let test_untraced_bit_identical () =
   (* The allocation-free path is an observer choice, not a semantics
@@ -111,6 +111,8 @@ let test_untraced_bit_identical () =
           in
           check_bool (name ^ ": stats identical") true
             (bare.Sim.Runner.stats = traced.Sim.Runner.stats);
+          check_bool (name ^ ": stats are the stream's counters") true
+            (traced.Sim.Runner.stats = Obs.Counting.summary counts);
           check_bool (name ^ ": informed identical") true
             (bare.Sim.Runner.informed = traced.Sim.Runner.informed);
           check_bool (name ^ ": quiescent identical") true

@@ -242,10 +242,12 @@ let test_validation () =
 
 (* {1 Failures}
 
-   A phase in which several shards raise re-raises the lowest shard's
-   exception.  Start-up visits nodes in index order in both engines, so
-   there the lowest shard's failure is the one [Runner.run] raises.
-   Every leg forces the parallel phases with [min_parallel_batch:1]. *)
+   A run in which several nodes raise re-raises the failure that comes
+   first in [Runner.run]'s visiting order, whichever shards hold them:
+   node order at start-up, batch order when a round delivers and emits,
+   and destination block, then batch order, when an untraced round on
+   more than 4096 nodes delivers.  Every leg forces the parallel phases
+   with [min_parallel_batch:1] and runs at shards 2, 3 and 7. *)
 
 let sync = Sim.Scheduler.Synchronous
 let no_advice _ = Bitstring.Bitbuf.create ()
@@ -265,16 +267,24 @@ let chatty_flooding ~chatty ~port (static : Sim.History.static) =
 let spontaneous =
   Sim.Scheme.check_wakeup (chatty_flooding ~chatty:(fun l -> l > 100 && l mod 37 = 5) ~port:0)
 
+(* Flooding, except that the nodes labelled in [failing] raise
+   [Failure "label l"] on every delivery. *)
+let failing_flooding failing (static : Sim.History.static) =
+  let node = Sim.Scheme.flooding static in
+  let l = static.Sim.History.id in
+  if not (List.mem l failing) then node
+  else
+    { node with Sim.Scheme.on_receive = (fun _ ~port:_ -> failwith (Printf.sprintf "label %d" l)) }
+
 let raised f = match f () with _ -> None | exception e -> Some e
 
 let test_failure_order () =
-  let g = Netgraph.Gen.path 500 in
-  let expect name factory ~pinned =
+  let expect name g factory ~pinned =
     let reference =
       raised (fun () -> Sim.Runner.run ~scheduler:sync ~advice:no_advice g ~source:0 factory)
     in
     Alcotest.(check (option string))
-      (name ^ ": runner raises the lowest violation")
+      (name ^ ": runner raises the first failure")
       (Some (Printexc.to_string pinned))
       (Option.map Printexc.to_string reference);
     List.iter
@@ -286,14 +296,39 @@ let test_failure_order () =
             ignore
               (Sim.Shard.run ~scheduler:sync ~shards ~min_parallel_batch:1 ~advice:no_advice g
                  ~source:0 factory)))
-      [ 2; 7 ]
+      [ 2; 3; 7 ]
   in
-  expect "spontaneous start-up" spontaneous
+  let path = Netgraph.Gen.path 500 in
+  expect "spontaneous start-up" path spontaneous
     ~pinned:(Failure "wakeup violation: non-source node 116 transmits spontaneously");
   (* Node 299 (label 300) sits in shard 4 at shards 7, shard 1 at 2. *)
-  expect "out-of-range port"
+  expect "out-of-range port" path
     (chatty_flooding ~chatty:(fun l -> l = 300) ~port:5)
-    ~pinned:(Invalid_argument "Runner: node 299 (degree 2) sends on port 5")
+    ~pinned:(Invalid_argument "Runner: node 299 (degree 2) sends on port 5");
+  (* Two nodes fail on one round's deliveries.  On 20 nodes every engine
+     visits a round in batch order: the runner raises label 4's
+     failure, whose delivery is ahead of label 2's, though label 2's
+     node sits in a lower shard at shards 7. *)
+  let complete =
+    Netgraph.Transform.permute_ports (Netgraph.Gen.complete 20) (Random.State.make [| 3 |])
+  in
+  expect "complete, labels 2 and 4" complete (failing_flooding [ 2; 4 ]) ~pinned:(Failure "label 4");
+  (* A star on 8200 nodes: its first round delivers 8199 messages, so
+     an untraced run visits them by 4096-node destination block.
+     Leaves [b] and [c] (block 1) get their messages before and after
+     leaf [a] (block 0), yet the runner raises [a]'s failure.  All
+     three sit in one shard at shards 2, 3 and 7 ([3516, 4687] at 7),
+     so that shard must keep the failure its slot-order scan meets
+     second, not its first or its last. *)
+  let star = Netgraph.Transform.permute_ports (Netgraph.Gen.star 8200) (Random.State.make [| 5 |]) in
+  let port v = Option.get (Graph.port_to star 0 v) in
+  let by_port = List.sort (fun u v -> compare (port u) (port v)) [ 4096; 4097; 4098; 4099 ] in
+  let b = List.hd by_port and c = List.nth by_port 3 in
+  let a = List.find (fun v -> port b < port v && port v < port c) (List.init 580 (( + ) 3516)) in
+  let label v = Graph.label star v in
+  expect "star, two blocks" star
+    (failing_flooding [ label a; label b; label c ])
+    ~pinned:(Failure (Printf.sprintf "label %d" (label a)))
 
 (* Each failing run spawns six worker domains and must join them
    before it raises: 30 in a row spawn 180, past OCaml's limit of 128

@@ -88,14 +88,14 @@ let test_flooding_path () =
   let g = Netgraph.Gen.path 5 in
   let r = Sim.Runner.run ~advice:no_advice g ~source:0 Sim.Scheme.flooding in
   check_bool "informed" true r.Sim.Runner.all_informed;
-  check_int "one message per edge" 4 r.Sim.Runner.stats.Sim.Runner.sent
+  check_int "one message per edge" 4 r.Sim.Runner.stats.Obs.Counting.sent
 
 let test_flooding_cycle_message_range () =
   let g = Netgraph.Gen.cycle 8 in
   let r = Sim.Runner.run ~advice:no_advice g ~source:0 Sim.Scheme.flooding in
   check_bool "informed" true r.Sim.Runner.all_informed;
   let m = Netgraph.Graph.m g in
-  let sent = r.Sim.Runner.stats.Sim.Runner.sent in
+  let sent = r.Sim.Runner.stats.Obs.Counting.sent in
   check_bool "between m and 2m" true (sent >= m && sent <= 2 * m)
 
 let test_flooding_all_schedulers () =
@@ -118,7 +118,7 @@ let test_sync_rounds_equal_eccentricity () =
       Sim.Scheme.flooding
   in
   check_bool "informed" true r.Sim.Runner.all_informed;
-  check_int "rounds = eccentricity" 5 r.Sim.Runner.stats.Sim.Runner.rounds
+  check_int "rounds = eccentricity" 5 r.Sim.Runner.stats.Obs.Counting.rounds
 
 let test_max_messages_cutoff () =
   (* A ping-pong scheme that never stops. *)
@@ -131,7 +131,7 @@ let test_max_messages_cutoff () =
   let g = Netgraph.Gen.path 2 in
   let r = Sim.Runner.run ~max_messages:50 ~advice:no_advice g ~source:0 ping in
   check_bool "cutoff hit" false r.Sim.Runner.quiescent;
-  check_bool "sent around the cutoff" true (r.Sim.Runner.stats.Sim.Runner.sent >= 50)
+  check_bool "sent around the cutoff" true (r.Sim.Runner.stats.Obs.Counting.sent >= 50)
 
 let test_informed_requires_informed_sender () =
   (* Node 1 (not the source) spontaneously pings node 2; node 2 must NOT
@@ -191,7 +191,7 @@ let test_trace_recording () =
         | { Obs.Event.seq; kind = Obs.Event.Deliver l; _ } -> Some (seq, l) | _ -> None)
       (collected ())
   in
-  check_int "deliveries = sent" r.Sim.Runner.stats.Sim.Runner.sent (List.length deliveries);
+  check_int "deliveries = sent" r.Sim.Runner.stats.Obs.Counting.sent (List.length deliveries);
   (* Sequence numbers are unique. *)
   let seqs = List.map fst deliveries in
   check_int "unique seqs" (List.length seqs) (List.length (List.sort_uniq compare seqs));
@@ -204,11 +204,11 @@ let test_trace_recording () =
 let test_message_type_counters () =
   let g = Netgraph.Gen.path 3 in
   let r = Sim.Runner.run ~advice:no_advice g ~source:0 Sim.Scheme.flooding in
-  check_int "all source messages" r.Sim.Runner.stats.Sim.Runner.sent
-    r.Sim.Runner.stats.Sim.Runner.source_sent;
-  check_int "no hellos" 0 r.Sim.Runner.stats.Sim.Runner.hello_sent;
-  check_int "bits = messages (1-bit each)" r.Sim.Runner.stats.Sim.Runner.sent
-    r.Sim.Runner.stats.Sim.Runner.bits_on_wire
+  check_int "all source messages" r.Sim.Runner.stats.Obs.Counting.sent
+    r.Sim.Runner.stats.Obs.Counting.source_sent;
+  check_int "no hellos" 0 r.Sim.Runner.stats.Obs.Counting.hello_sent;
+  check_int "bits = messages (1-bit each)" r.Sim.Runner.stats.Obs.Counting.sent
+    r.Sim.Runner.stats.Obs.Counting.bits_on_wire
 
 let test_silent_network_check () =
   let g = Netgraph.Gen.path 3 in
@@ -274,8 +274,8 @@ let test_causal_depth_sync_equals_rounds () =
     Sim.Runner.run ~scheduler:Sim.Scheduler.Synchronous ~advice:no_advice g ~source:0
       Sim.Scheme.flooding
   in
-  check_int "depth = rounds" r.Sim.Runner.stats.Sim.Runner.rounds
-    r.Sim.Runner.stats.Sim.Runner.causal_depth
+  check_int "depth = rounds" r.Sim.Runner.stats.Obs.Counting.rounds
+    r.Sim.Runner.stats.Obs.Counting.causal_depth
 
 let test_causal_depth_async_invariant () =
   (* Information needs at least eccentricity-many causal hops whatever the
@@ -286,7 +286,7 @@ let test_causal_depth_async_invariant () =
   List.iter
     (fun sched ->
       let r = Sim.Runner.run ~scheduler:sched ~advice:no_advice g ~source:0 Sim.Scheme.flooding in
-      let depth = r.Sim.Runner.stats.Sim.Runner.causal_depth in
+      let depth = r.Sim.Runner.stats.Obs.Counting.causal_depth in
       check_bool
         (Printf.sprintf "%s: %d >= ecc %d" (Sim.Scheduler.name sched) depth ecc)
         true (depth >= ecc);
@@ -315,7 +315,7 @@ let test_lossy_delivery () =
   in
   check_bool "flooding survives 20% loss on K_24" true lossy.Sim.Runner.all_informed;
   (* Sent counts transmissions, including lost ones. *)
-  check_bool "sent counted" true (lossy.Sim.Runner.stats.Sim.Runner.sent > 0);
+  check_bool "sent counted" true (lossy.Sim.Runner.stats.Obs.Counting.sent > 0);
   let path = Netgraph.Gen.path 40 in
   let fragile =
     Sim.Runner.run ~faults:(drop 0.3 7) ~advice:no_advice path ~source:0 Sim.Scheme.flooding
@@ -326,7 +326,7 @@ let test_loss_zero_is_reliable () =
   let g = Netgraph.Gen.grid ~rows:4 ~cols:4 in
   let a = Sim.Runner.run ~advice:no_advice g ~source:0 Sim.Scheme.flooding in
   let b = Sim.Runner.run ~faults:(drop 0.0 1) ~advice:no_advice g ~source:0 Sim.Scheme.flooding in
-  check_int "same messages" a.Sim.Runner.stats.Sim.Runner.sent b.Sim.Runner.stats.Sim.Runner.sent;
+  check_int "same messages" a.Sim.Runner.stats.Obs.Counting.sent b.Sim.Runner.stats.Obs.Counting.sent;
   check_bool "both informed" true (a.Sim.Runner.all_informed && b.Sim.Runner.all_informed)
 
 let suite =
@@ -339,7 +339,7 @@ let suite =
 let test_per_node_load () =
   let g = Netgraph.Gen.star 8 in
   let r = Sim.Runner.run ~advice:no_advice g ~source:0 Sim.Scheme.flooding in
-  check_int "total is the sum" r.Sim.Runner.stats.Sim.Runner.sent
+  check_int "total is the sum" r.Sim.Runner.stats.Obs.Counting.sent
     (Array.fold_left ( + ) 0 r.Sim.Runner.per_node_sent);
   check_int "the hub carries everything" 7 r.Sim.Runner.per_node_sent.(0);
   for v = 1 to 7 do
@@ -363,7 +363,7 @@ let test_check_wakeup_through_runner () =
      completes untouched *)
   let r = Sim.Runner.run ~advice:no_advice g ~source:0 (Sim.Scheme.check_wakeup Sim.Scheme.flooding) in
   check_bool "checked flooding still informs" true r.Sim.Runner.all_informed;
-  check_int "checked flooding unchanged" 2 r.Sim.Runner.stats.Sim.Runner.sent
+  check_int "checked flooding unchanged" 2 r.Sim.Runner.stats.Obs.Counting.sent
 
 let test_metrics_more_errors () =
   (match Sim.Metrics.loglog_slope ~xs:[ 1.0; 2.0 ] ~ys:[ 1.0 ] with

@@ -128,18 +128,22 @@ let qcheck_random_spanning =
       Spanning.check g (Spanning.random g ~root:(n / 2) st) = Ok ())
 
 (* The Claim 3.1 phase loop as it was first written — boxed edges from
-   [Graph.fold_edges], a Hashtbl of (weight, edge) per root, [Dsu.roots]
-   — kept as an independent oracle: [Spanning.light] builds its tree by
+   [Graph.fold_edges], a Hashtbl of (weight, edge) per root, roots and
+   component sizes kept beside a [Dsu] — kept as an independent oracle: [Spanning.light] builds its tree by
    Kruskal over (weight, table order) instead, and must match these
    Borůvka phases edge for edge.  Returns the tree's edges as sorted
    (u, v) pairs. *)
 let reference_light_pairs g =
-  let dsu = Dsu.create (Graph.n g) in
+  let n = Graph.n g in
+  let dsu = Dsu.create n in
+  let size = Array.make n 1 in
   let pairs = ref [] in
   let k = ref 1 in
   while Dsu.components dsu > 1 do
     let threshold = 1 lsl !k in
-    let small_roots = List.filter (fun r -> Dsu.size dsu r < threshold) (Dsu.roots dsu) in
+    let small_roots =
+      List.filter (fun r -> Dsu.find dsu r = r && size.(r) < threshold) (List.init n Fun.id)
+    in
     let best = Hashtbl.create 16 in
     Graph.fold_edges
       (fun e () ->
@@ -159,7 +163,11 @@ let reference_light_pairs g =
     if small_roots <> [] && selected = [] then Alcotest.fail "reference: disconnected graph";
     List.iter
       (fun e ->
-        if Dsu.union dsu e.Graph.u e.Graph.v then pairs := (e.Graph.u, e.Graph.v) :: !pairs)
+        let merged = size.(Dsu.find dsu e.Graph.u) + size.(Dsu.find dsu e.Graph.v) in
+        if Dsu.union dsu e.Graph.u e.Graph.v then begin
+          size.(Dsu.find dsu e.Graph.u) <- merged;
+          pairs := (e.Graph.u, e.Graph.v) :: !pairs
+        end)
       selected;
     incr k
   done;

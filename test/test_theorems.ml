@@ -63,7 +63,7 @@ let check_wakeup (name, g, source, scheduler) =
   check_bool (name ^ ": tree ok") true o.Wakeup.tree_ok;
   check_bool (name ^ ": all informed") true r.Sim.Runner.all_informed;
   check_bool (name ^ ": quiescent") true r.Sim.Runner.quiescent;
-  check_int (name ^ ": exactly n-1 messages") (Graph.n g - 1) r.Sim.Runner.stats.Sim.Runner.sent
+  check_int (name ^ ": exactly n-1 messages") (Graph.n g - 1) r.Sim.Runner.stats.Obs.Counting.sent
 
 let check_broadcast (name, g, source, scheduler) =
   let o = Broadcast.run ~scheduler g ~source in
@@ -76,9 +76,9 @@ let check_broadcast (name, g, source, scheduler) =
     true
     (o.Broadcast.advice_bits <= 8 * n);
   check_bool
-    (Printf.sprintf "%s: %d messages < 3n" name r.Sim.Runner.stats.Sim.Runner.sent)
+    (Printf.sprintf "%s: %d messages < 3n" name r.Sim.Runner.stats.Obs.Counting.sent)
     true
-    (r.Sim.Runner.stats.Sim.Runner.sent < 3 * n)
+    (r.Sim.Runner.stats.Obs.Counting.sent < 3 * n)
 
 let check_light_tree (name, g, source, _) =
   let t = Netgraph.Spanning.light g ~root:source in

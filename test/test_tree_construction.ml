@@ -14,7 +14,7 @@ let test_flood_build_all_families () =
       check_int (Families.name fam ^ " zero advice") 0 o.Tree_construction.advice_bits;
       let bound = (2 * Graph.m g) + Graph.n g in
       check_bool (Families.name fam ^ " message bound") true
-        (o.Tree_construction.result.Sim.Runner.stats.Sim.Runner.sent <= bound))
+        (o.Tree_construction.result.Sim.Runner.stats.Obs.Counting.sent <= bound))
     Families.all
 
 let test_flood_build_sync_is_bfs () =
@@ -46,7 +46,7 @@ let test_advised_build_is_free () =
       let o = Tree_construction.advised_build g ~source:0 in
       check_bool (Families.name fam ^ " tree from advice") true (o.Tree_construction.tree <> None);
       check_int (Families.name fam ^ " zero messages") 0
-        o.Tree_construction.result.Sim.Runner.stats.Sim.Runner.sent;
+        o.Tree_construction.result.Sim.Runner.stats.Obs.Counting.sent;
       check_bool (Families.name fam ^ " BFS (oracle used BFS)") true o.Tree_construction.is_bfs;
       check_bool (Families.name fam ^ " advice nonzero") true (o.Tree_construction.advice_bits > 0))
     Families.all

@@ -14,7 +14,7 @@ let test_exact_messages_all_families () =
     (fun (name, g) ->
       let o = Wakeup.run g ~source:0 in
       check_bool (name ^ " informed") true o.Wakeup.result.Sim.Runner.all_informed;
-      check_int (name ^ " messages") (Graph.n g - 1) o.Wakeup.result.Sim.Runner.stats.Sim.Runner.sent;
+      check_int (name ^ " messages") (Graph.n g - 1) o.Wakeup.result.Sim.Runner.stats.Obs.Counting.sent;
       check_bool (name ^ " tree ok") true o.Wakeup.tree_ok;
       check_bool (name ^ " advice accounted") true (o.Wakeup.advice_bits > 0))
     (family_graphs 48)
@@ -26,7 +26,7 @@ let test_all_schedulers () =
       let o = Wakeup.run ~scheduler:sched g ~source:0 in
       check_bool (Sim.Scheduler.name sched) true o.Wakeup.result.Sim.Runner.all_informed;
       check_int (Sim.Scheduler.name sched) (Graph.n g - 1)
-        o.Wakeup.result.Sim.Runner.stats.Sim.Runner.sent)
+        o.Wakeup.result.Sim.Runner.stats.Obs.Counting.sent)
     Sim.Scheduler.default_suite
 
 let test_advice_within_bound () =
@@ -44,20 +44,20 @@ let test_nonzero_source () =
   let source = Graph.n g / 2 in
   let o = Wakeup.run g ~source in
   check_bool "informed" true o.Wakeup.result.Sim.Runner.all_informed;
-  check_int "messages" (Graph.n g - 1) o.Wakeup.result.Sim.Runner.stats.Sim.Runner.sent
+  check_int "messages" (Graph.n g - 1) o.Wakeup.result.Sim.Runner.stats.Obs.Counting.sent
 
 let test_single_node () =
   let g = Netgraph.Gen.path 1 in
   let o = Wakeup.run g ~source:0 in
   check_bool "informed" true o.Wakeup.result.Sim.Runner.all_informed;
-  check_int "zero messages" 0 o.Wakeup.result.Sim.Runner.stats.Sim.Runner.sent;
+  check_int "zero messages" 0 o.Wakeup.result.Sim.Runner.stats.Obs.Counting.sent;
   check_int "zero advice" 0 o.Wakeup.advice_bits
 
 let test_two_nodes () =
   let g = Netgraph.Gen.path 2 in
   let o = Wakeup.run g ~source:1 in
   check_bool "informed" true o.Wakeup.result.Sim.Runner.all_informed;
-  check_int "one message" 1 o.Wakeup.result.Sim.Runner.stats.Sim.Runner.sent
+  check_int "one message" 1 o.Wakeup.result.Sim.Runner.stats.Obs.Counting.sent
 
 let test_encodings_roundtrip () =
   let ports = [ 0; 5; 3; 12 ] in
@@ -84,7 +84,7 @@ let test_encodings_all_work () =
       let o = Wakeup.run ~encoding:enc g ~source:0 in
       check_bool (Wakeup.encoding_name enc) true o.Wakeup.result.Sim.Runner.all_informed;
       check_int (Wakeup.encoding_name enc) (Graph.n g - 1)
-        o.Wakeup.result.Sim.Runner.stats.Sim.Runner.sent)
+        o.Wakeup.result.Sim.Runner.stats.Obs.Counting.sent)
     [ Wakeup.Paper; Wakeup.Paper_minimal; Wakeup.Gamma ]
 
 let test_minimal_never_larger () =
@@ -103,7 +103,7 @@ let test_alternate_trees () =
       let o = Wakeup.run ~tree g ~source:0 in
       check_bool (name ^ " informed") true o.Wakeup.result.Sim.Runner.all_informed;
       check_int (name ^ " messages") (Graph.n g - 1)
-        o.Wakeup.result.Sim.Runner.stats.Sim.Runner.sent)
+        o.Wakeup.result.Sim.Runner.stats.Obs.Counting.sent)
     [
       ("dfs", fun g ~root -> Netgraph.Spanning.dfs g ~root);
       ("light", fun g ~root -> Netgraph.Spanning.light g ~root);
@@ -126,8 +126,8 @@ let test_label_independence () =
   let permuted = Netgraph.Transform.permute_labels g (Random.State.make [| 23 |]) in
   let a = Wakeup.run g ~source:0 in
   let b = Wakeup.run permuted ~source:0 in
-  check_int "same messages" a.Wakeup.result.Sim.Runner.stats.Sim.Runner.sent
-    b.Wakeup.result.Sim.Runner.stats.Sim.Runner.sent;
+  check_int "same messages" a.Wakeup.result.Sim.Runner.stats.Obs.Counting.sent
+    b.Wakeup.result.Sim.Runner.stats.Obs.Counting.sent;
   check_bool "both informed" true
     (a.Wakeup.result.Sim.Runner.all_informed && b.Wakeup.result.Sim.Runner.all_informed)
 
@@ -136,8 +136,8 @@ let test_one_bit_messages () =
      is the 1-bit source message. *)
   let g = Families.build Families.Hypercube ~n:32 ~seed:0 in
   let o = Wakeup.run g ~source:0 in
-  check_int "bits = messages" o.Wakeup.result.Sim.Runner.stats.Sim.Runner.sent
-    o.Wakeup.result.Sim.Runner.stats.Sim.Runner.bits_on_wire
+  check_int "bits = messages" o.Wakeup.result.Sim.Runner.stats.Obs.Counting.sent
+    o.Wakeup.result.Sim.Runner.stats.Obs.Counting.bits_on_wire
 
 let qcheck_wakeup_random_graphs =
   QCheck.Test.make ~name:"wakeup: n-1 messages on random graphs" ~count:50
@@ -148,7 +148,7 @@ let qcheck_wakeup_random_graphs =
       let scheduler = List.nth Sim.Scheduler.default_suite sched_idx in
       let o = Wakeup.run ~scheduler g ~source:(seed mod n) in
       o.Wakeup.result.Sim.Runner.all_informed
-      && o.Wakeup.result.Sim.Runner.stats.Sim.Runner.sent = n - 1
+      && o.Wakeup.result.Sim.Runner.stats.Obs.Counting.sent = n - 1
       && o.Wakeup.advice_bits <= Bounds.wakeup_advice_upper ~n)
 
 let suite =
