@@ -122,10 +122,12 @@ let parse (f : Frame.t) =
     if bits < 1 then Error "hello: empty payload"
     else
       let r = Bitbuf.reader f.payload in
-      if Bitbuf.read_bit r then (
-        match Journal.decode_context (repack r ~bits:(bits - 1)) with
-        | Ok ctx -> Ok (Config ctx)
-        | Error e -> Error (Printf.sprintf "config hello: %s" e))
+      if Bitbuf.read_bit r then
+        if f.key <> 0 then Error "config hello: key is not 0"
+        else (
+          match Journal.decode_context (repack r ~bits:(bits - 1)) with
+          | Ok ctx -> Ok (Config ctx)
+          | Error e -> Error (Printf.sprintf "config hello: %s" e))
       else if bits < 25 then Error "announce hello: payload shorter than its fixed fields"
       else
         let v = Bitbuf.read_int r ~width:8 in
@@ -167,7 +169,9 @@ let parse (f : Frame.t) =
       let r = Bitbuf.reader f.payload in
       Ok (Heartbeat { worker = f.key; count = Bitbuf.read_int r ~width:32 })
   | Frame.Shutdown ->
-    if bits <> 0 then Error "shutdown: nonempty payload" else Ok Shutdown
+    if bits <> 0 then Error "shutdown: nonempty payload"
+    else if f.key <> 0 then Error "shutdown: key is not 0"
+    else Ok Shutdown
   | Frame.Superblock | Frame.Record -> Error "journal frame on the wire"
 
 (* {1 Incremental frame reader}

@@ -59,7 +59,9 @@ val encode : msg -> string
 val parse : Bitstring.Frame.t -> (msg, string) result
 (** Interpret a decoded frame as a protocol message.  Total: every
     malformed payload (and any journal-kind frame) maps to [Error],
-    which a crash-stop peer treats as the sender being dead. *)
+    which a crash-stop peer treats as the sender being dead.  An [Ok]
+    message re-encodes to the frame's exact bytes: a config hello or a
+    shutdown whose key is not 0 is malformed too. *)
 
 (** Incremental frame reassembly over a byte stream.  Streams deliver
     bytes, not frames — a trickled TCP link delivers one byte per read

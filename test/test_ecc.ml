@@ -261,6 +261,36 @@ let test_protect_oracle_wrapper () =
   let same = Oracles.Protect.oracle Ecc.Raw o in
   check_string "raw leaves the oracle alone" o.Oracles.Oracle.name same.Oracles.Oracle.name
 
+(* {1 Boundary codewords}
+
+   All-zero and all-one strings of every level's codeword length for
+   payloads of 0, 1, 7, 8 and 64 bits.  [unprotect] must not raise, and
+   an [Ok] that corrected nothing must be canonical: protecting the
+   decoded payload gives back the input. *)
+
+let test_unprotect_boundary_codewords () =
+  List.iter
+    (fun level ->
+      List.iter
+        (fun m ->
+          let len = Ecc.protected_length level m in
+          List.iter
+            (fun bit ->
+              let coded = Bitbuf.of_bits (List.init len (fun _ -> bit)) in
+              let name =
+                Printf.sprintf "%s, %d all-%d bits (payload %d)" (Ecc.name level) len
+                  (Bool.to_int bit) m
+              in
+              match Ecc.unprotect level coded with
+              | exception e -> Alcotest.failf "%s: unprotect raised %s" name (Printexc.to_string e)
+              | Ok (payload, 0) ->
+                check_bool (name ^ ": re-protects to its input") true
+                  (Bitbuf.equal (Ecc.protect level payload) coded)
+              | Ok _ | Error _ -> ())
+            [ false; true ])
+        [ 0; 1; 7; 8; 64 ])
+    Ecc.all
+
 let suite =
   [
     Alcotest.test_case "level names" `Quick test_names;
@@ -278,4 +308,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_hamming_beyond_power_is_detected_or_wrong_but_silent;
     Alcotest.test_case "protected advice accounting" `Quick test_protect_advice_sizes;
     Alcotest.test_case "protect oracle wrapper" `Quick test_protect_oracle_wrapper;
+    Alcotest.test_case "unprotect at all-zero and all-one codewords" `Quick
+      test_unprotect_boundary_codewords;
   ]

@@ -207,7 +207,44 @@ let test_parse_field_boundaries () =
   error "config, all ones over 41 bits" Frame.Hello [ (1, 1); (16, 0xffff); (16, 0xffff); (8, 0xff) ];
   error "config, spec length 0xffff over 3 bytes" Frame.Hello
     ((1, 1) :: (16, 0xffff) :: bytes_field 3 0x41);
-  error "config, extra length missing" Frame.Hello [ (1, 1); (16, 0) ]
+  error "config, extra length missing" Frame.Hello [ (1, 1); (16, 0) ];
+  (* Config and shutdown frames are keyed 0 by layout. *)
+  error "config, keyed 5" Frame.Hello ~key:5 [ (1, 1); (16, 0); (16, 0) ];
+  error "shutdown, keyed 9" Frame.Shutdown ~key:9 []
+
+(* {1 Rx at header extremes}
+
+   A header whose payload-length field is at its maximum asks for more
+   bytes; a header of all zeros or all ones is not a frame at all. *)
+
+let test_rx_header_extremes () =
+  let header ~length =
+    let b = Bitstring.Bitbuf.create () in
+    List.iter
+      (fun (width, v) -> Bitstring.Bitbuf.add_int b ~width v)
+      [ (16, Frame.magic); (8, Char.code 'H'); (8, Frame.current_version); (32, 0); (32, 0); (24, length) ];
+    Bitstring.Bitbuf.to_bytes b
+  in
+  let fed bytes =
+    let rx = Worker.Rx.create () in
+    Worker.Rx.feed rx bytes (Bytes.length bytes);
+    rx
+  in
+  let longest = header ~length:Frame.max_payload_bits in
+  check_int "header is 15 bytes" Frame.header_bytes (Bytes.length longest);
+  let rx = fed longest in
+  (match Worker.Rx.next rx with
+  | Ok None -> check_int "the header stays pending" 15 (Worker.Rx.pending rx)
+  | Ok (Some _) -> Alcotest.fail "a 2^24-1-bit payload header produced a frame"
+  | Error e -> Alcotest.failf "a 2^24-1-bit payload header was rejected: %s" e
+  | exception e -> Alcotest.failf "Rx raised %s" (Printexc.to_string e));
+  List.iter
+    (fun (name, c) ->
+      match Worker.Rx.next (fed (Bytes.make Frame.header_bytes c)) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "an all-%s header was not rejected" name
+      | exception e -> Alcotest.failf "all-%s header: Rx raised %s" name (Printexc.to_string e))
+    [ ("zero", '\x00'); ("0xFF", '\xff') ]
 
 (* {1 Truncation totality}
 
@@ -582,4 +619,5 @@ let suite =
     Alcotest.test_case "journal ls labels every record" `Slow test_journal_ls;
     Alcotest.test_case "parse at every field boundary" `Quick
       test_parse_field_boundaries;
+    Alcotest.test_case "Rx at header extremes" `Quick test_rx_header_extremes;
   ]
