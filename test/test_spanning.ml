@@ -127,46 +127,65 @@ let qcheck_random_spanning =
       let g = Gen.random_connected ~n ~p:0.25 st in
       Spanning.check g (Spanning.random g ~root:(n / 2) st) = Ok ())
 
-(* The Claim 3.1 phase loop as it was first written — boxed edges from
-   [Graph.fold_edges], a Hashtbl of (weight, edge) per root, roots and
-   component sizes kept beside a [Dsu] — kept as an independent oracle: [Spanning.light] builds its tree by
-   Kruskal over (weight, table order) instead, and must match these
-   Borůvka phases edge for edge.  Returns the tree's edges as sorted
-   (u, v) pairs. *)
+(* The Claim 3.1 phase loop, kept as an independent oracle:
+   [Spanning.light] builds its tree by Kruskal over (weight, table order)
+   instead, and must match these Borůvka phases edge for edge.  Each
+   phase, every component smaller than 2^k picks its lightest outgoing
+   edge, first in [Graph.fold_edges] order among equals; a [Dsu] merges
+   the picks, and component sizes are kept beside it.  The edges sit in
+   flat arrays in fold order, and each phase's scan keeps only those that
+   still cross two components, so no later phase re-walks an edge inside
+   a component.  Returns the tree's edges as sorted (u, v) pairs. *)
 let reference_light_pairs g =
-  let n = Graph.n g in
+  let n = Graph.n g and m = Graph.m g in
+  let eu = Array.make m 0 and ev = Array.make m 0 and ew = Array.make m 0 in
+  ignore
+    (Graph.fold_edges
+       (fun e i ->
+         eu.(i) <- e.Graph.u;
+         ev.(i) <- e.Graph.v;
+         ew.(i) <- Graph.edge_weight g e;
+         i + 1)
+       g 0);
   let dsu = Dsu.create n in
   let size = Array.make n 1 in
   let pairs = ref [] in
+  (* [crossing.(0 .. live-1)]: the edge indices still in play, in fold order. *)
+  let crossing = Array.init m Fun.id and live = ref m in
   let k = ref 1 in
   while Dsu.components dsu > 1 do
     let threshold = 1 lsl !k in
     let small_roots =
       List.filter (fun r -> Dsu.find dsu r = r && size.(r) < threshold) (List.init n Fun.id)
     in
-    let best = Hashtbl.create 16 in
-    Graph.fold_edges
-      (fun e () ->
-        let ru = Dsu.find dsu e.Graph.u and rv = Dsu.find dsu e.Graph.v in
-        if ru <> rv then begin
-          let w = Graph.edge_weight g e in
-          let consider r =
-            match Hashtbl.find_opt best r with
-            | Some (w', _) when w' <= w -> ()
-            | _ -> Hashtbl.replace best r (w, e)
-          in
-          consider ru;
-          consider rv
-        end)
-      g ();
-    let selected = List.filter_map (fun r -> Option.map snd (Hashtbl.find_opt best r)) small_roots in
+    let best_w = Array.make n max_int and best = Array.make n (-1) in
+    let consider r i =
+      if ew.(i) < best_w.(r) then begin
+        best_w.(r) <- ew.(i);
+        best.(r) <- i
+      end
+    in
+    let kept = ref 0 in
+    for x = 0 to !live - 1 do
+      let i = crossing.(x) in
+      let ru = Dsu.find dsu eu.(i) and rv = Dsu.find dsu ev.(i) in
+      if ru <> rv then begin
+        consider ru i;
+        consider rv i;
+        crossing.(!kept) <- i;
+        incr kept
+      end
+    done;
+    live := !kept;
+    let selected = List.filter (fun i -> i >= 0) (List.map (fun r -> best.(r)) small_roots) in
     if small_roots <> [] && selected = [] then Alcotest.fail "reference: disconnected graph";
     List.iter
-      (fun e ->
-        let merged = size.(Dsu.find dsu e.Graph.u) + size.(Dsu.find dsu e.Graph.v) in
-        if Dsu.union dsu e.Graph.u e.Graph.v then begin
-          size.(Dsu.find dsu e.Graph.u) <- merged;
-          pairs := (e.Graph.u, e.Graph.v) :: !pairs
+      (fun i ->
+        let u = eu.(i) and v = ev.(i) in
+        let merged = size.(Dsu.find dsu u) + size.(Dsu.find dsu v) in
+        if Dsu.union dsu u v then begin
+          size.(Dsu.find dsu u) <- merged;
+          pairs := (u, v) :: !pairs
         end)
       selected;
     incr k
