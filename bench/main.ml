@@ -29,32 +29,33 @@ let ns_medium = [ 64; 128; 256; 512; 1024 ]
 
 let log2f n = Float.log2 (float_of_int n)
 
+(* The frame the tables share: one row per (x, y), x outermost, and the
+   same over each family's graph at each node count, built at the table
+   seed. *)
+let cross xs ys row = List.concat_map (fun x -> List.map (row x) ys) xs
+let over fams ns row = cross fams ns (fun fam n -> row fam (Families.build fam ~n ~seed))
+
+(* A run's message count and causal time. *)
+let sent r = r.Sim.Runner.stats.Obs.Counting.sent
+let depth r = r.Sim.Runner.stats.Obs.Counting.causal_depth
+
 (* {1 E1 — Theorem 2.1: wakeup oracle size and message count} *)
 
 let e1 () =
   let rows =
-    List.concat_map
-      (fun fam ->
-        List.map
-          (fun n ->
-            let g = Families.build fam ~n ~seed in
-            let actual = Graph.n g in
-            let o = Wakeup.run g ~source:0 in
-            let budget = Bounds.wakeup_advice_upper ~n:actual in
-            [
-              Families.name fam;
-              Table.i actual;
-              Table.i o.Wakeup.advice_bits;
-              Table.f2 (float_of_int o.Wakeup.advice_bits /. (float_of_int actual *. log2f actual));
-              Table.i budget;
-              Table.i o.Wakeup.result.Sim.Runner.stats.Obs.Counting.sent;
-              Table.i (actual - 1);
-              Table.b
-                (o.Wakeup.result.Sim.Runner.all_informed
-                && o.Wakeup.result.Sim.Runner.stats.Obs.Counting.sent = actual - 1);
-            ])
-          ns_medium)
-      Families.default_sweep
+    over Families.default_sweep ns_medium (fun fam g ->
+        let actual = Graph.n g in
+        let o = Wakeup.run g ~source:0 in
+        [
+          Families.name fam;
+          Table.i actual;
+          Table.i o.Wakeup.advice_bits;
+          Table.f2 (float_of_int o.Wakeup.advice_bits /. (float_of_int actual *. log2f actual));
+          Table.i (Bounds.wakeup_advice_upper ~n:actual);
+          Table.i (sent o.result);
+          Table.i (actual - 1);
+          Table.b (o.result.all_informed && sent o.result = actual - 1);
+        ])
   in
   Table.render
     ~title:"E1 (Thm 2.1): wakeup advice size ~ n log n, messages = n-1"
@@ -121,22 +122,17 @@ let e2 () =
     "(q*/(2n lg 2n) climbs towards the paper's alpha = 1/2 threshold; q*/(2n) grows\n\
     \ unboundedly: the oracle must be superlinear, i.e. Omega(n log n) in shape)";
   let rows =
-    List.concat_map
-      (fun c ->
-        List.map
-          (fun n ->
-            let q = Lower_bound.min_advice_for_linear_wakeup_c ~n ~c ~budget_factor:3.0 in
-            let nodes = (1 + c) * n in
-            [
-              Table.i c;
-              Table.i n;
-              Table.i nodes;
-              Table.i q;
-              Table.f3 (float_of_int q /. (float_of_int nodes *. log2f nodes));
-              Table.f3 (float_of_int c /. float_of_int (c + 1));
-            ])
-          [ 1024; 16384 ])
-      [ 1; 2; 3; 4 ]
+    cross [ 1; 2; 3; 4 ] [ 1024; 16384 ] (fun c n ->
+        let q = Lower_bound.min_advice_for_linear_wakeup_c ~n ~c ~budget_factor:3.0 in
+        let nodes = (1 + c) * n in
+        [
+          Table.i c;
+          Table.i n;
+          Table.i nodes;
+          Table.i q;
+          Table.f3 (float_of_int q /. (float_of_int nodes *. log2f nodes));
+          Table.f3 (float_of_int c /. float_of_int (c + 1));
+        ])
   in
   Table.render
     ~title:
@@ -153,30 +149,24 @@ let e2 () =
 let e3 () =
   let st = Random.State.make [| seed |] in
   let rows =
-    List.concat_map
-      (fun fam ->
-        List.map
-          (fun n ->
-            let g = Families.build fam ~n ~seed in
-            let actual = Graph.n g in
-            let contribution tree = Spanning.contribution g (Spanning.edges tree) in
-            let light = contribution (Spanning.light g ~root:0) in
-            let bfs = contribution (Spanning.bfs g ~root:0) in
-            let dfs = contribution (Spanning.dfs g ~root:0) in
-            let rnd = contribution (Spanning.random g ~root:0 st) in
-            [
-              Families.name fam;
-              Table.i actual;
-              Table.i light;
-              Table.f2 (float_of_int light /. float_of_int actual);
-              Table.i (4 * actual);
-              Table.i bfs;
-              Table.i dfs;
-              Table.i rnd;
-              Table.b (light <= 4 * actual);
-            ])
-          [ 64; 256; 1024 ])
-      Families.default_sweep
+    over Families.default_sweep [ 64; 256; 1024 ] (fun fam g ->
+        let actual = Graph.n g in
+        let contribution tree = Spanning.contribution g (Spanning.edges tree) in
+        let light = contribution (Spanning.light g ~root:0) in
+        let bfs = contribution (Spanning.bfs g ~root:0) in
+        let dfs = contribution (Spanning.dfs g ~root:0) in
+        let rnd = contribution (Spanning.random g ~root:0 st) in
+        [
+          Families.name fam;
+          Table.i actual;
+          Table.i light;
+          Table.f2 (float_of_int light /. float_of_int actual);
+          Table.i (4 * actual);
+          Table.i bfs;
+          Table.i dfs;
+          Table.i rnd;
+          Table.b (light <= 4 * actual);
+        ])
   in
   Table.render
     ~title:"E3 (Claim 3.1): spanning-tree contribution sum #2(w(e)) — light vs naive trees"
@@ -188,34 +178,24 @@ let e3 () =
 
 let e4 () =
   let rows =
-    List.concat_map
-      (fun fam ->
-        List.map
-          (fun n ->
-            let g = Families.build fam ~n ~seed in
-            let actual = Graph.n g in
-            let sync = Broadcast.run ~scheduler:Sim.Scheduler.Synchronous g ~source:0 in
-            let asy = Broadcast.run ~scheduler:(Sim.Scheduler.Async_random 7) g ~source:0 in
-            let worst =
-              max sync.Broadcast.result.Sim.Runner.stats.Obs.Counting.sent
-                asy.Broadcast.result.Sim.Runner.stats.Obs.Counting.sent
-            in
-            [
-              Families.name fam;
-              Table.i actual;
-              Table.i sync.Broadcast.advice_bits;
-              Table.f2 (float_of_int sync.Broadcast.advice_bits /. float_of_int actual);
-              Table.i (8 * actual);
-              Table.i worst;
-              Table.f2 (float_of_int worst /. float_of_int actual);
-              Table.b
-                (sync.Broadcast.result.Sim.Runner.all_informed
-                && asy.Broadcast.result.Sim.Runner.all_informed
-                && worst < 3 * actual
-                && sync.Broadcast.advice_bits <= 8 * actual);
-            ])
-          ns_medium)
-      Families.default_sweep
+    over Families.default_sweep ns_medium (fun fam g ->
+        let actual = Graph.n g in
+        let sync = Broadcast.run ~scheduler:Sim.Scheduler.Synchronous g ~source:0 in
+        let asy = Broadcast.run ~scheduler:(Sim.Scheduler.Async_random 7) g ~source:0 in
+        let worst = max (sent sync.Broadcast.result) (sent asy.Broadcast.result) in
+        [
+          Families.name fam;
+          Table.i actual;
+          Table.i sync.advice_bits;
+          Table.f2 (float_of_int sync.advice_bits /. float_of_int actual);
+          Table.i (8 * actual);
+          Table.i worst;
+          Table.f2 (float_of_int worst /. float_of_int actual);
+          Table.b
+            (sync.result.all_informed && asy.result.all_informed
+            && worst < 3 * actual
+            && sync.advice_bits <= 8 * actual);
+        ])
   in
   Table.render
     ~title:"E4 (Thm 3.1): broadcast — O(n) advice bits, <3n messages (sync & async)"
@@ -276,23 +256,18 @@ let e5 () =
 
 let e6 () =
   let rows =
-    List.concat_map
-      (fun fam ->
-        List.map
-          (fun n ->
-            let m = Separation.measure fam ~n ~seed in
-            [
-              m.Separation.family;
-              Table.i m.Separation.n;
-              Table.i m.Separation.wakeup_bits;
-              Table.i m.Separation.broadcast_bits;
-              Table.f2 m.Separation.bits_ratio;
-              Table.i m.Separation.wakeup_messages;
-              Table.i m.Separation.broadcast_messages;
-              Table.b (m.Separation.wakeup_ok && m.Separation.broadcast_ok);
-            ])
-          [ 64; 256; 1024 ])
-      Families.default_sweep
+    cross Families.default_sweep [ 64; 256; 1024 ] (fun fam n ->
+        let m = Separation.measure fam ~n ~seed in
+        [
+          m.Separation.family;
+          Table.i m.n;
+          Table.i m.wakeup_bits;
+          Table.i m.broadcast_bits;
+          Table.f2 m.bits_ratio;
+          Table.i m.wakeup_messages;
+          Table.i m.broadcast_messages;
+          Table.b (m.wakeup_ok && m.broadcast_ok);
+        ])
   in
   Table.render
     ~title:
@@ -309,22 +284,18 @@ let e6 () =
 
 let e7 () =
   let rows =
-    List.map
-      (fun fam ->
-        let g = Families.build fam ~n:256 ~seed in
-        let actual = Graph.n g in
+    over Families.default_sweep [ 256 ] (fun fam g ->
         let wbits enc = (Wakeup.run ~encoding:enc g ~source:0).Wakeup.advice_bits in
         let bbits enc = (Broadcast.run ~encoding:enc g ~source:0).Broadcast.advice_bits in
         [
           Families.name fam;
-          Table.i actual;
+          Table.i (Graph.n g);
           Table.i (wbits Wakeup.Paper);
           Table.i (wbits Wakeup.Paper_minimal);
           Table.i (wbits Wakeup.Gamma);
           Table.i (bbits Broadcast.Marked);
           Table.i (bbits Broadcast.Gamma);
         ])
-      Families.default_sweep
   in
   Table.render
     ~title:"E7 (ablation): advice size per encoding (n = 256)"
@@ -346,29 +317,24 @@ let e7 () =
 let e8 () =
   let st = Random.State.make [| seed |] in
   let rows =
-    List.concat_map
-      (fun fam ->
-        List.map
-          (fun n ->
-            let g = Families.build fam ~n ~seed in
-            let actual = Graph.n g in
-            let bits tree = (Broadcast.run ~tree g ~source:0).Broadcast.advice_bits in
-            let light = bits (fun g ~root -> Spanning.light g ~root) in
-            let bfs = bits (fun g ~root -> Spanning.bfs g ~root) in
-            let dfs = bits (fun g ~root -> Spanning.dfs g ~root) in
-            let rnd = bits (fun g ~root -> Spanning.random g ~root st) in
-            [
-              Families.name fam;
-              Table.i actual;
-              Table.i light;
-              Table.i bfs;
-              Table.i dfs;
-              Table.i rnd;
-              Table.i (8 * actual);
-              Table.b (light <= 8 * actual);
-            ])
-          [ 64; 256; 1024 ])
-      [ Families.Complete; Families.Dense_random; Families.Hypercube ]
+    over [ Families.Complete; Families.Dense_random; Families.Hypercube ] [ 64; 256; 1024 ]
+      (fun fam g ->
+        let actual = Graph.n g in
+        let bits tree = (Broadcast.run ~tree g ~source:0).Broadcast.advice_bits in
+        let light = bits (fun g ~root -> Spanning.light g ~root) in
+        let bfs = bits (fun g ~root -> Spanning.bfs g ~root) in
+        let dfs = bits (fun g ~root -> Spanning.dfs g ~root) in
+        let rnd = bits (fun g ~root -> Spanning.random g ~root st) in
+        [
+          Families.name fam;
+          Table.i actual;
+          Table.i light;
+          Table.i bfs;
+          Table.i dfs;
+          Table.i rnd;
+          Table.i (8 * actual);
+          Table.b (light <= 8 * actual);
+        ])
   in
   Table.render
     ~title:"E8 (ablation): broadcast advice bits per spanning tree — why Claim 3.1 is needed"
@@ -393,11 +359,9 @@ let e9 () =
         [
           Table.f2 p;
           Table.i (Graph.m g);
-          Table.i flood.Sim.Runner.stats.Obs.Counting.sent;
-          Table.i b.Broadcast.result.Sim.Runner.stats.Obs.Counting.sent;
-          Table.f2
-            (float_of_int flood.Sim.Runner.stats.Obs.Counting.sent
-            /. float_of_int b.Broadcast.result.Sim.Runner.stats.Obs.Counting.sent);
+          Table.i (sent flood);
+          Table.i (sent b.Broadcast.result);
+          Table.f2 (float_of_int (sent flood) /. float_of_int (sent b.result));
           Table.i b.Broadcast.advice_bits;
         ])
       [ 0.02; 0.05; 0.1; 0.2; 0.4; 0.8 ]
@@ -455,38 +419,32 @@ let e10 () =
 
 let e11 () =
   let rows =
-    List.concat_map
-      (fun fam ->
-        List.map
-          (fun n ->
-            let g = Families.build fam ~n ~seed in
-            let actual = Graph.n g in
-            let advice_free _ = Bitstring.Bitbuf.create () in
-            let flood =
-              Sim.Runner.run ~max_messages:(4 * Graph.m g) ~advice:advice_free g ~source:0
-                Sim.Scheme.flooding
-            in
-            let bc = Broadcast.run g ~source:0 in
-            let bc_bfs =
-              Broadcast.run ~tree:(fun g ~root -> Spanning.bfs g ~root) g ~source:0
-            in
-            let wk = Wakeup.run g ~source:0 in
-            [
-              Families.name fam;
-              Table.i actual;
-              Table.i flood.Sim.Runner.stats.Obs.Counting.sent;
-              Table.i flood.Sim.Runner.stats.Obs.Counting.causal_depth;
-              Table.i bc.Broadcast.advice_bits;
-              Table.i bc.Broadcast.result.Sim.Runner.stats.Obs.Counting.sent;
-              Table.i bc.Broadcast.result.Sim.Runner.stats.Obs.Counting.causal_depth;
-              Table.i bc_bfs.Broadcast.advice_bits;
-              Table.i bc_bfs.Broadcast.result.Sim.Runner.stats.Obs.Counting.causal_depth;
-              Table.i wk.Wakeup.advice_bits;
-              Table.i wk.Wakeup.result.Sim.Runner.stats.Obs.Counting.sent;
-              Table.i wk.Wakeup.result.Sim.Runner.stats.Obs.Counting.causal_depth;
-            ])
-          [ 64; 256; 1024 ])
+    over
       [ Families.Sparse_random; Families.Dense_random; Families.Complete; Families.Grid ]
+      [ 64; 256; 1024 ]
+      (fun fam g ->
+        let advice_free _ = Bitstring.Bitbuf.create () in
+        let flood =
+          Sim.Runner.run ~max_messages:(4 * Graph.m g) ~advice:advice_free g ~source:0
+            Sim.Scheme.flooding
+        in
+        let bc = Broadcast.run g ~source:0 in
+        let bc_bfs = Broadcast.run ~tree:(fun g ~root -> Spanning.bfs g ~root) g ~source:0 in
+        let wk = Wakeup.run g ~source:0 in
+        [
+          Families.name fam;
+          Table.i (Graph.n g);
+          Table.i (sent flood);
+          Table.i (depth flood);
+          Table.i bc.Broadcast.advice_bits;
+          Table.i (sent bc.result);
+          Table.i (depth bc.result);
+          Table.i bc_bfs.advice_bits;
+          Table.i (depth bc_bfs.result);
+          Table.i wk.Wakeup.advice_bits;
+          Table.i (sent wk.result);
+          Table.i (depth wk.result);
+        ])
   in
   Table.render
     ~title:
@@ -508,25 +466,21 @@ let e11 () =
 
 let e12 () =
   let rows =
-    List.concat_map
-      (fun fam ->
-        List.map
-          (fun n ->
-            let g = Families.build fam ~n ~seed in
-            let actual = Graph.n g in
-            let tree = Gossip.run g ~source:0 in
-            let flood = Gossip.run_flooding g ~source:0 in
-            [
-              Families.name fam;
-              Table.i actual;
-              Table.i tree.Gossip.advice_bits;
-              Table.i tree.Gossip.result.Sim.Runner.stats.Obs.Counting.sent;
-              Table.i (2 * (actual - 1));
-              Table.i flood.Gossip.result.Sim.Runner.stats.Obs.Counting.sent;
-              Table.b (tree.Gossip.complete && flood.Gossip.complete);
-            ])
-          [ 32; 64; 128 ])
+    over
       [ Families.Random_tree; Families.Grid; Families.Sparse_random; Families.Dense_random ]
+      [ 32; 64; 128 ]
+      (fun fam g ->
+        let tree = Gossip.run g ~source:0 in
+        let flood = Gossip.run_flooding g ~source:0 in
+        [
+          Families.name fam;
+          Table.i (Graph.n g);
+          Table.i tree.Gossip.advice_bits;
+          Table.i (sent tree.result);
+          Table.i (2 * (Graph.n g - 1));
+          Table.i (sent flood.result);
+          Table.b (tree.complete && flood.complete);
+        ])
   in
   Table.render
     ~title:"E12 (gossip): tree advice gives 2(n-1) messages; advice-free flooding pays Θ(nm)"
@@ -539,24 +493,22 @@ let e12 () =
 
 let e13 () =
   let rows =
-    List.concat_map
-      (fun fam ->
-        let g = Families.build fam ~n:96 ~seed in
-        let actual = Graph.n g in
-        List.map
-          (fun rho ->
-            let o = Neighborhood.run ~rho g ~source:0 in
-            [
-              Families.name fam;
-              Table.i actual;
-              Table.i (Graph.m g);
-              Table.i rho;
-              Table.i o.Neighborhood.advice_bits;
-              Table.i o.Neighborhood.result.Sim.Runner.stats.Obs.Counting.sent;
-              Table.b o.Neighborhood.result.Sim.Runner.all_informed;
-            ])
-          [ 0; 1; 2; 3 ])
-      [ Families.Sparse_random; Families.Dense_random; Families.Complete ]
+    List.concat
+      (over [ Families.Sparse_random; Families.Dense_random; Families.Complete ] [ 96 ]
+         (fun fam g ->
+           List.map
+             (fun rho ->
+               let o = Neighborhood.run ~rho g ~source:0 in
+               [
+                 Families.name fam;
+                 Table.i (Graph.n g);
+                 Table.i (Graph.m g);
+                 Table.i rho;
+                 Table.i o.Neighborhood.advice_bits;
+                 Table.i (sent o.result);
+                 Table.b o.result.all_informed;
+               ])
+             [ 0; 1; 2; 3 ]))
   in
   Table.render
     ~title:
@@ -571,9 +523,8 @@ let e13 () =
 let e14 () =
   let no_advice = Bitstring.Bitbuf.create () in
   let rows =
-    List.concat_map
-      (fun fam ->
-        let g = Families.build fam ~n:128 ~seed in
+    over [ Families.Random_tree; Families.Grid; Families.Hypercube; Families.Dense_random ] [ 128 ]
+      (fun fam g ->
         let actual = Graph.n g and m = Graph.m g in
         let d = Netgraph.Traverse.diameter g in
         let dfs = Agent.Walker.run ~advice:no_advice g ~start:0 Agent.Explore.dfs in
@@ -590,19 +541,16 @@ let e14 () =
         let guided = Agent.Walker.run ~advice:route g ~start:0 Agent.Explore.guided in
         let cover o = match o.Agent.Walker.moves_to_cover with Some c -> c | None -> -1 in
         [
-          [
-            Families.name fam;
-            Table.i actual;
-            Table.i m;
-            Table.i (cover dfs);
-            Table.i (cover rotor);
-            Table.i (cover walk);
-            Table.i (cover guided);
-            Table.i (Bitstring.Bitbuf.length route);
-            Table.b (dfs.Agent.Walker.covered && rotor.covered && walk.covered && guided.covered);
-          ];
+          Families.name fam;
+          Table.i actual;
+          Table.i m;
+          Table.i (cover dfs);
+          Table.i (cover rotor);
+          Table.i (cover walk);
+          Table.i (cover guided);
+          Table.i (Bitstring.Bitbuf.length route);
+          Table.b (dfs.Agent.Walker.covered && rotor.covered && walk.covered && guided.covered);
         ])
-      [ Families.Random_tree; Families.Grid; Families.Hypercube; Families.Dense_random ]
   in
   Table.render
     ~title:
@@ -617,41 +565,31 @@ let e14 () =
 let e15 () =
   let no_advice _ = Bitstring.Bitbuf.create () in
   let rows =
-    List.concat_map
-      (fun fam ->
-        List.map
-          (fun n ->
-            let g = Families.build fam ~n ~seed in
-            let actual = Graph.n g in
-            let d = Netgraph.Traverse.diameter g in
-            let rr = Radio.Model.run ~advice:no_advice g ~source:0 Radio.Protocols.round_robin in
-            let dc =
-              List.map
-                (fun s ->
-                  (Radio.Model.run ~advice:no_advice g ~source:0 (Radio.Protocols.decay ~seed:s))
-                    .Radio.Model.rounds)
-                [ 1; 2; 3; 4; 5 ]
-            in
-            let dc_mean =
-              float_of_int (List.fold_left ( + ) 0 dc) /. float_of_int (List.length dc)
-            in
-            let advice = Radio.Protocols.schedule_oracle g ~source:0 in
-            let sc =
-              Radio.Model.run ~advice:(Oracles.Advice.get advice) g ~source:0
-                Radio.Protocols.scheduled
-            in
-            [
-              Families.name fam;
-              Table.i actual;
-              Table.i d;
-              Table.i rr.Radio.Model.rounds;
-              Table.f1 dc_mean;
-              Table.i sc.Radio.Model.rounds;
-              Table.i (Oracles.Advice.size_bits advice);
-              Table.b (rr.Radio.Model.all_informed && sc.Radio.Model.all_informed);
-            ])
-          [ 64; 256 ])
-      [ Families.Path; Families.Grid; Families.Sparse_random; Families.Complete ]
+    over [ Families.Path; Families.Grid; Families.Sparse_random; Families.Complete ] [ 64; 256 ]
+      (fun fam g ->
+        let rr = Radio.Model.run ~advice:no_advice g ~source:0 Radio.Protocols.round_robin in
+        let dc =
+          List.map
+            (fun s ->
+              (Radio.Model.run ~advice:no_advice g ~source:0 (Radio.Protocols.decay ~seed:s))
+                .Radio.Model.rounds)
+            [ 1; 2; 3; 4; 5 ]
+        in
+        let dc_mean = float_of_int (List.fold_left ( + ) 0 dc) /. float_of_int (List.length dc) in
+        let advice = Radio.Protocols.schedule_oracle g ~source:0 in
+        let sc =
+          Radio.Model.run ~advice:(Oracles.Advice.get advice) g ~source:0 Radio.Protocols.scheduled
+        in
+        [
+          Families.name fam;
+          Table.i (Graph.n g);
+          Table.i (Netgraph.Traverse.diameter g);
+          Table.i rr.Radio.Model.rounds;
+          Table.f1 dc_mean;
+          Table.i sc.rounds;
+          Table.i (Oracles.Advice.size_bits advice);
+          Table.b (rr.all_informed && sc.all_informed);
+        ])
   in
   Table.render
     ~title:
@@ -666,9 +604,7 @@ let e15 () =
 let e3b () =
   let st = Random.State.make [| seed |] in
   let rows =
-    List.concat_map
-      (fun fam ->
-        let g = Families.build fam ~n:256 ~seed in
+    over Families.default_sweep [ 256 ] (fun fam g ->
         let actual = Graph.n g in
         let contribution graph =
           Spanning.contribution graph (Spanning.edges (Spanning.light graph ~root:0))
@@ -682,17 +618,14 @@ let e3b () =
         in
         let worst = List.fold_left max 0 permuted in
         [
-          [
-            Families.name fam;
-            Table.i actual;
-            Table.i original;
-            Table.f1 mean;
-            Table.i worst;
-            Table.i (4 * actual);
-            Table.b (worst <= 4 * actual);
-          ];
+          Families.name fam;
+          Table.i actual;
+          Table.i original;
+          Table.f1 mean;
+          Table.i worst;
+          Table.i (4 * actual);
+          Table.b (worst <= 4 * actual);
         ])
-      Families.default_sweep
   in
   Table.render
     ~title:
@@ -706,28 +639,24 @@ let e3b () =
 
 let e16 () =
   let rows =
-    List.concat_map
-      (fun fam ->
-        List.map
-          (fun n ->
-            let g = Families.build fam ~n ~seed in
-            let actual = Graph.n g in
-            let free = Election.max_finding g in
-            let marked = Election.with_marked_leader g in
-            let b = Broadcast.run g ~source:0 in
-            let w = Wakeup.run g ~source:0 in
-            [
-              Families.name fam;
-              Table.i actual;
-              Table.i free.Election.result.Sim.Runner.stats.Obs.Counting.sent;
-              Table.i marked.Election.advice_bits;
-              Table.i marked.Election.result.Sim.Runner.stats.Obs.Counting.sent;
-              Table.i b.Broadcast.advice_bits;
-              Table.i w.Wakeup.advice_bits;
-              Table.b (free.Election.ok && marked.Election.ok);
-            ])
-          [ 64; 256 ])
+    over
       [ Families.Cycle; Families.Grid; Families.Sparse_random; Families.Dense_random ]
+      [ 64; 256 ]
+      (fun fam g ->
+        let free = Election.max_finding g in
+        let marked = Election.with_marked_leader g in
+        let b = Broadcast.run g ~source:0 in
+        let w = Wakeup.run g ~source:0 in
+        [
+          Families.name fam;
+          Table.i (Graph.n g);
+          Table.i (sent free.Election.result);
+          Table.i marked.advice_bits;
+          Table.i (sent marked.result);
+          Table.i b.Broadcast.advice_bits;
+          Table.i w.Wakeup.advice_bits;
+          Table.b (free.ok && marked.ok);
+        ])
   in
   Table.render
     ~title:
@@ -744,27 +673,24 @@ let e16 () =
 
 let e17 () =
   let rows =
-    List.concat_map
-      (fun fam ->
-        List.map
-          (fun n ->
-            let g = Families.build fam ~n ~seed in
-            let actual = Graph.n g in
-            let flood = Tree_construction.flood_build ~scheduler:Sim.Scheduler.Synchronous g ~source:0 in
-            let advised = Tree_construction.advised_build g ~source:0 in
-            [
-              Families.name fam;
-              Table.i actual;
-              Table.i (Graph.m g);
-              Table.i flood.Tree_construction.result.Sim.Runner.stats.Obs.Counting.sent;
-              Table.b flood.Tree_construction.is_bfs;
-              Table.i advised.Tree_construction.advice_bits;
-              Table.i advised.Tree_construction.result.Sim.Runner.stats.Obs.Counting.sent;
-              Table.b
-                (flood.Tree_construction.tree <> None && advised.Tree_construction.tree <> None);
-            ])
-          [ 64; 256; 1024 ])
+    over
       [ Families.Grid; Families.Sparse_random; Families.Dense_random; Families.Complete ]
+      [ 64; 256; 1024 ]
+      (fun fam g ->
+        let flood =
+          Tree_construction.flood_build ~scheduler:Sim.Scheduler.Synchronous g ~source:0
+        in
+        let advised = Tree_construction.advised_build g ~source:0 in
+        [
+          Families.name fam;
+          Table.i (Graph.n g);
+          Table.i (Graph.m g);
+          Table.i (sent flood.Tree_construction.result);
+          Table.b flood.is_bfs;
+          Table.i advised.advice_bits;
+          Table.i (sent advised.result);
+          Table.b (flood.tree <> None && advised.tree <> None);
+        ])
   in
   Table.render
     ~title:
@@ -779,26 +705,22 @@ let e17 () =
 
 let e18 () =
   let rows =
-    List.concat_map
-      (fun fam ->
-        List.map
-          (fun n ->
-            let g = Families.build fam ~n ~seed in
-            let actual = Graph.n g in
-            let d = Syncnet.Boruvka.distributed_build g in
-            let a = Syncnet.Boruvka.advised_build g in
-            [
-              Families.name fam;
-              Table.i actual;
-              Table.i (Graph.m g);
-              Table.i d.Syncnet.Boruvka.result.Syncnet.Model.messages;
-              Table.i d.Syncnet.Boruvka.result.Syncnet.Model.rounds;
-              Table.i a.Syncnet.Boruvka.advice_bits;
-              Table.i a.Syncnet.Boruvka.result.Syncnet.Model.messages;
-              Table.b (d.Syncnet.Boruvka.matches_reference && a.Syncnet.Boruvka.matches_reference);
-            ])
-          [ 32; 64; 128 ])
+    over
       [ Families.Grid; Families.Sparse_random; Families.Dense_random; Families.Complete ]
+      [ 32; 64; 128 ]
+      (fun fam g ->
+        let d = Syncnet.Boruvka.distributed_build g in
+        let a = Syncnet.Boruvka.advised_build g in
+        [
+          Families.name fam;
+          Table.i (Graph.n g);
+          Table.i (Graph.m g);
+          Table.i d.Syncnet.Boruvka.result.Syncnet.Model.messages;
+          Table.i d.result.rounds;
+          Table.i a.advice_bits;
+          Table.i a.result.messages;
+          Table.b (d.matches_reference && a.matches_reference);
+        ])
   in
   Table.render
     ~title:
@@ -852,25 +774,23 @@ let e19b () =
 
 let e20 () =
   let rows =
-    List.concat_map
-      (fun fam ->
-        let g = Families.build fam ~n:96 ~seed in
-        let actual = Graph.n g in
-        List.map
-          (fun stretch ->
-            let o = Spanner.measure g ~stretch in
-            [
-              Families.name fam;
-              Table.i actual;
-              Table.i (Graph.m g);
-              Table.i o.Spanner.stretch;
-              Table.i o.Spanner.edges_kept;
-              Table.i o.Spanner.advice_bits;
-              Table.f1 o.Spanner.measured_stretch;
-              Table.b o.Spanner.valid;
-            ])
-          [ 1; 3; 5 ])
-      [ Families.Sparse_random; Families.Dense_random; Families.Complete ]
+    List.concat
+      (over [ Families.Sparse_random; Families.Dense_random; Families.Complete ] [ 96 ]
+         (fun fam g ->
+           List.map
+             (fun stretch ->
+               let o = Spanner.measure g ~stretch in
+               [
+                 Families.name fam;
+                 Table.i (Graph.n g);
+                 Table.i (Graph.m g);
+                 Table.i o.Spanner.stretch;
+                 Table.i o.edges_kept;
+                 Table.i o.advice_bits;
+                 Table.f1 o.measured_stretch;
+                 Table.b o.valid;
+               ])
+             [ 1; 3; 5 ]))
   in
   Table.render
     ~title:"E20 (conclusion): greedy t-spanner oracles — edges and advice vs stretch"
@@ -1028,27 +948,17 @@ let stress () =
      sequential loops, so stress.jsonl is byte-identical at any job
      count (the CI determinism gate diffs -j 1 against -j 2). *)
   let tasks =
-    List.concat_map
-      (fun proto ->
-        List.concat_map
-          (fun (plan_name, plan) ->
-            List.concat_map
-              (fun (gname, g) ->
-                List.map
-                  (fun scheduler ->
-                    {
-                      st_proto = proto;
-                      st_plan_name = plan_name;
-                      st_plan = plan;
-                      st_gname = gname;
-                      st_graph = g;
-                      st_sched = scheduler;
-                    })
-                  Sim.Scheduler.default_suite)
-              graphs)
-          Fault.Plan.builtins)
-      protocols
-    |> Array.of_list
+    cross protocols Fault.Plan.builtins (fun proto (plan_name, plan) ->
+        cross graphs Sim.Scheduler.default_suite (fun (gname, g) scheduler ->
+            {
+              st_proto = proto;
+              st_plan_name = plan_name;
+              st_plan = plan;
+              st_gname = gname;
+              st_graph = g;
+              st_sched = scheduler;
+            }))
+    |> List.concat |> Array.of_list
   in
   let entries, graceful, timing =
     journaled_grid ~name:"stress" ~out:!stress_out ~journal:!stress_journal ~key:stress_key
@@ -1060,14 +970,9 @@ let stress () =
       tasks
   in
   let rows =
-    List.concat_map
-      (fun proto ->
-        List.map
-          (fun (plan_name, _) ->
-            let name = Fault.Harness.protocol_name proto in
-            name :: plan_name :: verdict_cells (entries (name, plan_name)))
-          Fault.Plan.builtins)
-      protocols
+    cross protocols Fault.Plan.builtins (fun proto (plan_name, _) ->
+        let name = Fault.Harness.protocol_name proto in
+        name :: plan_name :: verdict_cells (entries (name, plan_name)))
   in
   Table.render
     ~title:
@@ -1134,12 +1039,14 @@ let resilience () =
     ]
   in
   let plans =
-    [
-      "advice-flip=1,seed=5";
-      "advice-flip=4,seed=5";
-      "drop=0.1,seed=7";
-      "drop=0.1,crash=1@3,seed=7";
-    ]
+    List.map
+      (fun name -> (name, Fault.Plan.of_string_exn name))
+      [
+        "advice-flip=1,seed=5";
+        "advice-flip=4,seed=5";
+        "drop=0.1,seed=7";
+        "drop=0.1,crash=1@3,seed=7";
+      ]
   in
   let levels = Bitstring.Ecc.all in
   let retries = [ 0; 2 ] in
@@ -1147,32 +1054,21 @@ let resilience () =
   (* Canonical order = the old sequential nesting (plans, levels, retries,
      protocols, graphs); emission replays it after the join. *)
   let tasks =
-    List.concat_map
-      (fun plan_name ->
-        let plan = Fault.Plan.of_string_exn plan_name in
-        List.concat_map
-          (fun protect ->
-            List.concat_map
-              (fun retry ->
-                List.concat_map
-                  (fun proto ->
-                    List.map
-                      (fun (gname, g) ->
-                        {
-                          rt_plan_name = plan_name;
-                          rt_plan = plan;
-                          rt_protect = protect;
-                          rt_retry = retry;
-                          rt_proto = proto;
-                          rt_gname = gname;
-                          rt_graph = g;
-                        })
-                      graphs)
-                  protocols)
-              retries)
-          levels)
-      plans
-    |> Array.of_list
+    cross plans levels (fun (plan_name, plan) protect ->
+        cross retries protocols (fun retry proto ->
+            List.map
+              (fun (gname, g) ->
+                {
+                  rt_plan_name = plan_name;
+                  rt_plan = plan;
+                  rt_protect = protect;
+                  rt_retry = retry;
+                  rt_proto = proto;
+                  rt_gname = gname;
+                  rt_graph = g;
+                })
+              graphs))
+    |> List.concat |> List.concat |> Array.of_list
   in
   let entries, graceful, timing =
     journaled_grid ~name:"resilience" ~out:!resilience_out ~journal:!resilience_journal
@@ -1184,21 +1080,15 @@ let resilience () =
       tasks
   in
   let rows =
-    List.concat_map
-      (fun plan_name ->
-        List.concat_map
-          (fun protect ->
-            List.map
-              (fun retry ->
-                let es = entries (plan_name, protect, retry) in
-                let worst_overhead =
-                  List.fold_left (fun w e -> max w (resilience_overhead e)) 1.0 es
-                in
-                [ plan_name; Bitstring.Ecc.name protect; Table.i retry; Table.f2 worst_overhead ]
-                @ verdict_cells es)
-              retries)
-          levels)
-      plans
+    cross plans levels (fun (plan_name, _) protect ->
+        List.map
+          (fun retry ->
+            let es = entries (plan_name, protect, retry) in
+            let worst_overhead = List.fold_left (fun w e -> max w (resilience_overhead e)) 1.0 es in
+            [ plan_name; Bitstring.Ecc.name protect; Table.i retry; Table.f2 worst_overhead ]
+            @ verdict_cells es)
+          retries)
+    |> List.concat
   in
   Table.render
     ~title:
