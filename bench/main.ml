@@ -1179,13 +1179,6 @@ let experiments =
   ]
 
 let () =
-  let take prefix store a =
-    if String.starts_with ~prefix a then begin
-      store (String.sub a (String.length prefix) (String.length a - String.length prefix));
-      true
-    end
-    else false
-  in
   let options =
     [
       ("--trace-out=", fun v -> trace_out := v);
@@ -1195,11 +1188,7 @@ let () =
       ("--resilience-journal=", fun v -> resilience_journal := Some v);
     ]
   in
-  let args =
-    List.filter
-      (fun a -> not (List.exists (fun (prefix, store) -> take prefix store a) options))
-      (List.tl (Array.to_list Sys.argv))
-  in
+  let args = Opts.parse options (List.tl (Array.to_list Sys.argv)) in
   let requested =
     match args with
     | args when args <> [] && args <> [ "all" ] -> args

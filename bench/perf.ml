@@ -307,23 +307,17 @@ let () =
     exit 2
   in
   let int_value v = match int_of_string_opt v with Some n -> n | None -> usage () in
-  List.iter
-    (fun a ->
-      let with_prefix p f =
-        if String.starts_with ~prefix:p a then begin
-          f (String.sub a (String.length p) (String.length a - String.length p));
-          true
-        end
-        else false
-      in
-      if
-        not
-          (with_prefix "--out=" (fun v -> out := v)
-          || with_prefix "--max-n=" (fun v -> max_n := int_value v)
-          || with_prefix "--baseline=" (fun v -> baseline := v)
-          || with_prefix "--jobs=" (fun v -> jobs_arg := Some (int_value v)))
-      then usage ())
-    (List.tl (Array.to_list Sys.argv));
+  let rest =
+    Opts.parse
+      [
+        ("--out=", fun v -> out := v);
+        ("--max-n=", fun v -> max_n := int_value v);
+        ("--baseline=", fun v -> baseline := v);
+        ("--jobs=", fun v -> jobs_arg := Some (int_value v));
+      ]
+      (List.tl (Array.to_list Sys.argv))
+  in
+  if rest <> [] then usage ();
   (* Pinned GC configuration — see the header comment.  Set before any
      row runs so warmups and measurements agree. *)
   Gc.set { (Gc.get ()) with Gc.space_overhead = 200 };

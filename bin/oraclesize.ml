@@ -461,7 +461,9 @@ let separation_cmd =
     Term.(const run $ family_arg $ ns_arg $ seed_arg)
 
 let adversary_cmd =
-  let x_arg = opt_arg [ "x" ] Arg.int 2 ~docv:"X" ~doc:"Number of special edges |X|."
+  let x_arg =
+    opt_arg [ "x" ] (int_conv ~min:0 "special edge count") 2 ~docv:"X"
+      ~doc:"Number of special edges |X|."
   in
   let count_arg =
     opt_arg [ "sample" ] (int_conv ~min:0 "sample count") 0 ~docv:"COUNT"
@@ -477,6 +479,12 @@ let adversary_cmd =
   in
   let run n x count (_, strategy) seed =
     let module E = Oracle_core.Edge_discovery in
+    (* The instances place X special edges among the n(n-1)/2 edges of
+       the n-node clique; past that there is no family to play on. *)
+    let edges = if n < 2 then 0 else if n > 1 lsl 31 then max_int else n * (n - 1) / 2 in
+    if x > edges then
+      usage_error "oraclesize adversary: -x %d special edges need that many edges; -n %d has %d" x n
+        edges;
     let instances =
       if count = 0 then E.enumerate_instances ~n ~x_size:x ~excluded:[]
       else

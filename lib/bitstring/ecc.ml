@@ -96,132 +96,130 @@ let overhead_bound = function
   | Repetition k -> float_of_int k
 
 let protect level (b : Bitbuf.t) =
-  if Bitbuf.length b = 0 then Bitbuf.create ()
-  else
-    match level with
-    | Raw -> Bitbuf.copy b
-    | Crc ->
-        let out = Bitbuf.copy b in
-        let c = crc8 (Bitbuf.to_bits b) in
-        for i = crc_width - 1 downto 0 do
-          Bitbuf.add_bit out ((c lsr i) land 1 = 1)
-        done;
-        out
-    | Hamming ->
-        let m = Bitbuf.length b in
-        let r = hamming_r m in
-        let n = m + r in
-        let code = Array.make (n + 1) false in
-        let di = ref 0 in
+  match level with
+  | Raw -> b
+  | _ when Bitbuf.length b = 0 -> Bitbuf.create ()
+  | Crc ->
+      let out = Bitbuf.copy b in
+      let c = crc8 (Bitbuf.to_bits b) in
+      for i = crc_width - 1 downto 0 do
+        Bitbuf.add_bit out ((c lsr i) land 1 = 1)
+      done;
+      out
+  | Hamming ->
+      let m = Bitbuf.length b in
+      let r = hamming_r m in
+      let n = m + r in
+      let code = Array.make (n + 1) false in
+      let di = ref 0 in
+      for i = 1 to n do
+        if not (is_pow2 i) then begin
+          code.(i) <- Bitbuf.get b !di;
+          incr di
+        end
+      done;
+      for p = 0 to r - 1 do
+        let mask = 1 lsl p in
+        let parity = ref false in
         for i = 1 to n do
-          if not (is_pow2 i) then begin
-            code.(i) <- Bitbuf.get b !di;
-            incr di
-          end
+          if i land mask <> 0 && not (is_pow2 i) && code.(i) then
+            parity := not !parity
         done;
-        for p = 0 to r - 1 do
-          let mask = 1 lsl p in
-          let parity = ref false in
-          for i = 1 to n do
-            if i land mask <> 0 && not (is_pow2 i) && code.(i) then
-              parity := not !parity
-          done;
-          code.(mask) <- !parity
-        done;
-        let out = Bitbuf.create () in
-        for i = 1 to n do
-          Bitbuf.add_bit out code.(i)
-        done;
-        out
-    | Repetition k ->
-        check_rep k;
-        let out = Bitbuf.create () in
-        for i = 0 to Bitbuf.length b - 1 do
-          for _ = 1 to k do
-            Bitbuf.add_bit out (Bitbuf.get b i)
-          done
-        done;
-        out
+        code.(mask) <- !parity
+      done;
+      let out = Bitbuf.create () in
+      for i = 1 to n do
+        Bitbuf.add_bit out code.(i)
+      done;
+      out
+  | Repetition k ->
+      check_rep k;
+      let out = Bitbuf.create () in
+      for i = 0 to Bitbuf.length b - 1 do
+        for _ = 1 to k do
+          Bitbuf.add_bit out (Bitbuf.get b i)
+        done
+      done;
+      out
 
 let unprotect level (b : Bitbuf.t) =
   let len = Bitbuf.length b in
-  if len = 0 then Ok (Bitbuf.create (), 0)
-  else
-    match level with
-    | Raw -> Ok (Bitbuf.copy b, 0)
-    | Crc ->
-        if len <= crc_width then
-          Error (Printf.sprintf "crc: %d bits is too short to be framed" len)
-        else
-          let m = len - crc_width in
-          let payload = Bitbuf.create () in
-          for i = 0 to m - 1 do
-            Bitbuf.add_bit payload (Bitbuf.get b i)
-          done;
-          let stored = ref 0 in
-          for i = m to len - 1 do
-            stored := (!stored lsl 1) lor (if Bitbuf.get b i then 1 else 0)
-          done;
-          if crc8 (Bitbuf.to_bits payload) = !stored then Ok (payload, 0)
-          else Error "crc: checksum mismatch"
-    | Hamming ->
-        (* r is a function of the codeword length; reject lengths that no
-           payload encodes to (e.g. a bare parity prefix). *)
-        let r =
-          let rec go r = if 1 lsl (r + 1) <= len then go (r + 1) else r + 1 in
-          go 0
-        in
-        let m = len - r in
-        if m < 1 || protected_length Hamming m <> len then
-          Error (Printf.sprintf "hamming: %d bits is not a codeword length" len)
-        else
-          let code = Array.make (len + 1) false in
+  match level with
+  | Raw -> Ok (b, 0)
+  | _ when len = 0 -> Ok (Bitbuf.create (), 0)
+  | Crc ->
+      if len <= crc_width then
+        Error (Printf.sprintf "crc: %d bits is too short to be framed" len)
+      else
+        let m = len - crc_width in
+        let payload = Bitbuf.create () in
+        for i = 0 to m - 1 do
+          Bitbuf.add_bit payload (Bitbuf.get b i)
+        done;
+        let stored = ref 0 in
+        for i = m to len - 1 do
+          stored := (!stored lsl 1) lor (if Bitbuf.get b i then 1 else 0)
+        done;
+        if crc8 (Bitbuf.to_bits payload) = !stored then Ok (payload, 0)
+        else Error "crc: checksum mismatch"
+  | Hamming ->
+      (* r is a function of the codeword length; reject lengths that no
+         payload encodes to (e.g. a bare parity prefix). *)
+      let r =
+        let rec go r = if 1 lsl (r + 1) <= len then go (r + 1) else r + 1 in
+        go 0
+      in
+      let m = len - r in
+      if m < 1 || protected_length Hamming m <> len then
+        Error (Printf.sprintf "hamming: %d bits is not a codeword length" len)
+      else
+        let code = Array.make (len + 1) false in
+        for i = 1 to len do
+          code.(i) <- Bitbuf.get b (i - 1)
+        done;
+        let syndrome = ref 0 in
+        for p = 0 to r - 1 do
+          let mask = 1 lsl p in
+          let parity = ref false in
           for i = 1 to len do
-            code.(i) <- Bitbuf.get b (i - 1)
+            if i land mask <> 0 && code.(i) then parity := not !parity
           done;
-          let syndrome = ref 0 in
-          for p = 0 to r - 1 do
-            let mask = 1 lsl p in
-            let parity = ref false in
-            for i = 1 to len do
-              if i land mask <> 0 && code.(i) then parity := not !parity
-            done;
-            if !parity then syndrome := !syndrome lor mask
-          done;
-          if !syndrome > len then
-            Error
-              (Printf.sprintf "hamming: syndrome %d outside codeword" !syndrome)
-          else begin
-            let corrected = if !syndrome = 0 then 0 else 1 in
-            if !syndrome > 0 then code.(!syndrome) <- not code.(!syndrome);
-            let payload = Bitbuf.create () in
-            for i = 1 to len do
-              if not (is_pow2 i) then Bitbuf.add_bit payload code.(i)
-            done;
-            Ok (payload, corrected)
-          end
-    | Repetition k ->
-        check_rep k;
-        if len mod k <> 0 then
+          if !parity then syndrome := !syndrome lor mask
+        done;
+        if !syndrome > len then
           Error
-            (Printf.sprintf "rep%d: length %d is not a multiple of %d" k len k)
+            (Printf.sprintf "hamming: syndrome %d outside codeword" !syndrome)
         else begin
+          let corrected = if !syndrome = 0 then 0 else 1 in
+          if !syndrome > 0 then code.(!syndrome) <- not code.(!syndrome);
           let payload = Bitbuf.create () in
-          let corrected = ref 0 in
-          let tie = ref false in
-          for g = 0 to (len / k) - 1 do
-            let ones = ref 0 in
-            for j = 0 to k - 1 do
-              if Bitbuf.get b ((g * k) + j) then incr ones
-            done;
-            if 2 * !ones = k then tie := true
-            else begin
-              let bit = 2 * !ones > k in
-              let minority = if bit then k - !ones else !ones in
-              if minority > 0 then incr corrected;
-              Bitbuf.add_bit payload bit
-            end
+          for i = 1 to len do
+            if not (is_pow2 i) then Bitbuf.add_bit payload code.(i)
           done;
-          if !tie then Error (Printf.sprintf "rep%d: majority tie" k)
-          else Ok (payload, !corrected)
+          Ok (payload, corrected)
         end
+  | Repetition k ->
+      check_rep k;
+      if len mod k <> 0 then
+        Error
+          (Printf.sprintf "rep%d: length %d is not a multiple of %d" k len k)
+      else begin
+        let payload = Bitbuf.create () in
+        let corrected = ref 0 in
+        let tie = ref false in
+        for g = 0 to (len / k) - 1 do
+          let ones = ref 0 in
+          for j = 0 to k - 1 do
+            if Bitbuf.get b ((g * k) + j) then incr ones
+          done;
+          if 2 * !ones = k then tie := true
+          else begin
+            let bit = 2 * !ones > k in
+            let minority = if bit then k - !ones else !ones in
+            if minority > 0 then incr corrected;
+            Bitbuf.add_bit payload bit
+          end
+        done;
+        if !tie then Error (Printf.sprintf "rep%d: majority tie" k)
+        else Ok (payload, !corrected)
+      end

@@ -43,7 +43,9 @@ val all : level list
 
 val protect : level -> Bitbuf.t -> Bitbuf.t
 (** Encode.  The input is not mutated; the empty string maps to itself.
-    Raises [Invalid_argument] for [Repetition k] with [k < 2]. *)
+    [Raw] returns its input, not a copy, and every other level a fresh
+    buffer, so a caller that mutates the result at [Raw] mutates the
+    input.  Raises [Invalid_argument] for [Repetition k] with [k < 2]. *)
 
 val unprotect : level -> Bitbuf.t -> (Bitbuf.t * int, string) result
 (** Decode, total on arbitrary bit strings: [Ok (payload, corrected)]
@@ -52,7 +54,8 @@ val unprotect : level -> Bitbuf.t -> (Bitbuf.t * int, string) result
     wrong framing, CRC mismatch, out-of-range Hamming syndrome, or a
     repetition tie.  Never raises.  Corruption beyond the code's power
     may decode to a wrong payload; callers must still validate the
-    payload semantically. *)
+    payload semantically.  At [Raw] the payload is the input itself,
+    as with {!protect}. *)
 
 val protected_length : level -> int -> int
 (** Exact encoded size in bits for a [len]-bit payload ([0] for [0]). *)

@@ -84,22 +84,22 @@ let rec sends_to msg = function
   | [] -> []
   | p :: rest -> (msg, p) :: sends_to msg rest
 
-let rec insert_port p l =
+let rec insert_port (p : int) l =
   match l with
   | [] -> [ p ]
   | q :: rest -> if p < q then p :: l else if p = q then l else q :: insert_port p rest
 
-let rec remove_port p = function
+let rec remove_port (p : int) = function
   | [] -> []
   | q :: rest -> if q = p then rest else q :: remove_port p rest
 
-let rec mem_port p = function
+let rec mem_port (p : int) = function
   | [] -> false
   | q :: rest -> q = p || (q < p && mem_port p rest)
 
 (* Merge two ascending lists (duplicates cannot arise: pending and
    retired are disjoint by construction). *)
-let rec merge_ports a b =
+let rec merge_ports (a : int list) b =
   match a, b with
   | [], l | l, [] -> l
   | p :: ra, q :: _ when p < q -> p :: merge_ports ra b
@@ -121,7 +121,7 @@ let flush st =
 
 (* kx and sx start as the advised ports (ascending, distinct) and ∅. *)
 let initial ports ~is_source =
-  { pending = List.sort_uniq compare ports; retired = []; informed = is_source }
+  { pending = List.sort_uniq Int.compare ports; retired = []; informed = is_source }
 
 (* The port a message arrived through joins kx and sx at once: an
    advised port we have not yet used is retired unsent, a new port never

@@ -67,29 +67,30 @@ let advise protocol g ~source =
   in
   oracle.Oracles.Oracle.advise g ~source
 
-(* One recorder per domain, reused run after run: its buffer is warm,
-   and the events a run emits die young instead of riding a list the
-   minor collector must promote.  A run that starts while the domain's
-   recorder is busy — one nested inside a user sink, say — records into
-   a fresh one, and the slot is released (and cleared) however the run
-   ends. *)
+(* One runner scratch per domain, reused run after run: its recorder
+   and the runner's ring and round-stash arrays stay warm, at the
+   largest run's size, and with no caller sinks a run's per-message
+   events are packed into the recorder without ever being built.  A
+   run that starts while the domain's scratch is busy — one nested
+   inside a user sink, say — gets a fresh one, and the slot is released
+   (its recorder cleared) however the run ends. *)
 type slot = {
-  recorder : Obs.Recorder.t;
+  scratch : Sim.Runner.scratch;
   mutable busy : bool;
 }
 
-let slot_key = Domain.DLS.new_key (fun () -> { recorder = Obs.Recorder.create (); busy = false })
+let slot_key = Domain.DLS.new_key (fun () -> { scratch = Sim.Runner.scratch (); busy = false })
 
-let with_recorder f =
+let with_scratch f =
   let slot = Domain.DLS.get slot_key in
-  if slot.busy then f (Obs.Recorder.create ())
+  if slot.busy then f (Sim.Runner.scratch ())
   else begin
     slot.busy <- true;
     Fun.protect
       ~finally:(fun () ->
-        Obs.Recorder.clear slot.recorder;
+        Obs.Recorder.clear (Sim.Runner.recorder slot.scratch);
         slot.busy <- false)
-      (fun () -> f slot.recorder)
+      (fun () -> f slot.scratch)
   end
 
 let run ?(scheduler = Sim.Scheduler.Async_fifo) ?(plan = Plan.none) ?(sinks = []) ?max_messages
@@ -98,24 +99,23 @@ let run ?(scheduler = Sim.Scheduler.Async_fifo) ?(plan = Plan.none) ?(sinks = []
   (* [raw_advice] is the sweep cache hook: advice is a pure function of
      (protocol, graph, source), so a caller sweeping many plans or
      schedulers over one graph computes it once via [advise] and passes
-     it in.  Protection and corruption below always build fresh buffers,
-     so a cached value is never mutated. *)
+     it in.  Nothing below mutates it: [Raw] protection and a plan with
+     no advice faults hand it to the run as is, and every other level
+     and advice fault builds fresh buffers. *)
   let raw_advice =
     match raw_advice with Some a -> a | None -> advise protocol g ~source
   in
   let protected_advice = Oracles.Protect.advice protect raw_advice in
   let corrupted, tampered = Corrupt.apply plan protected_advice in
-  with_recorder @@ fun recorder ->
-  (* The verdict is a fold over the stream, taken as it arrives. *)
-  let fold = Verdict.create ~n in
-  let own =
-    Obs.Sink.make (fun ev ->
-        Obs.Recorder.push recorder ev;
-        Verdict.observe fold ev)
+  with_scratch @@ fun scratch ->
+  let recorder = Sim.Runner.recorder scratch in
+  (* The harness's own events join the recorded stream where they
+     happen, and reach the caller's sinks like the runner's. *)
+  let emit ev =
+    Obs.Recorder.push recorder ev;
+    List.iter (fun s -> Obs.Sink.emit s ev) sinks
   in
-  let all_sinks = own :: sinks in
-  let emit_all ev = List.iter (fun s -> Obs.Sink.emit s ev) all_sinks in
-  List.iter emit_all (Corrupt.events tampered);
+  List.iter emit (Corrupt.events tampered);
   (* Hardened nodes report fallbacks with their label; telemetry speaks
      node indices (labels default to 1..n, not 0..n-1). *)
   let node_of_label label = try Graph.node_of_label g label with Not_found -> 0 in
@@ -123,13 +123,13 @@ let run ?(scheduler = Sim.Scheduler.Async_fifo) ?(plan = Plan.none) ?(sinks = []
   let on_fallback label reason =
     let v = node_of_label label in
     fallbacks := (v, reason) :: !fallbacks;
-    emit_all { Obs.Event.seq = 0; round = 0; kind = Obs.Event.Decide (v, Verdict.fallback_tag) }
+    emit { Obs.Event.seq = 0; round = 0; kind = Obs.Event.Decide (v, Verdict.fallback_tag) }
   in
   let corrected = ref [] in
   let on_corrected label bits =
     let v = node_of_label label in
     corrected := (v, bits) :: !corrected;
-    emit_all
+    emit
       { Obs.Event.seq = 0; round = 0; kind = Obs.Event.Recover (Obs.Event.Advice_corrected (v, bits)) }
   in
   let factory =
@@ -138,9 +138,12 @@ let run ?(scheduler = Sim.Scheduler.Async_fifo) ?(plan = Plan.none) ?(sinks = []
     | Broadcast -> Oracle_core.Broadcast.hardened_scheme ~protect ~on_fallback ~on_corrected ()
   in
   let result =
-    Sim.Runner.run ~scheduler ?max_messages ~sinks:all_sinks ~faults:plan ~retry
+    Sim.Runner.run ~scheduler ?max_messages ~sinks ~faults:plan ~retry ~scratch
       ~advice:(Advice.get corrupted) g ~source factory
   in
+  (* The verdict is a fold over the recorded stream. *)
+  let fold = Verdict.create ~n in
+  Obs.Recorder.iter recorder (Verdict.observe fold);
   (* With the recovery layer armed, "stalled" should mean "recoverably
      stalled": survivors the failure pattern physically cut off are
      excluded like the failed nodes themselves.  With [retry = 0] the
@@ -154,6 +157,8 @@ let run ?(scheduler = Sim.Scheduler.Async_fifo) ?(plan = Plan.none) ?(sinks = []
       ~budgets:(budgets ~retry protocol g)
       fold
   in
+  (* The event list is built last, once everything else the run needs
+     is done with: the list is the outcome's largest part. *)
   {
     verdict;
     result;

@@ -9,19 +9,22 @@
     attacks the codewords, which is the point of coding them), execute
     the hardened scheme with the plan's message- and node-level faults
     injected by the runner (and, with [retry > 0], its self-healing
-    retransmit channel armed), and classify the stream.  The verdict is a
-    fold ({!Verdict.observe}) attached as a sink, so it is ready when the
-    run drains; the stranded-survivor BFS reads the fold's crashed/dead
-    set.  The harness never raises on any plan: every outcome is a
-    structured verdict.
+    retransmit channel armed), and classify the stream.  The run records
+    its stream, and the verdict is a fold ({!Verdict.observe}) over the
+    recording once the run drains; the stranded-survivor BFS reads the
+    fold's crashed/dead set.  The harness never raises on any plan:
+    every outcome is a structured verdict.
 
-    The stream is also recorded for {!outcome.events}, into one
-    {!Obs.Recorder} per domain that is cleared and reused run after run:
-    the event records die young, and the list is built once, after the
-    run.  A run nested inside another on the same domain (from a user
-    sink, say) records into a fresh recorder, and a run that raises
-    releases the domain's recorder, so neither corrupts the next run's
-    [events]. *)
+    The recording lives in one {!Sim.Runner.scratch} per domain, kept
+    in a slot and reused run after run: its {!Obs.Recorder} is cleared
+    between runs, and the runner's ring and round-stash arrays stay
+    warm, at the size of the largest run the domain has made.  With no
+    caller sinks the runner packs its per-message events into the
+    recorder without building them; {!outcome.events} is built from the
+    recording last, after the verdict.  A run nested inside another on
+    the same domain (from a user sink, say) gets a fresh scratch, and a
+    run that raises releases the domain's, so neither corrupts the next
+    run. *)
 
 type protocol =
   | Wakeup  (** Theorem 2.1 wakeup, hardened ({!Wakeup.hardened_scheme}) *)
@@ -86,8 +89,10 @@ val run :
 
     [raw_advice] (default: computed with {!advise}) lets sweeps reuse one
     advice assignment across the plan × scheduler × protection axes; the
-    harness never mutates it (protection and corruption copy), so a
-    cached value stays valid for any number of runs.
+    harness never mutates it, so a cached value stays valid for any
+    number of runs.  At [Raw] protection with no advice faults in the
+    plan the run reads it as is; other levels and advice faults work on
+    fresh buffers.
 
     The stream fed to [sinks] (and recorded in [events]) is, in order:
     one [Fault (Advice_tampered _)] per tamper-log entry, then the

@@ -52,25 +52,46 @@ let box t ev =
 
 let class_code = function Event.Source -> 0 | Event.Hello -> 1 | Event.Control -> 2
 
-let link t tag (ev : Event.t) (l : Event.link) =
-  if
-    (ev.round lor l.depth lor l.src lor l.dst) lsr 30 = 0
-    && (l.src_port lor l.dst_port lor l.bits) lsr 21 = 0
+(* The direct appends pack from the fields alone, so an emitter that
+   records builds no [Event.t] unless a field falls outside its width. *)
+let append_link t tag ~seq ~round ~src ~src_port ~dst ~dst_port ~cls ~bits ~informed ~depth =
+  if (round lor depth lor src lor dst) lsr 30 = 0 && (src_port lor dst_port lor bits) lsr 21 = 0
   then
-    put t ev.seq
-      (ev.round lor (l.depth lsl 30) lor (tag lsl 60))
-      (l.src lor (l.dst lsl 30) lor (class_code l.cls lsl 60) lor Bool.to_int l.informed lsl 62)
-      (l.src_port lor (l.dst_port lsl 21) lor (l.bits lsl 42))
-  else box t ev
+    put t seq
+      (round lor (depth lsl 30) lor (tag lsl 60))
+      (src lor (dst lsl 30) lor (class_code cls lsl 60) lor Bool.to_int informed lsl 62)
+      (src_port lor (dst_port lsl 21) lor (bits lsl 42))
+  else begin
+    let l = { Event.src; src_port; dst; dst_port; cls; bits; informed; depth } in
+    box t { Event.seq; round; kind = (if tag = tag_send then Event.Send l else Event.Deliver l) }
+  end
+
+let send t ~seq ~round ~src ~src_port ~dst ~dst_port ~cls ~bits ~informed ~depth =
+  append_link t tag_send ~seq ~round ~src ~src_port ~dst ~dst_port ~cls ~bits ~informed ~depth
+
+let deliver t ~seq ~round ~src ~src_port ~dst ~dst_port ~cls ~bits ~informed ~depth =
+  append_link t tag_deliver ~seq ~round ~src ~src_port ~dst ~dst_port ~cls ~bits ~informed ~depth
+
+let wake t ~seq ~round v =
+  if round lsr 30 = 0 then put t seq (round lor (tag_wake lsl 60)) v 0
+  else box t { Event.seq; round; kind = Event.Wake v }
+
+let advice_read t ~seq ~round v ~bits =
+  if round lsr 30 = 0 then put t seq (round lor (tag_advice lsl 60)) v bits
+  else box t { Event.seq; round; kind = Event.Advice_read (v, bits) }
 
 let push t (ev : Event.t) =
+  let seq = ev.seq and round = ev.round in
   match ev.kind with
-  | Send l -> link t tag_send ev l
-  | Deliver l -> link t tag_deliver ev l
-  | Wake v when ev.round lsr 30 = 0 -> put t ev.seq (ev.round lor (tag_wake lsl 60)) v 0
-  | Advice_read (v, bits) when ev.round lsr 30 = 0 ->
-    put t ev.seq (ev.round lor (tag_advice lsl 60)) v bits
-  | Wake _ | Advice_read _ | Decide _ | Fault _ | Recover _ -> box t ev
+  | Send l ->
+    send t ~seq ~round ~src:l.src ~src_port:l.src_port ~dst:l.dst ~dst_port:l.dst_port ~cls:l.cls
+      ~bits:l.bits ~informed:l.informed ~depth:l.depth
+  | Deliver l ->
+    deliver t ~seq ~round ~src:l.src ~src_port:l.src_port ~dst:l.dst ~dst_port:l.dst_port
+      ~cls:l.cls ~bits:l.bits ~informed:l.informed ~depth:l.depth
+  | Wake v -> wake t ~seq ~round v
+  | Advice_read (v, bits) -> advice_read t ~seq ~round v ~bits
+  | Decide _ | Fault _ | Recover _ -> box t ev
 
 let decode_link w1 w2 w3 =
   {
@@ -84,6 +105,36 @@ let decode_link w1 w2 w3 =
     depth = (w1 lsr 30) land mask30;
   }
 
+(* The packed record [r]; its tag is not [tag_boxed]. *)
+let unpack d r =
+  let i = 4 * r in
+  let w1 = d.(i + 1) in
+  let tag = w1 lsr 60 in
+  let seq = d.(i) and round = w1 land mask30 and w2 = d.(i + 2) and w3 = d.(i + 3) in
+  let kind =
+    if tag = tag_send then Event.Send (decode_link w1 w2 w3)
+    else if tag = tag_deliver then Event.Deliver (decode_link w1 w2 w3)
+    else if tag = tag_wake then Event.Wake w2
+    else Event.Advice_read (w2, w3)
+  in
+  { Event.seq; round; kind }
+
+let is_boxed d r = d.((4 * r) + 1) lsr 60 = tag_boxed
+
+let pop boxed =
+  match !boxed with
+  | ev :: rest ->
+    boxed := rest;
+    ev
+  | [] -> assert false
+
+let iter t f =
+  let d = t.data in
+  let boxed = ref (List.rev t.boxed) in
+  for r = 0 to t.len - 1 do
+    f (if is_boxed d r then pop boxed else unpack d r)
+  done
+
 (* Newest record first, consing as it goes: the list comes out oldest
    first with no reversal. *)
 let to_list t =
@@ -91,28 +142,6 @@ let to_list t =
   let acc = ref [] in
   let boxed = ref t.boxed in
   for r = t.len - 1 downto 0 do
-    let i = 4 * r in
-    let w1 = d.(i + 1) in
-    let tag = w1 lsr 60 in
-    let ev =
-      if tag = tag_boxed then begin
-        match !boxed with
-        | ev :: rest ->
-          boxed := rest;
-          ev
-        | [] -> assert false
-      end
-      else begin
-        let seq = d.(i) and round = w1 land mask30 and w2 = d.(i + 2) and w3 = d.(i + 3) in
-        let kind =
-          if tag = tag_send then Event.Send (decode_link w1 w2 w3)
-          else if tag = tag_deliver then Event.Deliver (decode_link w1 w2 w3)
-          else if tag = tag_wake then Event.Wake w2
-          else Event.Advice_read (w2, w3)
-        in
-        { Event.seq; round; kind }
-      end
-    in
-    acc := ev :: !acc
+    acc := (if is_boxed d r then pop boxed else unpack d r) :: !acc
   done;
   !acc

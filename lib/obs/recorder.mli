@@ -14,9 +14,12 @@
     [src_port], [dst_port] and [bits] in [0, 2{^21}); [seq], and a
     [Wake]'s or [Advice_read]'s node and bits, verbatim.
 
-    {!Sink.collect} is a recorder behind a sink; {!Fault.Harness.run}
-    keeps one per domain and {!clear}s it between runs.  Not
-    synchronized: one writer at a time. *)
+    {!Sink.collect} is a recorder behind a sink.  {!Sim.Runner.run}
+    appends to one through its [?scratch] argument: with no caller sinks
+    it writes [Send], [Deliver], [Wake] and [Advice_read] records with
+    the direct appends below, and never builds their events.
+    {!Fault.Harness.run} keeps one per domain and {!clear}s it between
+    runs.  Not synchronized: one writer at a time. *)
 
 type t
 
@@ -25,6 +28,54 @@ val create : unit -> t
 
 val push : t -> Event.t -> unit
 (** Append one event. *)
+
+(** {1 Direct appends}
+
+    Each appends the record {!push} would append for the event its
+    arguments describe, without building that event; a field outside
+    its packed range boxes the event instead, as {!push} does. *)
+
+val send :
+  t ->
+  seq:int ->
+  round:int ->
+  src:int ->
+  src_port:int ->
+  dst:int ->
+  dst_port:int ->
+  cls:Event.msg_class ->
+  bits:int ->
+  informed:bool ->
+  depth:int ->
+  unit
+(** A [Send] event with these fields. *)
+
+val deliver :
+  t ->
+  seq:int ->
+  round:int ->
+  src:int ->
+  src_port:int ->
+  dst:int ->
+  dst_port:int ->
+  cls:Event.msg_class ->
+  bits:int ->
+  informed:bool ->
+  depth:int ->
+  unit
+(** A [Deliver] event with these fields. *)
+
+val wake : t -> seq:int -> round:int -> int -> unit
+(** [wake t ~seq ~round v] appends [Wake v]. *)
+
+val advice_read : t -> seq:int -> round:int -> int -> bits:int -> unit
+(** [advice_read t ~seq ~round v ~bits] appends [Advice_read (v, bits)]. *)
+
+(** {1 Reading} *)
+
+val iter : t -> (Event.t -> unit) -> unit
+(** [iter t f] applies [f] to everything recorded, oldest first, building
+    each event as it goes; [f] must not append to [t]. *)
 
 val to_list : t -> Event.t list
 (** Everything recorded, oldest first; the recorder is unchanged. *)

@@ -1,6 +1,7 @@
 module Ecc = Bitstring.Ecc
 
-let advice level adv = Advice.mapi (fun _ b -> Ecc.protect level b) adv
+let advice level adv =
+  match level with Ecc.Raw -> adv | _ -> Advice.mapi (fun _ b -> Ecc.protect level b) adv
 
 let oracle level (o : Oracle.t) =
   match level with

@@ -14,7 +14,8 @@
     fallback into a local correction. *)
 
 val advice : Bitstring.Ecc.level -> Advice.t -> Advice.t
-(** Encode every node's string; empty strings stay empty. *)
+(** Encode every node's string; empty strings stay empty.  [Raw]
+    returns the assignment itself, every other level a fresh one. *)
 
 val oracle : Bitstring.Ecc.level -> Oracle.t -> Oracle.t
 (** The protected oracle: advises [advice level (o.advise g ~source)].

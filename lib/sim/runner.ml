@@ -23,6 +23,49 @@ type in_flight = {
   f_depth : int;
 }
 
+(* The engine buffers a run may inherit: the scheduler queue, a
+   struct-of-arrays ring buffer (one array per message field, see
+   [run]), and the synchronous loop's per-slot stash of one round.  A
+   run grows them in place, so a [scratch] keeps the largest run's. *)
+type buffers = {
+  mutable q_src : int array;
+  mutable q_sport : int array;
+  mutable q_dst : int array;
+  mutable q_dport : int array;
+  mutable q_seq : int array;
+  mutable q_depth : int array;
+  mutable q_msg : Message.t array;
+  mutable q_inf : Bytes.t;
+  mutable r_dst : int array;
+  mutable r_depth : int array;
+  mutable r_sends : Scheme.send list array;
+}
+
+let buffers () =
+  let cap = 256 in
+  {
+    q_src = Array.make cap 0;
+    q_sport = Array.make cap 0;
+    q_dst = Array.make cap 0;
+    q_dport = Array.make cap 0;
+    q_seq = Array.make cap 0;
+    q_depth = Array.make cap 0;
+    q_msg = Array.make cap Message.Hello;
+    q_inf = Bytes.make cap '\000';
+    r_dst = [||];
+    r_depth = [||];
+    r_sends = [||];
+  }
+
+type scratch = {
+  recorder : Obs.Recorder.t;
+  bufs : buffers;
+}
+
+let scratch () = { recorder = Obs.Recorder.create (); bufs = buffers () }
+
+let recorder s = s.recorder
+
 let msg_class = function
   | Message.Source -> Obs.Event.Source
   | Message.Hello -> Obs.Event.Hello
@@ -62,7 +105,7 @@ let default_max_messages g = max 1_000_000 (4 * (Graph.n g + Graph.m g))
 let order_free ~sinks ~faults = sinks = [] && Fault_plan.is_none faults
 
 let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(sinks = []) ?(faults = Fault_plan.none)
-    ?(retry = 0) ~advice g ~source factory =
+    ?(retry = 0) ?scratch ~advice g ~source factory =
   let max_messages = match max_messages with Some m -> m | None -> default_max_messages g in
   let n = Graph.n g in
   if source < 0 || source >= n then invalid_arg "Runner.run: source out of range";
@@ -83,11 +126,19 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(sinks = []) ?(faults
      [Obs.Counting.note_*] mutators instead — each is the arm [observe]
      applies to its event kind, so the counters land bit-identical
      without an [Obs.Event.t] ever being built (the scale tests assert
-     the bit-identity across the fault/retry grid). *)
+     the bit-identity across the fault/retry grid).
+
+     A run given a [scratch] also records its stream there: [observe]
+     pushes each event it builds, and the [note_*] path appends the
+     per-message and per-node kinds straight from their fields, so
+     recording builds no event either. *)
   let counts = Obs.Counting.create () in
   let sinks_empty = sinks = [] in
+  let recorder = Option.map recorder scratch in
+  let record ev = match recorder with Some r -> Obs.Recorder.push r ev | None -> () in
   let observe ev =
     Obs.Counting.observe counts ev;
+    record ev;
     List.iter (fun s -> Obs.Sink.emit s ev) sinks
   in
   let seq = ref 0 in
@@ -108,7 +159,12 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(sinks = []) ?(faults
   for v = 0 to n - 1 do
     let a = advice v in
     let bits = Bitstring.Bitbuf.length a in
-    (if sinks_empty then Obs.Counting.note_advice counts ~round:0 ~bits
+    (if sinks_empty then begin
+       Obs.Counting.note_advice counts ~round:0 ~bits;
+       match recorder with
+       | Some r -> Obs.Recorder.advice_read r ~seq:0 ~round:0 v ~bits
+       | None -> ()
+     end
      else observe { Obs.Event.seq = 0; round = 0; kind = Obs.Event.Advice_read (v, bits) });
     let node =
       factory
@@ -123,7 +179,10 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(sinks = []) ?(faults
     starts := node.Scheme.on_start :: !starts
   done;
   informed.(source) <- true;
-  if sinks_empty then Obs.Counting.note_wake counts ~round:0
+  if sinks_empty then begin
+    Obs.Counting.note_wake counts ~round:0;
+    match recorder with Some r -> Obs.Recorder.wake r ~seq:0 ~round:0 source | None -> ()
+  end
   else observe { Obs.Event.seq = 0; round = 0; kind = Obs.Event.Wake source };
   let per_node_sent = Array.make n 0 in
   let rand =
@@ -138,16 +197,9 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(sinks = []) ?(faults
      [head]/[tail] are virtual (monotone) indices; the storage slot is
      [index land mask].  Steady state costs eight scalar writes per push
      and eight reads per pop: no list cells, no records. *)
-  let cap = ref 256 in
+  let b = match scratch with Some s -> s.bufs | None -> buffers () in
+  let cap = ref (Array.length b.q_src) in
   let mask = ref (!cap - 1) in
-  let q_src = ref (Array.make !cap 0) in
-  let q_sport = ref (Array.make !cap 0) in
-  let q_dst = ref (Array.make !cap 0) in
-  let q_dport = ref (Array.make !cap 0) in
-  let q_seq = ref (Array.make !cap 0) in
-  let q_depth = ref (Array.make !cap 0) in
-  let q_msg = ref (Array.make !cap Message.Hello) in
-  let q_inf = ref (Bytes.make !cap '\000') in
   let head = ref 0 in
   let tail = ref 0 in
   let ring_grow () =
@@ -163,23 +215,23 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(sinks = []) ?(faults
     and ninf = Bytes.make ncap '\000' in
     for i = 0 to len - 1 do
       let j = (!head + i) land !mask in
-      nsrc.(i) <- !q_src.(j);
-      nsport.(i) <- !q_sport.(j);
-      ndst.(i) <- !q_dst.(j);
-      ndport.(i) <- !q_dport.(j);
-      nseq.(i) <- !q_seq.(j);
-      ndepth.(i) <- !q_depth.(j);
-      nmsg.(i) <- !q_msg.(j);
-      Bytes.set ninf i (Bytes.get !q_inf j)
+      nsrc.(i) <- b.q_src.(j);
+      nsport.(i) <- b.q_sport.(j);
+      ndst.(i) <- b.q_dst.(j);
+      ndport.(i) <- b.q_dport.(j);
+      nseq.(i) <- b.q_seq.(j);
+      ndepth.(i) <- b.q_depth.(j);
+      nmsg.(i) <- b.q_msg.(j);
+      Bytes.set ninf i (Bytes.get b.q_inf j)
     done;
-    q_src := nsrc;
-    q_sport := nsport;
-    q_dst := ndst;
-    q_dport := ndport;
-    q_seq := nseq;
-    q_depth := ndepth;
-    q_msg := nmsg;
-    q_inf := ninf;
+    b.q_src <- nsrc;
+    b.q_sport <- nsport;
+    b.q_dst <- ndst;
+    b.q_dport <- ndport;
+    b.q_seq <- nseq;
+    b.q_depth <- ndepth;
+    b.q_msg <- nmsg;
+    b.q_inf <- ninf;
     cap := ncap;
     mask := ncap - 1;
     head := 0;
@@ -191,14 +243,14 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(sinks = []) ?(faults
   let ring_push ~src ~src_port ~dst ~dst_port ~msg ~inf ~sq ~depth =
     if !tail - !head = !cap then ring_grow ();
     let i = !tail land !mask in
-    Array.unsafe_set !q_src i src;
-    Array.unsafe_set !q_sport i src_port;
-    Array.unsafe_set !q_dst i dst;
-    Array.unsafe_set !q_dport i dst_port;
-    Array.unsafe_set !q_seq i sq;
-    Array.unsafe_set !q_depth i depth;
-    Array.unsafe_set !q_msg i msg;
-    Bytes.unsafe_set !q_inf i (if inf then '\001' else '\000');
+    Array.unsafe_set b.q_src i src;
+    Array.unsafe_set b.q_sport i src_port;
+    Array.unsafe_set b.q_dst i dst;
+    Array.unsafe_set b.q_dport i dst_port;
+    Array.unsafe_set b.q_seq i sq;
+    Array.unsafe_set b.q_depth i depth;
+    Array.unsafe_set b.q_msg i msg;
+    Bytes.unsafe_set b.q_inf i (if inf then '\001' else '\000');
     incr tail
   in
   let push_fl fl =
@@ -220,7 +272,10 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(sinks = []) ?(faults
   let dup_st = Random.State.make [| faults.Fault_plan.seed; 0xd4b |] in
   let delay_st = Random.State.make [| faults.Fault_plan.seed; 0xde1 |] in
   let observe_fault ~sq round f =
-    if sinks_empty then Obs.Counting.note_fault counts ~round f
+    if sinks_empty then begin
+      Obs.Counting.note_fault counts ~round f;
+      if Option.is_some recorder then record { Obs.Event.seq = sq; round; kind = Obs.Event.Fault f }
+    end
     else observe { Obs.Event.seq = sq; round; kind = Obs.Event.Fault f }
   in
   let stage : in_flight list ref = ref [] in
@@ -398,22 +453,35 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(sinks = []) ?(faults
         end
       end
   in
+  (* The drain's callback is a closure over [round]: skip building it
+     on the rounds (every round, with recovery off) that release
+     nothing. *)
   let tick_recovery round =
-    Timer_wheel.drain recovery_w ~now:round (fun (attempt, fl) ->
-        (* Crash-stop: a failed node retransmits nothing, and a failed
-           sender no longer owns a timer to be notified by. *)
-        let actor = if Message.is_timeout fl.f_msg then fl.f_dst else fl.f_src in
-        if not (is_failed actor) then begin
-          (if sinks_empty then Obs.Counting.note_retransmit counts ~round
-           else
-             observe
-               {
-                 Obs.Event.seq = fl.f_seq;
-                 round;
-                 kind = Obs.Event.Recover (Obs.Event.Msg_retransmitted attempt);
-               });
-          if Message.is_timeout fl.f_msg then push_fl fl else inject round fl
-        end)
+    if not (Timer_wheel.is_empty recovery_w) then
+      Timer_wheel.drain recovery_w ~now:round (fun (attempt, fl) ->
+          (* Crash-stop: a failed node retransmits nothing, and a failed
+             sender no longer owns a timer to be notified by. *)
+          let actor = if Message.is_timeout fl.f_msg then fl.f_dst else fl.f_src in
+          if not (is_failed actor) then begin
+            (if sinks_empty then begin
+               Obs.Counting.note_retransmit counts ~round;
+               if Option.is_some recorder then
+                 record
+                   {
+                     Obs.Event.seq = fl.f_seq;
+                     round;
+                     kind = Obs.Event.Recover (Obs.Event.Msg_retransmitted attempt);
+                   }
+             end
+             else
+               observe
+                 {
+                   Obs.Event.seq = fl.f_seq;
+                   round;
+                   kind = Obs.Event.Recover (Obs.Event.Msg_retransmitted attempt);
+                 });
+            if Message.is_timeout fl.f_msg then push_fl fl else inject round fl
+          end)
   in
   (* With no fault plan, nothing between a send and its delivery can
      touch a message: sends go straight onto the ring, no [in_flight]
@@ -434,8 +502,15 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(sinks = []) ?(faults
       let dst_port = g_prt.(base + port) in
       per_node_sent.(v) <- per_node_sent.(v) + 1;
       let inf = informed.(v) in
-      (if sinks_empty then
-         Obs.Counting.note_send counts ~round ~cls:(msg_class msg) ~bits:(Message.size_bits msg)
+      (if sinks_empty then begin
+         let cls = msg_class msg and bits = Message.size_bits msg in
+         Obs.Counting.note_send counts ~round ~cls ~bits;
+         match recorder with
+         | Some r ->
+           Obs.Recorder.send r ~seq:!seq ~round ~src:v ~src_port:port ~dst ~dst_port ~cls ~bits
+             ~informed:inf ~depth
+         | None -> ()
+       end
        else
          observe
            {
@@ -500,7 +575,14 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(sinks = []) ?(faults
       []
     end
     else begin
-      (if sinks_empty then Obs.Counting.note_deliver counts ~round ~depth
+      (if sinks_empty then begin
+         Obs.Counting.note_deliver counts ~round ~depth;
+         match recorder with
+         | Some r ->
+           Obs.Recorder.deliver r ~seq:sq ~round ~src ~src_port ~dst ~dst_port ~cls:(msg_class msg)
+             ~bits:(Message.size_bits msg) ~informed:inf ~depth
+         | None -> ()
+       end
        else
          observe
            {
@@ -521,7 +603,10 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(sinks = []) ?(faults
            });
       if inf && not informed.(dst) then begin
         informed.(dst) <- true;
-        if sinks_empty then Obs.Counting.note_wake counts ~round
+        if sinks_empty then begin
+          Obs.Counting.note_wake counts ~round;
+          match recorder with Some r -> Obs.Recorder.wake r ~seq:sq ~round dst | None -> ()
+        end
         else observe { Obs.Event.seq = sq; round; kind = Obs.Event.Wake dst }
       end;
       (Array.unsafe_get recv dst) msg ~port:dst_port
@@ -533,9 +618,12 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(sinks = []) ?(faults
   (match scheduler with
   | Scheduler.Synchronous ->
     (* Per-slot stash of the round being delivered, indexed by batch
-       position and grown with the largest batch seen. *)
-    let r_dst = ref [||] and r_depth = ref [||] and r_sends = ref [||] and r_order = ref [||] in
-    let visit_by_block = order_free ~sinks ~faults && n > 1 lsl block_bits in
+       position and grown with the largest batch seen.  A run that
+       records is observed in stream order, so it is not order-free. *)
+    let r_order = ref [||] in
+    let visit_by_block =
+      order_free ~sinks ~faults && Option.is_none scratch && n > 1 lsl block_bits
+    in
     let blocks = blocks n in
     let block_start = Array.make (if visit_by_block then blocks + 1 else 0) 0 in
     (* Round r+1 delivers exactly the messages sent during round r: the
@@ -571,17 +659,18 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(sinks = []) ?(faults
            order and the ring contents never depend on the visiting
            order.  A slot's [dst]/[depth] are stashed while it is read:
            the emits reuse ring slots of this very batch. *)
-        if batch > Array.length !r_dst then begin
-          let len = max batch (2 * Array.length !r_dst) in
-          r_dst := Array.make len 0;
-          r_depth := Array.make len 0;
-          r_sends := Array.make len [];
-          if visit_by_block then r_order := Array.make len 0
+        if batch > Array.length b.r_dst then begin
+          let len = max batch (2 * Array.length b.r_dst) in
+          b.r_dst <- Array.make len 0;
+          b.r_depth <- Array.make len 0;
+          b.r_sends <- Array.make len []
         end;
-        let r_dst = !r_dst and r_depth = !r_depth and r_sends = !r_sends and r_order = !r_order in
+        if visit_by_block && batch > Array.length !r_order then
+          r_order := Array.make (Array.length b.r_dst) 0;
+        let r_dst = b.r_dst and r_depth = b.r_depth and r_sends = b.r_sends and r_order = !r_order in
         let h0 = !head in
         head := h0 + batch;
-        let q_dst = !q_dst and mask = !mask in
+        let q_dst = b.q_dst and mask = !mask in
         let by_block = visit_by_block && by_block ~n ~batch in
         if by_block then begin
           (* Stable counting sort of batch positions by destination
@@ -606,14 +695,14 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(sinks = []) ?(faults
         for j = 0 to batch - 1 do
           let k = if by_block then Array.unsafe_get r_order j else j in
           let i = (h0 + k) land mask in
-          let src = Array.unsafe_get !q_src i
-          and src_port = Array.unsafe_get !q_sport i
+          let src = Array.unsafe_get b.q_src i
+          and src_port = Array.unsafe_get b.q_sport i
           and dst = Array.unsafe_get q_dst i
-          and dst_port = Array.unsafe_get !q_dport i
-          and sq = Array.unsafe_get !q_seq i
-          and depth = Array.unsafe_get !q_depth i
-          and msg = Array.unsafe_get !q_msg i
-          and inf = Bytes.unsafe_get !q_inf i <> '\000' in
+          and dst_port = Array.unsafe_get b.q_dport i
+          and sq = Array.unsafe_get b.q_seq i
+          and depth = Array.unsafe_get b.q_depth i
+          and msg = Array.unsafe_get b.q_msg i
+          and inf = Bytes.unsafe_get b.q_inf i <> '\000' in
           Array.unsafe_set r_dst k dst;
           Array.unsafe_set r_depth k depth;
           Array.unsafe_set r_sends k
@@ -660,27 +749,27 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(sinks = []) ?(faults
               incr head;
               i)
         in
-        let src = Array.unsafe_get !q_src i
-        and src_port = Array.unsafe_get !q_sport i
-        and dst = Array.unsafe_get !q_dst i
-        and dst_port = Array.unsafe_get !q_dport i
-        and sq = Array.unsafe_get !q_seq i
-        and depth = Array.unsafe_get !q_depth i
-        and msg = Array.unsafe_get !q_msg i
-        and inf = Bytes.unsafe_get !q_inf i <> '\000' in
+        let src = Array.unsafe_get b.q_src i
+        and src_port = Array.unsafe_get b.q_sport i
+        and dst = Array.unsafe_get b.q_dst i
+        and dst_port = Array.unsafe_get b.q_dport i
+        and sq = Array.unsafe_get b.q_seq i
+        and depth = Array.unsafe_get b.q_depth i
+        and msg = Array.unsafe_get b.q_msg i
+        and inf = Bytes.unsafe_get b.q_inf i <> '\000' in
         (match rand with
         | Some _ ->
           (* Complete the bag's swap-remove: the tail element fills the
              hole (a no-op when the popped element was the tail). *)
           let last = (!tail - 1) land !mask in
-          Array.unsafe_set !q_src i (Array.unsafe_get !q_src last);
-          Array.unsafe_set !q_sport i (Array.unsafe_get !q_sport last);
-          Array.unsafe_set !q_dst i (Array.unsafe_get !q_dst last);
-          Array.unsafe_set !q_dport i (Array.unsafe_get !q_dport last);
-          Array.unsafe_set !q_seq i (Array.unsafe_get !q_seq last);
-          Array.unsafe_set !q_depth i (Array.unsafe_get !q_depth last);
-          Array.unsafe_set !q_msg i (Array.unsafe_get !q_msg last);
-          Bytes.unsafe_set !q_inf i (Bytes.unsafe_get !q_inf last);
+          Array.unsafe_set b.q_src i (Array.unsafe_get b.q_src last);
+          Array.unsafe_set b.q_sport i (Array.unsafe_get b.q_sport last);
+          Array.unsafe_set b.q_dst i (Array.unsafe_get b.q_dst last);
+          Array.unsafe_set b.q_dport i (Array.unsafe_get b.q_dport last);
+          Array.unsafe_set b.q_seq i (Array.unsafe_get b.q_seq last);
+          Array.unsafe_set b.q_depth i (Array.unsafe_get b.q_depth last);
+          Array.unsafe_set b.q_msg i (Array.unsafe_get b.q_msg last);
+          Bytes.unsafe_set b.q_inf i (Bytes.unsafe_get b.q_inf last);
           decr tail
         | None -> ());
         incr rounds;

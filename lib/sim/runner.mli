@@ -23,12 +23,29 @@ type result = {
   per_node_sent : int array;  (** transmissions per node (load profile) *)
 }
 
+type scratch
+(** What one run may hand to the next on the same domain: the recorder
+    a run appends its stream to, and the engine buffers — the scheduler
+    queue's ring arrays and the synchronous round's stash — a run
+    reuses instead of allocating and regrowing them from 256 slots.  A
+    run grows the buffers in place, so a scratch keeps the largest run's.
+    Not synchronized: one run at a time may use a scratch (a run nested
+    inside another, from a sink, needs its own). *)
+
+val scratch : unit -> scratch
+(** An empty recorder and fresh 256-slot buffers. *)
+
+val recorder : scratch -> Obs.Recorder.t
+(** The recorder runs given this scratch append to.  The runner never
+    clears it: the caller does, between runs. *)
+
 val run :
   ?scheduler:Scheduler.t ->
   ?max_messages:int ->
   ?sinks:Obs.Sink.t list ->
   ?faults:Fault_plan.t ->
   ?retry:int ->
+  ?scratch:scratch ->
   advice:(int -> Bitstring.Bitbuf.t) ->
   Netgraph.Graph.t ->
   source:int ->
@@ -60,6 +77,19 @@ val run :
     assert it across fault plans, schedulers and retry budgets).
     [DESIGN.md] §"Performance model" has the inventory;
     [dune build @perf] tracks the numbers.
+
+    [scratch] (default: none) makes the run record and reuse buffers.
+    Its stream — the one [sinks] receive, in the same order — is
+    appended to [recorder scratch]: with no sinks the run stays on its
+    [note_*] path and appends the [Send], [Deliver], [Wake] and
+    [Advice_read] records as packed ints straight from the fields it
+    holds (the rarer kinds are built and pushed), and with sinks each
+    event it builds is pushed there too.  The run takes its ring and
+    round-stash arrays from the scratch and leaves them there, grown.
+    A run that records is not {!order_free}: its deliveries are visited
+    in batch order.  A run with no [scratch] records nothing and
+    allocates its buffers afresh.  Every field of [result] is the same
+    with or without a scratch.
 
     [retry] (default [0]: recovery off) arms the ack/retransmit channel:
     when a copy of a message is destroyed in flight (plan drop), the
@@ -132,7 +162,7 @@ val default_max_messages : Netgraph.Graph.t -> int
 
 val order_free : sinks:Obs.Sink.t list -> faults:Fault_plan.t -> bool
 (** Whether a run with these arguments is observed in no global order:
-    no sinks and no fault plan.  Then
+    no sinks and no fault plan ({!run} also requires no [scratch]).  Then
     the deliveries of one synchronous round commute, because a node's
     scheme state is its own and every counter is a sum or a maximum:
     [run] may visit them in any order that keeps each node's own

@@ -975,7 +975,10 @@ let test_recorder_matches_plain_collector () =
   (* Seeded runs over every family and scheduler, under drop, crash,
      dead and advice-tampering plans, at retry 0 and 2: the packed
      recorder, [Sink.collect] and a plain list agree event for event,
-     and the streaming verdict and summary agree with the list folds. *)
+     and the streaming verdict and summary agree with the list folds.
+     Each draw runs once more with no caller sink, so the runner packs
+     its records straight from their fields: that run must give the
+     same events, verdict and journal entry. *)
   let rng = Random.State.make [| 24 |] in
   let kinds = Hashtbl.create 8 in
   let runs = ref 0 in
@@ -1019,6 +1022,15 @@ let test_recorder_matches_plain_collector () =
                   List.iter (fun ev -> Hashtbl.replace kinds (Event.kind_name ev.Event.kind) ()) events;
                   if o.Fault.Harness.events <> events then Alcotest.failf "%s: recorder differs" label;
                   if collected () <> events then Alcotest.failf "%s: Sink.collect differs" label;
+                  let bare = Fault.Harness.run ~scheduler ~plan ~retry protocol g ~source:0 in
+                  if bare.Fault.Harness.events <> events then
+                    Alcotest.failf "%s: sink-less run's events differ" label;
+                  if bare.Fault.Harness.verdict <> o.Fault.Harness.verdict then
+                    Alcotest.failf "%s: sink-less verdict %s, with sinks %s" label
+                      (Fault.Verdict.to_string bare.Fault.Harness.verdict)
+                      (Fault.Verdict.to_string o.Fault.Harness.verdict);
+                  if Fault.Harness.journal_entry g bare <> Fault.Harness.journal_entry g o then
+                    Alcotest.failf "%s: sink-less journal entry differs" label;
                   let folded = Obs.Counting.of_events events in
                   let stats = o.Fault.Harness.result.Sim.Runner.stats in
                   if
@@ -1046,6 +1058,25 @@ let test_recorder_matches_plain_collector () =
   List.iter
     (fun k -> check_bool (k ^ " events occurred") true (Hashtbl.mem kinds k))
     [ "send"; "deliver"; "wake"; "advice"; "decide"; "fault"; "recover" ]
+
+(* A faulty synchronous broadcast on 1024 nodes: some round delivers
+   more than 256 messages, so the runner's ring grows past its
+   initial 256 slots. *)
+let warm_plan = Plan.of_string_exn "drop=0.05,crash=3@5,seed=7"
+
+let big_graph () = Families.build Families.Sparse_random ~n:1024 ~seed:1
+
+let largest_round (o : Fault.Harness.outcome) =
+  let per_round = Hashtbl.create 64 in
+  List.iter
+    (fun ev ->
+      match ev.Event.kind with
+      | Event.Deliver _ ->
+        let r = ev.Event.round in
+        Hashtbl.replace per_round r (1 + Option.value ~default:0 (Hashtbl.find_opt per_round r))
+      | _ -> ())
+    o.Fault.Harness.events;
+  Hashtbl.fold (fun _ c acc -> max c acc) per_round 0
 
 let test_recorder_survives_nesting_and_raises () =
   let plan = Plan.of_string_exn "drop=0.1,advice-trunc=1,seed=7" in
@@ -1081,7 +1112,83 @@ let test_recorder_survives_nesting_and_raises () =
   | _ -> Alcotest.fail "a run whose sink raised returned"
   | exception Failure _ -> ());
   check_bool "the run after a raise is intact" true ((run h).Fault.Harness.events = h_events);
-  check_bool "and the one after that" true ((run g).Fault.Harness.events = g_events)
+  check_bool "and the one after that" true ((run g).Fault.Harness.events = g_events);
+  (* The same on a graph whose runs outgrow the 256-slot ring, under
+     the synchronous scheduler, so the warm buffers a nested or raising
+     run leaves behind are grown ones, abandoned mid-round. *)
+  let big = big_graph () in
+  let run_big ?sinks () =
+    Fault.Harness.run ?sinks ~scheduler:Sim.Scheduler.Synchronous ~plan:warm_plan ~retry:2
+      Fault.Harness.Broadcast big ~source:0
+  in
+  let big_ref = run_big () in
+  check_bool "a round outgrows the 256-slot ring" true (largest_round big_ref > 256);
+  let half = List.length big_ref.Fault.Harness.events / 2 in
+  let inner = ref None in
+  let k = ref 0 in
+  let nesting =
+    Obs.Sink.make (fun _ ->
+        incr k;
+        if !k = half then inner := Some (run_big ()))
+  in
+  let outer = run_big ~sinks:[ nesting ] () in
+  check_bool "outer grown run intact" true (outer = big_ref);
+  check_bool "run nested at mid-stream intact" true (!inner = Some big_ref);
+  let raising =
+    let k = ref 0 in
+    Obs.Sink.make (fun _ ->
+        incr k;
+        if !k = half then failwith "sink gave up")
+  in
+  (match run_big ~sinks:[ raising ] () with
+  | _ -> Alcotest.fail "a grown run whose sink raised returned"
+  | exception Failure _ -> ());
+  check_bool "a small run after the grown raise is intact" true
+    ((run h).Fault.Harness.events = h_events);
+  check_bool "a grown run after it is intact" true (run_big () = big_ref)
+
+(* {1 Warm buffers and raw advice} *)
+
+let test_warm_buffers_match_fresh_domain () =
+  let run g =
+    Fault.Harness.run ~scheduler:Sim.Scheduler.Synchronous ~plan:warm_plan ~retry:2
+      Fault.Harness.Broadcast g ~source:0
+  in
+  (* A spawned domain starts with an empty slot: its run grows its
+     buffers from scratch. *)
+  let fresh g = Domain.join (Domain.spawn (fun () -> run g)) in
+  let same label g (o : Fault.Harness.outcome) =
+    let f = fresh g in
+    check_string (label ^ ": verdict")
+      (Fault.Verdict.to_string f.Fault.Harness.verdict)
+      (Fault.Verdict.to_string o.Fault.Harness.verdict);
+    check_bool (label ^ ": outcome, events included") true (o = f)
+  in
+  let large = big_graph () and small = tree24 () in
+  let first = run large in
+  check_bool "a round outgrows the 256-slot ring" true (largest_round first > 256);
+  same "large" large first;
+  same "small after large" small (run small);
+  same "large again" large (run large)
+
+let test_raw_run_leaves_cached_advice () =
+  let g = sparse24 () in
+  List.iter
+    (fun protocol ->
+      let raw_advice = Fault.Harness.advise protocol g ~source:0 in
+      let saved = Array.init (Advice.n raw_advice) (fun v -> Bitbuf.copy (Advice.get raw_advice v)) in
+      List.iter
+        (fun spec ->
+          let plan = Plan.of_string_exn spec in
+          ignore (Fault.Harness.run ~plan ~retry:2 ~raw_advice protocol g ~source:0);
+          Array.iteri
+            (fun v b ->
+              if not (Bitbuf.equal b (Advice.get raw_advice v)) then
+                Alcotest.failf "%s under %s: node %d's cached advice changed"
+                  (Fault.Harness.protocol_name protocol) spec v)
+            saved)
+        [ "none"; "drop=0.1,seed=7"; "advice-flip=3,advice-trunc=2,seed=5"; "advice-garbage=4,seed=9" ])
+    [ Fault.Harness.Wakeup; Fault.Harness.Broadcast ]
 
 (* Relative to the test cwd (_build/default/test). *)
 let exe = "../bin/oraclesize.exe"
@@ -1192,4 +1299,8 @@ let suite =
       test_recorder_matches_plain_collector;
     Alcotest.test_case "recorder survives nested and raising runs" `Quick
       test_recorder_survives_nesting_and_raises;
+    Alcotest.test_case "warm buffers: large, small, large = fresh domain" `Quick
+      test_warm_buffers_match_fresh_domain;
+    Alcotest.test_case "raw run leaves cached advice unchanged" `Quick
+      test_raw_run_leaves_cached_advice;
   ]

@@ -305,6 +305,30 @@ let recorded events =
   List.iter (Obs.Recorder.push r) events;
   r
 
+(* The same events through the direct appends wherever a kind has one. *)
+let appended events =
+  let r = Obs.Recorder.create () in
+  List.iter
+    (fun (ev : Event.t) ->
+      let seq = ev.seq and round = ev.round in
+      match ev.kind with
+      | Event.Send l ->
+        Obs.Recorder.send r ~seq ~round ~src:l.src ~src_port:l.src_port ~dst:l.dst
+          ~dst_port:l.dst_port ~cls:l.cls ~bits:l.bits ~informed:l.informed ~depth:l.depth
+      | Event.Deliver l ->
+        Obs.Recorder.deliver r ~seq ~round ~src:l.src ~src_port:l.src_port ~dst:l.dst
+          ~dst_port:l.dst_port ~cls:l.cls ~bits:l.bits ~informed:l.informed ~depth:l.depth
+      | Event.Wake v -> Obs.Recorder.wake r ~seq ~round v
+      | Event.Advice_read (v, bits) -> Obs.Recorder.advice_read r ~seq ~round v ~bits
+      | Event.Decide _ | Event.Fault _ | Event.Recover _ -> Obs.Recorder.push r ev)
+    events;
+  r
+
+let iterated r =
+  let acc = ref [] in
+  Obs.Recorder.iter r (fun ev -> acc := ev :: !acc);
+  List.rev !acc
+
 let test_recorder_field_boundaries () =
   (* Every packed field at its maximum, one past it and negative, and the
      verbatim fields at both ends of [int]: packed or boxed, each event
@@ -364,7 +388,11 @@ let test_recorder_field_boundaries () =
   in
   let r = recorded events in
   check_bool "every boundary round-trips" true (Obs.Recorder.to_list r = events);
-  check_bool "to_list leaves the recorder as it was" true (Obs.Recorder.to_list r = events)
+  check_bool "to_list leaves the recorder as it was" true (Obs.Recorder.to_list r = events);
+  check_bool "iter visits the same stream in order" true (iterated r = events);
+  let a = appended events in
+  check_bool "direct appends round-trip every boundary" true (Obs.Recorder.to_list a = events);
+  check_bool "and iterate the same" true (iterated a = events)
 
 let test_recorder_grows_and_clears () =
   let many =
