@@ -95,7 +95,6 @@ let with_scratch f =
 
 let run ?(scheduler = Sim.Scheduler.Async_fifo) ?(plan = Plan.none) ?(sinks = []) ?max_messages
     ?(protect = Bitstring.Ecc.Raw) ?(retry = 0) ?raw_advice protocol g ~source =
-  let n = Graph.n g in
   (* [raw_advice] is the sweep cache hook: advice is a pure function of
      (protocol, graph, source), so a caller sweeping many plans or
      schedulers over one graph computes it once via [advise] and passes
@@ -141,21 +140,26 @@ let run ?(scheduler = Sim.Scheduler.Async_fifo) ?(plan = Plan.none) ?(sinks = []
     Sim.Runner.run ~scheduler ?max_messages ~sinks ~faults:plan ~retry ~scratch
       ~advice:(Advice.get corrupted) g ~source factory
   in
-  (* The verdict is a fold over the recorded stream. *)
-  let fold = Verdict.create ~n in
-  Obs.Recorder.iter recorder (Verdict.observe fold);
+  (* The verdict is judged from the run's own counters and informed
+     set; the recording is read only for its boxed crashed/dead faults
+     and, for wakeup, the informed bit of its sends. *)
+  let check_silence = protocol = Wakeup in
+  let evidence =
+    Verdict.recorded ~check_silence ~stats:result.Sim.Runner.stats
+      ~informed:result.Sim.Runner.informed ~fallbacks:(List.length !fallbacks) recorder
+  in
   (* With the recovery layer armed, "stalled" should mean "recoverably
      stalled": survivors the failure pattern physically cut off are
      excluded like the failed nodes themselves.  With [retry = 0] the
      classification stays the paper-pure one. *)
   let unreachable =
-    if retry = 0 then None else Some (unreachable_after ~failed:(Verdict.failed fold) g ~source)
+    if retry = 0 then None
+    else Some (unreachable_after ~failed:evidence.Verdict.failed g ~source)
   in
   let verdict =
-    Verdict.finish ~check_silence:(protocol = Wakeup) ~quiescent:result.Sim.Runner.quiescent
-      ?unreachable
+    Verdict.judge ~check_silence ~quiescent:result.Sim.Runner.quiescent ?unreachable
       ~budgets:(budgets ~retry protocol g)
-      fold
+      evidence
   in
   (* The event list is built last, once everything else the run needs
      is done with: the list is the outcome's largest part. *)

@@ -1,17 +1,18 @@
 (** Verdicts: classifying an adversarial run against the paper's
-    invariants, from its telemetry stream alone.
+    invariants.
 
-    The classifier is a fold over the stream ({!create}, {!observe},
-    {!finish}) built on {!Obs.Replay}'s: everything it needs — who woke,
-    who crashed, how many messages the scheme produced, which nodes
-    abandoned their advice, how much repair traffic the network layer
-    injected — is in the typed event stream.  {!Harness.run} attaches the
-    fold as a sink, so the verdict is ready when the run drains;
-    {!classify} runs the same fold over a recorded list, so a verdict can
-    equally be computed offline from a JSONL trace.  The two facts a
-    stream cannot carry — was the run cut off by [max_messages], and
-    which nodes the failure pattern physically stranded — arrive as the
-    [?quiescent] and [?unreachable] parameters of {!finish}. *)
+    One rule, {!judge}, turns a run's evidence into a verdict: its
+    counters, who woke, who crashed or died, how many nodes abandoned
+    their advice, and whether a non-woken node ever transmitted.  Two
+    feeders gather that evidence.  {!Harness.run} takes it from the run
+    itself ({!recorded}): the counters and the informed set the runner
+    already keeps, and two reads of the recording that decode nothing
+    packed.  {!classify} folds it from an event list in one pass, so a
+    verdict can equally be computed offline from a JSONL trace.  The two
+    facts a stream cannot carry — was the run cut off by
+    [max_messages], and which nodes the failure pattern physically
+    stranded — arrive as the [?quiescent] and [?unreachable] parameters
+    of {!judge}. *)
 
 type budgets = {
   clean : int;
@@ -56,43 +57,58 @@ type t =
 
 val fallback_tag : string
 (** ["fallback-flood"] — the [Decide] tag a hardened node emits when it
-    rejects its advice; {!observe} counts these. *)
+    rejects its advice; {!classify} counts these, and {!Harness.run}
+    counts the rejections it reports with them. *)
 
-type fold
-(** Mutable classification state over a network of [n] nodes. *)
+type evidence = {
+  stats : Obs.Counting.summary;
+      (** the run's counters; {!judge} reads [sent], [retransmits] and
+          the in-flight balance ({!Obs.Counting.in_flight}) *)
+  informed : bool array;  (** per node: did it wake?  Its length is [n] *)
+  failed : bool array;
+      (** per node: was it named by a [Crashed] or [Dead] fault event?
+          Length [n]; a node both crashed and dead is one failure *)
+  fallbacks : int;  (** nodes that rejected their advice *)
+  silent : bool;  (** no [Send] was made by a node not yet woken *)
+}
+(** What a verdict is judged from. *)
 
-val create : n:int -> fold
+val judge :
+  ?check_silence:bool -> ?quiescent:bool -> ?unreachable:bool array -> budgets:budgets -> evidence -> t
+(** The verdict on a run's evidence.  Precedence: a violation
+    dominates — [check_silence] (default false) enables the wakeup
+    silence invariant ([silent = false] violates); [quiescent:false]
+    (default [true]) marks a run stopped by the runner's [max_messages]
+    cutoff, which classifies as [Violated "message-cutoff..."] rather
+    than [Stalled] since the budget, not the network, ended it; the
+    message-budget, recovery-budget and drained-queue checks are always
+    on.  Then uninformed survivors mean [Stalled]; then a clean run — no
+    fallback, no failed node, no retransmission, within
+    [budgets.clean] — is [Completed]; anything else is [Degraded].
 
-val observe : fold -> Obs.Event.t -> unit
-(** Fold one event.  Raises [Invalid_argument] if it names a node
-    outside [0..n-1] (see {!Obs.Replay.observe}). *)
+    Failed nodes are excluded from the informedness requirement: the
+    adversary silenced them, the scheme owes them nothing.
+    [?unreachable] (length [n]) extends the same exclusion to nodes the
+    caller proved physically stranded — every source path crosses a
+    failed node, so no retransmission can help; {!Harness.run} computes
+    this from the surviving graph.  Raises [Invalid_argument] if
+    [failed] or the [unreachable] array is not of length [n]. *)
 
-val failed : fold -> bool array
-(** The nodes named by [Crashed]/[Dead] fault events so far — the fold's
-    own array, not a copy; do not mutate it.  {!Harness.run} computes its
-    stranded-survivor set from this. *)
-
-val finish :
-  ?check_silence:bool -> ?quiescent:bool -> ?unreachable:bool array -> budgets:budgets -> fold -> t
-(** The verdict on the events observed so far.  Precedence: a
-    violation dominates — [check_silence] (default false) enables the
-    wakeup silence invariant (any [Send] by a non-woken node);
-    [quiescent:false] (default [true]) marks a run stopped by the
-    runner's [max_messages] cutoff, which classifies as
-    [Violated "message-cutoff..."] rather than [Stalled] since the
-    budget, not the network, ended it; the message-budget,
-    recovery-budget and drained-queue checks are always on.  Then
-    uninformed survivors mean [Stalled]; then a clean run — no fallback,
-    no failed node, no retransmission, within [budgets.clean] — is
-    [Completed]; anything else is [Degraded].
-
-    Nodes named by [Crashed]/[Dead] fault events are excluded from the
-    informedness requirement: the adversary silenced them, the scheme
-    owes them nothing.  [?unreachable] (length [n]) extends the same
-    exclusion to nodes the caller proved physically stranded — every
-    source path crosses a failed node, so no retransmission can help;
-    {!Harness.run} computes this from the surviving graph.  Raises
-    [Invalid_argument] if the array's length is not [n]. *)
+val recorded :
+  ?check_silence:bool ->
+  stats:Obs.Counting.summary ->
+  informed:bool array ->
+  fallbacks:int ->
+  Obs.Recorder.t ->
+  evidence
+(** [recorded ~stats ~informed ~fallbacks r] is the evidence of a run
+    whose stream [r] recorded, taking the counters, the informed set
+    (length [n]) and the fallback count from the run: the failed set is
+    read from [r]'s boxed events ({!Obs.Recorder.iter_boxed}; [Crashed]
+    and [Dead] are never packed), and with [check_silence] (default
+    false) [silent] from a scan of its [Send] records
+    ({!Obs.Recorder.uninformed_send}).  Without [check_silence] the
+    recording is not scanned and [silent] is [true]. *)
 
 val classify :
   ?check_silence:bool ->
@@ -102,8 +118,13 @@ val classify :
   budgets:budgets ->
   Obs.Event.t list ->
   t
-(** [classify ~n ~budgets events] is {!finish} after {!observe} on
-    every event of a complete run's list. *)
+(** [classify ~n ~budgets events] is {!judge} on the evidence folded
+    from a complete run's list in one pass: the list's
+    {!Obs.Counting} summary, the nodes its [Wake] events name, those its
+    [Crashed]/[Dead] events name, its [Decide] events tagged
+    {!fallback_tag}, and whether any [Send] has [informed = false].
+    Raises [Invalid_argument] if an event names a node outside
+    [0..n-1]. *)
 
 val acceptable : t -> bool
 (** The CLI's exit criterion: [Completed] or [Degraded] (graceful), not

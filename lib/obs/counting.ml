@@ -163,6 +163,12 @@ let summary t =
 
 let sent t = t.c_sent
 
+(* Duplicated copies deliver without their own Send; dropped sends
+   never deliver; retransmitted copies re-enter flight without a new
+   Send.  All three are counted, so the balance still reaches zero on a
+   drained faulty run. *)
+let in_flight s = s.sent + s.duplicated + s.retransmits - s.dropped - s.delivered
+
 let of_events events =
   let t = create () in
   List.iter (observe t) events;

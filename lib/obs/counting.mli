@@ -101,6 +101,12 @@ val sent : t -> int
 (** The live [Send]-event count (the runner's cutoff check reads this on
     the hot path). *)
 
+val in_flight : summary -> int
+(** Messages handed to the network and never delivered:
+    [sent + duplicated + retransmits - dropped - delivered] — 0 for a
+    quiescent run, faulty or not, since injected drops and duplicates
+    and retransmitted copies are all counted. *)
+
 val of_events : Event.t list -> summary
 (** Fold a recorded stream, e.g. one read back by {!Jsonl.read_file}. *)
 

@@ -135,6 +135,22 @@ let iter t f =
     f (if is_boxed d r then pop boxed else unpack d r)
   done
 
+let iter_boxed t f = List.iter f t.boxed
+
+(* Bit 62 of a packed [Send]'s w2 is its [informed] flag. *)
+let uninformed_send t =
+  let d = t.data in
+  let found = ref false and r = ref 0 in
+  while (not !found) && !r < t.len do
+    let i = 4 * !r in
+    if d.(i + 1) lsr 60 = tag_send && d.(i + 2) lsr 62 = 0 then found := true;
+    incr r
+  done;
+  !found
+  || List.exists
+       (fun (ev : Event.t) -> match ev.kind with Send l -> not l.informed | _ -> false)
+       t.boxed
+
 (* Newest record first, consing as it goes: the list comes out oldest
    first with no reversal. *)
 let to_list t =

@@ -77,6 +77,17 @@ val iter : t -> (Event.t -> unit) -> unit
 (** [iter t f] applies [f] to everything recorded, oldest first, building
     each event as it goes; [f] must not append to [t]. *)
 
+val iter_boxed : t -> (Event.t -> unit) -> unit
+(** [iter_boxed t f] applies [f] to the boxed events alone, newest
+    first: every [Decide], [Fault] and [Recover] event, and each packed
+    kind whose fields fell outside their ranges.  It decodes nothing
+    and allocates nothing. *)
+
+val uninformed_send : t -> bool
+(** Was a [Send] with [informed = false] recorded, packed or boxed?  A
+    scan of the packed records' tag and flag bits that decodes nothing
+    and allocates nothing. *)
+
 val to_list : t -> Event.t list
 (** Everything recorded, oldest first; the recorder is unchanged. *)
 

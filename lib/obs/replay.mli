@@ -7,9 +7,9 @@
     result (say, Theorem 2.1's exactly [n-1] messages, all nodes awake)
     can be checked from the trace artifact alone.
 
-    Replay is a fold ({!create}, {!observe}, {!finish}), so the same
-    computation runs live as events arrive — {!Fault.Verdict} attaches it
-    to a harness run — or offline over a recorded list ({!replay}). *)
+    Replay reads a recorded list ({!replay}); {!Fault.Verdict.classify}
+    folds the same counters and informed set from a list in its own
+    single pass. *)
 
 type outcome = {
   summary : Counting.summary;  (** the recomputed counters *)
@@ -19,27 +19,13 @@ type outcome = {
   all_informed : bool;  (** every node woke up *)
   in_flight : int;
       (** messages handed to the network and never delivered:
-          [sent + duplicated + retransmits - dropped - delivered] — 0 for
-          a quiescent run, faulty or not, since injected drops and
-          duplicates and retransmitted copies are all recorded in the
-          stream *)
+          {!Counting.in_flight} of [summary] — 0 for a quiescent run,
+          faulty or not, since injected drops and duplicates and
+          retransmitted copies are all recorded in the stream *)
   decisions : (int * string) list;  (** [Decide] events, in trace order *)
 }
 
-type t
-(** Mutable replay state over a network of [n] nodes. *)
-
-val create : n:int -> t
-
-val observe : t -> Event.t -> unit
-(** Fold one event.  Raises [Invalid_argument] if it names a node
-    outside [0..n-1]. *)
-
-val finish : t -> outcome
-(** The outcome of the events observed so far.  Its [informed] array is
-    the fold's own: observing more events afterwards updates it. *)
-
 val replay : n:int -> Event.t list -> outcome
-(** [replay ~n events] is {!finish} after {!observe} on every event of
-    a trace over a network of [n] nodes.  Raises [Invalid_argument] if
-    an event names a node outside [0..n-1]. *)
+(** [replay ~n events] folds a trace over a network of [n] nodes in one
+    pass.  Raises [Invalid_argument] if an event names a node outside
+    [0..n-1]. *)

@@ -971,11 +971,41 @@ let plain_collector () =
   let acc = ref [] in
   (Obs.Sink.make (fun ev -> acc := ev :: !acc), fun () -> List.rev !acc)
 
+(* The survivors no source path reaches once the nodes an event list
+   names as crashed or dead are removed: the [?unreachable] argument
+   the harness passes at [retry > 0], rebuilt from the list alone. *)
+let list_unreachable g events =
+  let n = Graph.n g in
+  let failed = Array.make n false in
+  List.iter
+    (fun ev ->
+      match ev.Event.kind with
+      | Event.Fault (Event.Crashed v | Event.Dead v) -> failed.(v) <- true
+      | _ -> ())
+    events;
+  let seen = Array.make n false in
+  let q = Queue.create () in
+  if not failed.(0) then begin
+    seen.(0) <- true;
+    Queue.add 0 q
+  end;
+  while not (Queue.is_empty q) do
+    List.iter
+      (fun (_, v, _) ->
+        if (not seen.(v)) && not failed.(v) then begin
+          seen.(v) <- true;
+          Queue.add v q
+        end)
+      (Graph.neighbors g (Queue.pop q))
+  done;
+  Array.init n (fun v -> (not failed.(v)) && not seen.(v))
+
 let test_recorder_matches_plain_collector () =
   (* Seeded runs over every family and scheduler, under drop, crash,
      dead and advice-tampering plans, at retry 0 and 2: the packed
      recorder, [Sink.collect] and a plain list agree event for event,
-     and the streaming verdict and summary agree with the list folds.
+     and the harness's verdict and summary agree with the list folds
+     (at retry 2 with the stranded survivors recomputed from the list).
      Each draw runs once more with no caller sink, so the runner packs
      its records straight from their fields: that run must give the
      same events, verdict and journal entry. *)
@@ -1038,18 +1068,19 @@ let test_recorder_matches_plain_collector () =
                     || folded.Obs.Counting.corrected_bits
                        <> List.fold_left (fun acc (_, bits) -> acc + bits) 0 o.Fault.Harness.corrected
                   then Alcotest.failf "%s: recovery counts differ from the list fold" label;
-                  if retry = 0 then begin
-                    let listed =
-                      Fault.Verdict.classify ~check_silence:(protocol = Fault.Harness.Wakeup)
-                        ~quiescent:o.Fault.Harness.result.Sim.Runner.quiescent ~n
-                        ~budgets:(Fault.Harness.budgets protocol g)
-                        events
-                    in
-                    if listed <> o.Fault.Harness.verdict then
-                      Alcotest.failf "%s: streaming verdict %s, list verdict %s" label
-                        (Fault.Verdict.to_string o.Fault.Harness.verdict)
-                        (Fault.Verdict.to_string listed)
-                  end)
+                  let unreachable =
+                    if retry = 0 then None else Some (list_unreachable g events)
+                  in
+                  let listed =
+                    Fault.Verdict.classify ~check_silence:(protocol = Fault.Harness.Wakeup)
+                      ~quiescent:o.Fault.Harness.result.Sim.Runner.quiescent ?unreachable ~n
+                      ~budgets:(Fault.Harness.budgets ~retry protocol g)
+                      events
+                  in
+                  if listed <> o.Fault.Harness.verdict then
+                    Alcotest.failf "%s: harness verdict %s, list verdict %s" label
+                      (Fault.Verdict.to_string o.Fault.Harness.verdict)
+                      (Fault.Verdict.to_string listed))
                 [ Fault.Harness.Wakeup; Fault.Harness.Broadcast ])
             plans)
         Sim.Scheduler.default_suite)
@@ -1190,6 +1221,88 @@ let test_raw_run_leaves_cached_advice () =
         [ "none"; "drop=0.1,seed=7"; "advice-flip=3,advice-trunc=2,seed=5"; "advice-garbage=4,seed=9" ])
     [ Fault.Harness.Wakeup; Fault.Harness.Broadcast ]
 
+(* {1 The verdict's two feeders at their boundaries} *)
+
+(* The harness's feeder over a recording of [events]: the counters and
+   informed set it takes from the run are folded from the list here;
+   the failed set and the silence flag come from the recording. *)
+let judge_recording ?check_silence ~n ~budgets events =
+  let r = Obs.Recorder.create () in
+  List.iter (Obs.Recorder.push r) events;
+  let informed = Array.make n false in
+  let fallbacks = ref 0 in
+  List.iter
+    (fun ev ->
+      match ev.Event.kind with
+      | Event.Wake v -> informed.(v) <- true
+      | Event.Decide (_, tag) when tag = Fault.Verdict.fallback_tag -> incr fallbacks
+      | _ -> ())
+    events;
+  Fault.Verdict.judge ?check_silence ~budgets
+    (Fault.Verdict.recorded ?check_silence ~stats:(Obs.Counting.of_events events) ~informed
+       ~fallbacks:!fallbacks r)
+
+(* Both feeders give [expected] on [events]. *)
+let both_feeders label ?check_silence ~n ~budgets events expected =
+  let via_list = Fault.Verdict.classify ?check_silence ~n ~budgets events in
+  let via_recording = judge_recording ?check_silence ~n ~budgets events in
+  check_string (label ^ ": list") expected (Fault.Verdict.to_string via_list);
+  check_string (label ^ ": recording") expected (Fault.Verdict.to_string via_recording)
+
+let test_boxed_send_breaks_silence () =
+  (* [bits] one past its 21-bit packed width: the recorder keeps this
+     send boxed, so only the boxed half of the scan can see it *)
+  let wide = { (send_link ~src:1 ~dst:0 ~informed:false) with Event.bits = 1 lsl 21 } in
+  let events =
+    [
+      { Event.seq = 0; round = 0; kind = Event.Wake 0 };
+      { Event.seq = 1; round = 0; kind = Event.Send wide };
+      { Event.seq = 1; round = 1; kind = Event.Deliver wide };
+      { Event.seq = 2; round = 1; kind = Event.Wake 1 };
+    ]
+  in
+  let r = Obs.Recorder.create () in
+  List.iter (Obs.Recorder.push r) events;
+  let boxed = ref 0 in
+  Obs.Recorder.iter_boxed r (fun _ -> incr boxed);
+  check_int "send and deliver are boxed" 2 !boxed;
+  check_bool "the scan finds the boxed send" true (Obs.Recorder.uninformed_send r);
+  let budgets = budgets ~clean:5 ~degraded:9 () in
+  both_feeders "silence checked" ~check_silence:true ~n:2 ~budgets events
+    "violated: wakeup-silence: a non-woken node transmitted";
+  both_feeders "silence unchecked" ~n:2 ~budgets events "completed";
+  (* an informed send past the packed width breaks nothing *)
+  let informed_wide = { wide with Event.informed = true } in
+  both_feeders "informed wide send" ~check_silence:true ~n:2 ~budgets
+    (List.map
+       (fun ev ->
+         match ev.Event.kind with
+         | Event.Send _ -> { ev with Event.kind = Event.Send informed_wide }
+         | _ -> ev)
+       events)
+    "completed"
+
+let test_crashed_and_dead_count_once () =
+  let events =
+    { Event.seq = 0; round = 0; kind = Event.Fault (Event.Crashed 2) }
+    :: { Event.seq = 0; round = 0; kind = Event.Fault (Event.Dead 2) }
+    :: clean_stream
+  in
+  both_feeders "crashed and dead" ~n:3 ~budgets:(budgets ~clean:5 ~degraded:9 ()) events
+    "degraded: node-failures(1)"
+
+let test_empty_recording_judges_like_empty_list () =
+  List.iter
+    (fun (n, expected) ->
+      both_feeders (Printf.sprintf "empty, n=%d" n) ~check_silence:true ~n
+        ~budgets:(budgets ~clean:0 ~degraded:0 ())
+        [] expected)
+    [
+      (0, "completed");
+      (1, "stalled: 0/1 survivors informed (n=1)");
+      (3, "stalled: 0/3 survivors informed (n=3)");
+    ]
+
 (* Relative to the test cwd (_build/default/test). *)
 let exe = "../bin/oraclesize.exe"
 
@@ -1303,4 +1416,10 @@ let suite =
       test_warm_buffers_match_fresh_domain;
     Alcotest.test_case "raw run leaves cached advice unchanged" `Quick
       test_raw_run_leaves_cached_advice;
+    Alcotest.test_case "verdict: a boxed send breaks wakeup silence" `Quick
+      test_boxed_send_breaks_silence;
+    Alcotest.test_case "verdict: crashed and dead count once" `Quick
+      test_crashed_and_dead_count_once;
+    Alcotest.test_case "verdict: empty recording = empty list" `Quick
+      test_empty_recording_judges_like_empty_list;
   ]
