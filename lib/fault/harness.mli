@@ -9,11 +9,13 @@
     attacks the codewords, which is the point of coding them), execute
     the hardened scheme with the plan's message- and node-level faults
     injected by the runner (and, with [retry > 0], its self-healing
-    retransmit channel armed), and classify the stream.  The run records
-    its stream, and the verdict is a fold ({!Verdict.observe}) over the
-    recording once the run drains; the stranded-survivor BFS reads the
-    fold's crashed/dead set.  The harness never raises on any plan:
-    every outcome is a structured verdict.
+    retransmit channel armed), and judge the run.  The run records its
+    stream; once it drains, {!Verdict.judge} rules on the run's own
+    counters and informed set, with the crashed/dead set and, for
+    wakeup, the silence flag read from the recording without decoding
+    it ({!Verdict.recorded}); the stranded-survivor BFS reads the same
+    crashed/dead set.  The harness never raises on any plan: every
+    outcome is a structured verdict.
 
     The recording lives in one {!Sim.Runner.scratch} per domain, kept
     in a slot and reused run after run: its {!Obs.Recorder} is cleared
@@ -106,7 +108,9 @@ val run :
     non-quiescent result (stopped by [max_messages]) classifies as
     [Violated]; crashed/dead nodes are exempt from informedness, and
     with [retry > 0] so are survivors the failure pattern physically
-    disconnected from the source — see {!Verdict.classify}. *)
+    disconnected from the source — see {!Verdict.judge}.  The verdict is
+    the one {!Verdict.classify} gives on [events] with the same
+    arguments. *)
 
 val journal_entry : Netgraph.Graph.t -> outcome -> Sim.Journal.entry
 (** Flatten an outcome into the persistent sweep journal's entry record

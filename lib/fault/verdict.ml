@@ -81,17 +81,15 @@ let judge ?(check_silence = false) ?(quiescent = true) ?unreachable ~budgets e =
     Degraded (String.concat "," !parts)
   end
 
-let mark_failed failed (ev : Obs.Event.t) =
-  match ev.kind with
-  | Obs.Event.Fault (Obs.Event.Crashed v | Obs.Event.Dead v) -> failed.(v) <- true
-  | _ -> ()
-
 (* [Crashed] and [Dead] are never packed, so the failed set is read off
    the boxed events alone; the silence scan reads the packed [Send]
    records in place. *)
 let recorded ?(check_silence = false) ~stats ~informed ~fallbacks recorder =
   let failed = Array.make (Array.length informed) false in
-  Obs.Recorder.iter_boxed recorder (mark_failed failed);
+  Obs.Recorder.iter_boxed recorder (fun ev ->
+      match ev.Obs.Event.kind with
+      | Obs.Event.Fault (Obs.Event.Crashed v | Obs.Event.Dead v) -> failed.(v) <- true
+      | _ -> ());
   let silent = not (check_silence && Obs.Recorder.uninformed_send recorder) in
   { stats; informed; failed; fallbacks; silent }
 

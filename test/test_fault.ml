@@ -963,7 +963,7 @@ let test_max_retry_budget_saturates () =
 
 (* {1 The CLI's [--fault --suite]} *)
 
-(* {1 The harness's recorder and streaming verdict} *)
+(* {1 The harness's recorder and verdict} *)
 
 (* What [outcome.events] must equal: the list a plain cons-and-reverse
    sink builds from the same stream. *)
@@ -1267,6 +1267,21 @@ let test_boxed_send_breaks_silence () =
   Obs.Recorder.iter_boxed r (fun _ -> incr boxed);
   check_int "send and deliver are boxed" 2 !boxed;
   check_bool "the scan finds the boxed send" true (Obs.Recorder.uninformed_send r);
+  (* packed sends of every class: the scan reads the informed bit alone *)
+  List.iter
+    (fun cls ->
+      List.iter
+        (fun informed ->
+          let p = Obs.Recorder.create () in
+          Obs.Recorder.push p
+            {
+              Event.seq = 1;
+              round = 0;
+              kind = Event.Send { (send_link ~src:1 ~dst:0 ~informed) with Event.cls };
+            };
+          check_bool "packed send" (not informed) (Obs.Recorder.uninformed_send p))
+        [ true; false ])
+    [ Event.Source; Event.Hello; Event.Control ];
   let budgets = budgets ~clean:5 ~degraded:9 () in
   both_feeders "silence checked" ~check_silence:true ~n:2 ~budgets events
     "violated: wakeup-silence: a non-woken node transmitted";
