@@ -83,10 +83,11 @@ let oracle ?(tree = fun g ~root -> Spanning.light g ~root) ?(encoding = Marked) 
    nodes; a degree-sized bitmap would cost Θ(n²) bytes on a clique.
    Sends go out in ascending port order: the word's bits low to high,
    then the overflow list (decoded ports are never negative, so every
-   overflow port is above 61).  A
-   flush hands off [pending] whole and merges it into [retired].  The
-   plain and the hardened scheme run this one state and its steps; the
-   hardened one only adds the recovery overlay around them. *)
+   overflow port is above 61).  A flush hands off [pending] whole and
+   merges it into [retired], so [pending] is empty whenever the node is
+   informed: a second source message only retires its port.  The
+   hardened scheme relies on this when it hands an informed node a
+   reflood marker as a source message ({!Hardened.scheme}). *)
 let word_ports = 62
 
 let in_word (p : int) = 0 <= p && p < word_ports
@@ -172,11 +173,6 @@ let seal st =
    | over -> st.pending_over <- List.sort_uniq Int.compare over);
   st
 
-let initial ports ~is_source =
-  let st = empty ~is_source in
-  List.iter (advise st) ports;
-  seal st
-
 (* The plain scheme reads its advice straight into the state, without
    the intermediate port list. *)
 let decoded encoding buf ~is_source =
@@ -232,60 +228,8 @@ let scheme ?(encoding = Marked) () static =
 
 let hardened_scheme ?(encoding = Marked) ?(protect = Bitstring.Ecc.Raw) ?on_fallback ?on_corrected
     () =
-  (* One decoder closure per factory, not one per node. *)
-  let decode = decode_known_ports_result encoding in
-  fun static ->
-    let degree = static.Sim.History.degree in
-    let is_source = static.Sim.History.is_source in
-    let advised = Hardened.advised ~protect ~decode ?on_fallback ?on_corrected static in
-    (* The recovery overlay is shared by both modes: an informed node that
-       sees a link time out refloods, and a reflood informs like a source
-       message through the same port. *)
-    let reflood_from = Hardened.reflood ~degree in
-    match advised with
-    | Some ports ->
-      (* Scheme B itself, on validated advice (the ports are in range and
-         distinct), plus the overlay. *)
-      let st = initial ports ~is_source in
-      let on_start () = start st ~is_source in
-      let on_receive msg ~port =
-        match msg with
-        | Sim.Message.Control _ when Sim.Message.is_timeout msg ->
-          if st.informed then reflood_from (Some port) else []
-        | Sim.Message.Control _ when Sim.Message.is_reflood msg ->
-          let first = not st.informed in
-          st.informed <- true;
-          retire st port;
-          (if first then flush st else []) @ reflood_from (Some port)
-        | _ -> receive st msg ~port
-      in
-      { Sim.Scheme.on_start; on_receive }
-    | None ->
-      (* Degraded mode.  Flooding when informed restores correctness at the
-         advice-free Θ(m) cost; the Hello on {e every} port at start tells
-         advised neighbours — whose legitimately-empty advice the adversary
-         could not touch — how to reach us, exactly as Scheme B's Hellos on
-         known ports do.  Without it an advised node whose tree edges are
-         all known from the degraded side would never learn them. *)
-      let informed = ref is_source in
-      let flood arrival = Hardened.flood Sim.Message.Source ~degree arrival in
-      let on_start () =
-        if is_source then flood None else Hardened.flood Sim.Message.Hello ~degree None
-      in
-      let on_receive msg ~port =
-        match msg with
-        | Sim.Message.Source when not !informed ->
-          informed := true;
-          flood (Some port)
-        | Sim.Message.Control _ when Sim.Message.is_timeout msg ->
-          if !informed then reflood_from (Some port) else []
-        | Sim.Message.Control _ when Sim.Message.is_reflood msg ->
-          let first = not !informed in
-          informed := true;
-          (if first then flood (Some port) else []) @ reflood_from (Some port)
-        | Sim.Message.Source | Sim.Message.Hello | Sim.Message.Control _ -> []
-      in
-      { Sim.Scheme.on_start; on_receive }
+  Hardened.scheme ~protect ~decode:(decode_known_ports_result encoding) ~hello:true ?on_fallback
+    ?on_corrected (scheme ~encoding ())
 
 type outcome = {
   result : Sim.Runner.result;

@@ -71,22 +71,14 @@ val hardened_scheme :
   ?on_corrected:(int -> int -> unit) ->
   unit ->
   Sim.Scheme.factory
-(** Scheme B behind {!Hardened.advised}: a node trusts its advice only
-    if it passes the [protect] ECC level (default [Raw]: pass-through),
-    decodes with {!decode_known_ports_result} and names distinct,
-    in-range ports; a correcting level repairs a correctable codeword
-    written by {!Oracles.Protect.oracle} at the same level.  A rejected
-    node degrades to {!Hardened.flood}: the source message goes out on
-    every port except the arrival port on first informing, correct on
-    any connected graph at Θ(m) cost.  A degraded non-source node also
-    sends its "hello" on {e every} port at start, so an advised
-    neighbour whose (legitimately empty) advice omits the shared edge
-    still learns it, exactly as Scheme B's hellos on known ports teach;
-    without this, a node that knows none of its tree edges could never
-    serve the subtree behind a degraded neighbour.  Both modes carry
-    {!Hardened.reflood}.  [on_fallback] and [on_corrected] are reported
-    as {!Hardened.advised} describes.  On untampered advice this is
-    message-for-message Scheme B. *)
+(** {!scheme} under {!Hardened.scheme}, validated with
+    {!decode_known_ports_result}, with [hello]: a node whose advice
+    fails the [protect] ECC level (default [Raw]: pass-through), the
+    decode or the port check floods instead, and a degraded non-source
+    node says hello on every port at start.  Without that hello, an
+    advised node that knows none of its tree edges could never serve
+    the subtree behind a degraded neighbour.  On untampered advice this
+    is message-for-message Scheme B. *)
 
 val weight_assignment : Netgraph.Graph.t -> Netgraph.Spanning.t -> int list array
 (** The per-node lists of assigned weights, before encoding (exposed for

@@ -28,12 +28,8 @@ let max_finding_scheme sink static =
   let self = static.Sim.History.id in
   let best = ref self in
   sink self (fun () -> if !best = self then Leader else Follower);
-  let all_ports = List.init static.Sim.History.degree (fun p -> p) in
-  let flood_except port l =
-    List.filter_map
-      (fun p -> if Some p = port then None else Some (Sim.Message.Control (encode_label l), p))
-      all_ports
-  in
+  let degree = static.Sim.History.degree in
+  let flood_except port l = Sim.Scheme.flood (Sim.Message.Control (encode_label l)) ~degree port in
   let on_start () = flood_except None self in
   let on_receive msg ~port =
     match msg with
@@ -67,11 +63,9 @@ let marked_scheme sink static =
   let marked = not (Bitbuf.is_empty static.Sim.History.advice) in
   let role = ref (if marked then Leader else Undecided) in
   sink self (fun () -> !role);
-  let all_ports = List.init static.Sim.History.degree (fun p -> p) in
+  let degree = static.Sim.History.degree in
   let announce_except port l =
-    List.filter_map
-      (fun p -> if Some p = port then None else Some (Sim.Message.Control (encode_label l), p))
-      all_ports
+    Sim.Scheme.flood (Sim.Message.Control (encode_label l)) ~degree port
   in
   let on_start () = if marked then announce_except None self else [] in
   let on_receive msg ~port =

@@ -1,39 +1,46 @@
-(** The advice-trust policy shared by the hardened schemes.
+(** The hardened form of a paper scheme.
 
-    The paper hardens two schemes, the Theorem 2.1 wakeup
+    The paper's two schemes, the Theorem 2.1 wakeup
     ({!Wakeup.hardened_scheme}) and the Theorem 3.1 Scheme B
-    ({!Broadcast.hardened_scheme}).  Both decide once per node whether to
-    trust its advice, and both recover the same way: by advice-free
-    flooding when the advice is rejected, and by a one-shot reflood when
-    a link times out.  Each scheme keeps only its own decoder and its own
-    informed/degraded state. *)
+    ({!Broadcast.hardened_scheme}), are hardened the same way: each node
+    decides once whether to trust its advice, runs the plain scheme on
+    advice it trusts and advice-free flooding otherwise, and carries one
+    recovery overlay in both modes.  A scheme supplies only its plain
+    factory and its non-raising decoder. *)
 
-val advised :
+val scheme :
   protect:Bitstring.Ecc.level ->
   decode:(Bitstring.Bitbuf.t -> (int list, string) result) ->
+  hello:bool ->
   ?on_fallback:(int -> string -> unit) ->
   ?on_corrected:(int -> int -> unit) ->
-  Sim.History.static ->
-  int list option
-(** [advised ~protect ~decode static] is [Some ports] when the node may
-    trust its advice: the advice passes the [protect] ECC level
-    ({!Bitstring.Ecc.unprotect}), the payload [decode]s, and the ports
-    are distinct and below the node's degree.  Otherwise it is [None]
-    and the node must fall back to flooding.  [on_fallback] is called on
-    [None] with the node's label and the ECC, decode or validation
-    error; [on_corrected] is called on [Some _] with the label and the
-    corrected-error count, when that count is positive. *)
+  Sim.Scheme.factory ->
+  Sim.Scheme.factory
+(** [scheme ~protect ~decode ~hello plain] is [plain] on validated
+    advice, under one recovery overlay.
 
-val flood : Sim.Message.t -> degree:int -> int option -> (Sim.Message.t * int) list
-(** [flood msg ~degree arrival] sends [msg] on every port in ascending
-    order, except the [arrival] port: one node of
-    {!Sim.Scheme.flooding}. *)
+    - {b Advice trusted.}  The advice passes the [protect] ECC level
+      ({!Bitstring.Ecc.unprotect}), the payload [decode]s, and the
+      ports are distinct and below the node's degree.  The node then
+      runs [plain] on the ECC-stripped payload (at [Raw], the advice
+      itself).  [plain] decodes that payload again; the check only
+      guarantees it names ports the node has.
+    - {b Advice rejected.}  The node runs one node of
+      {!Sim.Scheme.flooding}, correct on any connected graph at Θ(m)
+      cost.  With [hello], a non-source node also sends "hello" on
+      every port at start, so an advised neighbour whose advice omits
+      the shared edge still learns it.
+    - {b Recovery overlay.}  A link timeout means the neighbour
+      crash-stopped, stranding whatever the advised tree routed through
+      it.  An informed node that sees one floods the
+      {!Sim.Message.reflood} marker away from that port.  A node that
+      receives the marker handles it as the source message through the
+      same port, then floods it on, at most once per node.  That is at
+      most [2m] messages to re-cover the surviving component.  A node
+      is informed once it is the source or has received the source
+      message, in either mode.
 
-val reflood : degree:int -> int option -> (Sim.Message.t * int) list
-(** [reflood ~degree] is one node's recovery overlay.  A link timeout
-    means the neighbour crash-stopped, stranding whatever the advised
-    tree routed through it; the node that detects it re-disseminates by
-    flooding the {!Sim.Message.reflood} marker, and every hardened node
-    forwards that marker once.  That is at most [2m] messages to re-cover
-    the surviving component.  The first call floods the marker away from
-    the given arrival port; every later call sends nothing. *)
+    [on_fallback] is called on a rejected node with its label and the
+    ECC, decode or validation error; [on_corrected] on a trusted node
+    with its label and the corrected-error count, when that count is
+    positive.  Both are called when the node is built. *)

@@ -19,12 +19,12 @@ type outcome = {
 let flood_scheme sink static =
   let out = { parent_port = None; child_ports = []; has_output = false } in
   sink static.Sim.History.id out;
-  let all_ports = List.init static.Sim.History.degree (fun p -> p) in
+  let degree = static.Sim.History.degree in
   let adopted = ref static.Sim.History.is_source in
   let on_start () =
     if static.Sim.History.is_source then begin
       out.has_output <- true;
-      List.map (fun p -> (Sim.Message.Source, p)) all_ports
+      Sim.Scheme.flood Sim.Message.Source ~degree None
     end
     else []
   in
@@ -37,10 +37,7 @@ let flood_scheme sink static =
         out.parent_port <- Some port;
         out.has_output <- true;
         (* Claim the parent, then keep flooding. *)
-        (Sim.Message.Hello, port)
-        :: List.filter_map
-             (fun p -> if p = port then None else Some (Sim.Message.Source, p))
-             all_ports
+        (Sim.Message.Hello, port) :: Sim.Scheme.flood Sim.Message.Source ~degree (Some port)
       end
     | Sim.Message.Hello ->
       out.child_ports <- port :: out.child_ports;

@@ -85,36 +85,8 @@ let scheme ?(encoding = Paper) () static =
 
 let hardened_scheme ?(encoding = Paper) ?(protect = Bitstring.Ecc.Raw) ?on_fallback ?on_corrected
     () =
-  (* One decoder closure per factory, not one per node. *)
-  let decode = decode_ports_result encoding in
-  fun static ->
-    let degree = static.Sim.History.degree in
-    let advised = Hardened.advised ~protect ~decode ?on_fallback ?on_corrected static in
-    let woken = ref false in
-    let wake arrival =
-      woken := true;
-      match advised with
-      | Some ports -> List.map (fun p -> (Sim.Message.Source, p)) ports
-      | None ->
-        (* Degraded mode: behave as one node of [Sim.Scheme.flooding] —
-           correct on any connected graph, at the advice-free Θ(m) cost. *)
-        Hardened.flood Sim.Message.Source ~degree arrival
-    in
-    let reflood_from = Hardened.reflood ~degree in
-    let on_start () = if static.Sim.History.is_source then wake None else [] in
-    let on_receive msg ~port =
-      match msg with
-      | Sim.Message.Source when not !woken -> wake (Some port)
-      | Sim.Message.Control _ when Sim.Message.is_timeout msg ->
-        (* Only a woken node can have sent the message that timed out, so
-           the wakeup restriction is preserved. *)
-        if !woken then reflood_from (Some port) else []
-      | Sim.Message.Control _ when Sim.Message.is_reflood msg ->
-        let wake_sends = if !woken then [] else wake (Some port) in
-        wake_sends @ reflood_from (Some port)
-      | Sim.Message.Source | Sim.Message.Hello | Sim.Message.Control _ -> []
-    in
-    { Sim.Scheme.on_start; on_receive }
+  Hardened.scheme ~protect ~decode:(decode_ports_result encoding) ~hello:false ?on_fallback
+    ?on_corrected (scheme ~encoding ())
 
 type outcome = { result : Sim.Runner.result; advice_bits : int; tree_ok : bool }
 

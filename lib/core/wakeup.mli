@@ -73,16 +73,10 @@ val hardened_scheme :
   ?on_corrected:(int -> int -> unit) ->
   unit ->
   Sim.Scheme.factory
-(** Like {!scheme}, but each node first asks {!Hardened.advised}
-    whether to trust its advice: it must pass the [protect] ECC level
-    (default [Raw]: pass-through), decode with {!decode_ports_result}
-    and name distinct, in-range ports.  A correcting level ([Hamming],
-    odd [Repetition]) repairs a correctable codeword written by
-    {!Oracles.Protect.oracle} instead of rejecting it.  A rejected node
-    falls back to {!Hardened.flood}: on first wake it sends the source
-    message on every port except the arrival port, so the run stays
-    correct on any connected graph at Θ(m) cost instead of the advised
-    [n-1].  Every node also carries {!Hardened.reflood}.  The wakeup
-    restriction (silence before being woken) holds in all modes.
-    [on_fallback] and [on_corrected] are reported as
-    {!Hardened.advised} describes. *)
+(** {!scheme} under {!Hardened.scheme}, validated with
+    {!decode_ports_result}: a node whose advice fails the [protect] ECC
+    level (default [Raw]: pass-through), the decode or the port check
+    floods on first wake instead, so the run stays correct on any
+    connected graph at Θ(m) cost instead of the advised [n-1].  The
+    wakeup restriction (silence before being woken) holds in all
+    modes. *)

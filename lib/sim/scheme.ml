@@ -32,13 +32,23 @@ let check_wakeup factory static =
   in
   { node with on_start }
 
+(* Built back to front in one loop: no port list, no options, and
+   constant stack depth on a high-degree node. *)
+let flood msg ~degree arrival =
+  let skip = match arrival with Some p -> p | None -> -1 in
+  let sends = ref [] in
+  for p = degree - 1 downto 0 do
+    if p <> skip then sends := (msg, p) :: !sends
+  done;
+  !sends
+
 let flooding static =
+  let degree = static.History.degree in
   let informed = ref false in
-  let all_ports = List.init static.History.degree (fun p -> p) in
   let on_start () =
     if static.History.is_source then begin
       informed := true;
-      List.map (fun p -> (Message.Source, p)) all_ports
+      flood Message.Source ~degree None
     end
     else []
   in
@@ -46,9 +56,7 @@ let flooding static =
     match msg with
     | Message.Source when not !informed ->
       informed := true;
-      List.filter_map
-        (fun p -> if p = port then None else Some (Message.Source, p))
-        all_ports
+      flood Message.Source ~degree (Some port)
     | Message.Source | Message.Hello | Message.Control _ -> []
   in
   { on_start; on_receive }

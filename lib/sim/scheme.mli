@@ -38,6 +38,11 @@ val check_wakeup : factory -> factory
 (** Wrap a factory so that a non-source node producing sends from an empty
     history raises [Failure] — the wakeup restriction of Section 1.4. *)
 
+val flood : Message.t -> degree:int -> int option -> send list
+(** [flood msg ~degree arrival] sends [msg] on every port in ascending
+    order, except the [arrival] port: what a {!flooding} node sends on
+    being informed. *)
+
 val flooding : factory
 (** The oracle-free baseline: the source starts by sending [Source] on all
     ports; every node forwards [Source] on all other ports upon first
