@@ -15,13 +15,16 @@ let budgets ?(retry = 0) protocol g =
     | Wakeup -> { Verdict.clean = n - 1; degraded = (2 * m) + (3 * n); recovery = 0 }
     | Broadcast -> { Verdict.clean = 3 * n; degraded = (4 * m) + (3 * n); recovery = 0 }
   in
+  (* With the recovery layer armed, a timed-out link makes the hardened
+     schemes reflood, each node at most once on at most its degree's
+     ports: up to [2m] control messages more. *)
+  let d = if retry > 0 then base.Verdict.degraded + (2 * m) else base.Verdict.degraded in
   (* Every sequence number can consume at most [retry] recovery slots, and
      there are at most [degraded] of them in a non-violating run — the
      recovery budget is the machine-checked form of that invariant.  The
      product saturates: a huge [retry] means "unbounded", not negative. *)
-  let d = base.Verdict.degraded in
   let recovery = if retry > 0 && d > max_int / retry then max_int else retry * d in
-  { base with Verdict.recovery }
+  { base with Verdict.degraded = d; recovery }
 
 (* Which nodes did the failure pattern physically strand?  BFS over the
    graph minus failed nodes: a survivor no path reaches can never be

@@ -36,12 +36,12 @@ val protocol_name : protocol -> string
 
 val budgets : ?retry:int -> protocol -> Netgraph.Graph.t -> Verdict.budgets
 (** Clean budget from the paper ([n-1], resp. [3n]); degraded budget
-    Θ(m) with room for the fallback's hellos, floods and refloods
-    ([2m + 3n], resp. [4m + 3n]); recovery budget
-    [retry × degraded], saturating at [max_int] (default [retry = 0]:
-    any retransmission is a violation) — each sequence number may
-    consume at most [retry] recovery slots, so this is the
-    machine-checked form of the channel's own invariant. *)
+    Θ(m) with room for the fallback's hellos and floods ([2m + 3n],
+    resp. [4m + 3n]), plus [2m] for the refloods when [retry > 0];
+    recovery budget [retry × degraded], saturating at [max_int]
+    (default [retry = 0]: any retransmission is a violation) — each
+    sequence number may consume at most [retry] recovery slots, so this
+    is the machine-checked form of the channel's own invariant. *)
 
 type outcome = {
   verdict : Verdict.t;
