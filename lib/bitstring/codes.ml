@@ -39,18 +39,22 @@ let read_width r =
     invalid_arg "Codes.read_port_list: payload not a multiple of width";
   width
 
-(* On the hot path (every wake decodes its port list): an explicitly
-   sequenced recursion reads in stream order by construction. *)
-let read_port_list r =
+(* On the hot path (every wake maps its port list into its sends): an
+   explicitly sequenced recursion reads in stream order by construction,
+   and [tail_mod_cons] keeps it in constant stack on a long list. *)
+let[@tail_mod_cons] rec map_ports r ~width f k =
+  if k = 0 then []
+  else
+    let x = f (Bitbuf.read_int r ~width) in
+    x :: map_ports r ~width f (k - 1)
+
+let map_port_list r f =
   if Bitbuf.at_end r then []
-  else begin
+  else
     let width = read_width r in
-    let rec ports k = if k = 0 then [] else
-      let p = Bitbuf.read_int r ~width in
-      p :: ports (k - 1)
-    in
-    ports (Bitbuf.remaining r / width)
-  end
+    map_ports r ~width f (Bitbuf.remaining r / width)
+
+let read_port_list r = map_port_list r Fun.id
 
 (* Top level, so that a fold allocates no closure of its own. *)
 let rec fold_ports r ~width f k acc =
@@ -92,7 +96,13 @@ let write_marked_list buf ws = List.iter (write_marked buf) ws
 let rec fold_to_end read r f acc =
   if Bitbuf.at_end r then acc else fold_to_end read r f (f acc (read r))
 
-let read_marked_list r = List.rev (fold_to_end read_marked r (fun ws w -> w :: ws) [])
+let[@tail_mod_cons] rec map_to_end read r f =
+  if Bitbuf.at_end r then []
+  else
+    let x = f (read r) in
+    x :: map_to_end read r f
+
+let read_marked_list r = map_to_end read_marked r Fun.id
 
 let marked_length ws = 2 * List.fold_left (fun acc w -> acc + Binary.bits w) 0 ws
 
@@ -132,7 +142,4 @@ let protect name read r = guard name (fun r -> Ok (read r)) r
 let read_port_list_result r = protect "read_port_list" read_port_list r
 let read_marked_list_result r = protect "read_marked_list" read_marked_list r
 
-let read_gamma_list_result r =
-  protect "read_gamma_list"
-    (fun r -> List.rev (fold_to_end read_gamma r (fun ns n -> n :: ns) []))
-    r
+let read_gamma_list_result r = protect "read_gamma_list" (fun r -> map_to_end read_gamma r Fun.id) r

@@ -35,6 +35,12 @@ val read_port_list : Bitbuf.reader -> int list
     Raises [Invalid_argument] if the remaining payload length is not a
     multiple of the decoded width, or if the width header exceeds 62. *)
 
+val map_port_list : Bitbuf.reader -> (int -> 'a) -> 'a list
+(** [map_port_list r f] is [List.map f (read_port_list r)], built in one
+    pass: each port is read and passed to [f] in stream order, and no
+    list of ports is built.  {!read_port_list} is [map_port_list r Fun.id];
+    same header parser, same errors. *)
+
 val fold_port_list : Bitbuf.reader -> ('a -> int -> 'a) -> 'a -> 'a
 (** {!read_port_list} as a fold: same header parser, same errors. *)
 
@@ -58,6 +64,10 @@ val read_marked_list : Bitbuf.reader -> int list
 
 val fold_to_end : (Bitbuf.reader -> int) -> Bitbuf.reader -> ('a -> int -> 'a) -> 'a -> 'a
 (** Fold over the values [read] decodes until the reader is exhausted. *)
+
+val map_to_end : (Bitbuf.reader -> int) -> Bitbuf.reader -> (int -> 'a) -> 'a list
+(** The values [read] decodes until the reader is exhausted, each passed
+    to [f] in stream order, in one pass and in constant stack. *)
 
 val marked_length : int list -> int
 (** Exact encoded size: [2·Σ #₂(wᵢ)]. *)

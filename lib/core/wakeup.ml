@@ -22,13 +22,15 @@ let encode_ports encoding ~n ports buf =
     Codes.write_port_list buf ~width:(Binary.bits maxp) ports
   | _, Gamma -> List.iter (Codes.write_gamma buf) ports
 
-let decode_ports encoding buf =
-  let r = Bitbuf.reader buf in
+(* The advice read in stream order to the reader's end, each port
+   passed to [f]: the scheme maps it straight into its sends, the tests
+   read it as is. *)
+let map_ports encoding r f =
   match encoding with
-  | Paper | Paper_minimal -> Codes.read_port_list r
-  | Gamma ->
-    let rec loop acc = if Bitbuf.at_end r then List.rev acc else loop (Codes.read_gamma r :: acc) in
-    loop []
+  | Paper | Paper_minimal -> Codes.map_port_list r f
+  | Gamma -> Codes.map_to_end Codes.read_gamma r f
+
+let decode_ports encoding buf = map_ports encoding (Bitbuf.reader buf) Fun.id
 
 let oracle ?(tree = fun g ~root -> Spanning.bfs g ~root) ?(encoding = Paper) () =
   let name = Printf.sprintf "wakeup-thm2.1(%s)" (encoding_name encoding) in
@@ -41,12 +43,10 @@ let oracle ?(tree = fun g ~root -> Spanning.bfs g ~root) ?(encoding = Paper) () 
              encode_ports encoding ~n (Spanning.children_ports t v) buf;
              buf)))
 
-(* [rev_map (fun p -> ...) ports] without the closure; advised order is
-   not significant (the runner delivers each send independently), but we
-   keep stream order anyway for trace stability. *)
-let rec sends_of_ports = function
-  | [] -> []
-  | p :: rest -> (Sim.Message.Source, p) :: sends_of_ports rest
+(* Top level, so that decoding builds no closure.  Advised order is not
+   significant (the runner delivers each send independently), but the
+   sends keep stream order anyway for trace stability. *)
+let source_send p = (Sim.Message.Source, p)
 
 let nothing () = []
 
@@ -56,31 +56,27 @@ let scheme ?(encoding = Paper) () static =
      live for the length of the run, and the minor GC promotes them all.
      Same spirit for the closures themselves — the wake logic is inlined
      into [on_receive] rather than shared via a [wake] closure, and the
-     non-source [on_start] is one closure for the whole run, so a
-     non-source node's live footprint is one record, one closure and one
-     ref.  Only the source (there is one) pays for an on-start
-     closure. *)
-  let advice = static.Sim.History.advice in
-  let woken = ref false in
+     non-source [on_start] is one closure for the whole run.  The node's
+     one piece of state is its advice reader: waking reads the advice to
+     its end, so a later wake reads nothing and sends nothing, and no
+     [woken] flag is needed.  A non-source node's live footprint is one
+     record, one closure and one reader; only the source (there is one)
+     pays for an on-start closure. *)
+  let r = Bitbuf.reader static.Sim.History.advice in
   let on_receive msg ~port:_ =
     match msg with
-    | Sim.Message.Source when not !woken ->
-      woken := true;
-      sends_of_ports (decode_ports encoding advice)
-    | Sim.Message.Source | Sim.Message.Hello | Sim.Message.Control _ -> []
+    | Sim.Message.Source -> map_ports encoding r source_send
+    | Sim.Message.Hello | Sim.Message.Control _ -> []
   in
   let on_start =
-    if static.Sim.History.is_source then (fun () ->
-      woken := true;
-      sends_of_ports (decode_ports encoding advice))
-    else nothing
+    if static.Sim.History.is_source then fun () -> map_ports encoding r source_send else nothing
   in
   { Sim.Scheme.on_start; on_receive }
 
 (* The hardened reader runs when the node is built, which must know
    then whether to run the plain scheme or flood: one fold over the
    ports into the port rule's checked set, no list.  The plain scheme
-   decodes them at wake. *)
+   decodes them at wake, straight into its sends. *)
 let checked_read encoding plain (static : Sim.History.static) =
   let r = Bitbuf.reader static.advice and c = Hardened.ports ~degree:static.degree in
   let c =

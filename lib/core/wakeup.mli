@@ -29,7 +29,9 @@ val oracle : ?tree:tree_builder -> ?encoding:encoding -> unit -> Oracles.Oracle.
 
 val scheme : ?encoding:encoding -> unit -> Sim.Scheme.factory
 (** The wakeup scheme matching {!oracle}'s advice format.  The encodings
-    must agree. *)
+    must agree.  A node decodes its advice when it wakes, straight into
+    its sends, in advice stream order; malformed advice raises
+    [Invalid_argument] there, as {!decode_ports} does. *)
 
 type outcome = {
   result : Sim.Runner.result;
@@ -71,7 +73,7 @@ val hardened_scheme :
   Sim.Scheme.factory
 (** {!scheme} under {!Hardened.scheme}, checked by one fold over the
     ports through {!Hardened.admit} when the node is built; the plain
-    scheme decodes them at wake.  A node whose advice fails the
+    scheme decodes them at wake, straight into its sends.  A node whose advice fails the
     [protect] ECC level (default [Raw]: pass-through), the decode or the
     port rule floods on first wake instead, so the run stays correct on
     any connected graph at Θ(m) cost instead of the advised [n-1].  The

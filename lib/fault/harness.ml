@@ -70,30 +70,30 @@ let advise protocol g ~source =
   in
   oracle.Oracles.Oracle.advise g ~source
 
-(* One runner scratch per domain, reused run after run: its recorder
-   and the runner's ring and round-stash arrays stay warm, at the
-   largest run's size, and with no caller sinks a run's per-message
-   events are packed into the recorder without ever being built.  A
-   run that starts while the domain's scratch is busy — one nested
-   inside a user sink, say — gets a fresh one, and the slot is released
-   (its recorder cleared) however the run ends. *)
+(* One recorder per domain, reused run after run, so its packed
+   buffer stays warm at the largest run's size; with no caller sinks a
+   run's per-message events are packed into it without ever being
+   built.  The engine's own buffers are the runner's pool.  A run that
+   starts while the domain's recorder is busy — one nested inside a
+   user sink, say — gets a fresh one, and the slot is released (its
+   recorder cleared) however the run ends. *)
 type slot = {
-  scratch : Sim.Runner.scratch;
+  recorder : Obs.Recorder.t;
   mutable busy : bool;
 }
 
-let slot_key = Domain.DLS.new_key (fun () -> { scratch = Sim.Runner.scratch (); busy = false })
+let slot_key = Domain.DLS.new_key (fun () -> { recorder = Obs.Recorder.create (); busy = false })
 
-let with_scratch f =
+let with_recorder f =
   let slot = Domain.DLS.get slot_key in
-  if slot.busy then f (Sim.Runner.scratch ())
+  if slot.busy then f (Obs.Recorder.create ())
   else begin
     slot.busy <- true;
     Fun.protect
       ~finally:(fun () ->
-        Obs.Recorder.clear (Sim.Runner.recorder slot.scratch);
+        Obs.Recorder.clear slot.recorder;
         slot.busy <- false)
-      (fun () -> f slot.scratch)
+      (fun () -> f slot.recorder)
   end
 
 let run ?(scheduler = Sim.Scheduler.Async_fifo) ?(plan = Plan.none) ?(sinks = []) ?max_messages
@@ -109,8 +109,7 @@ let run ?(scheduler = Sim.Scheduler.Async_fifo) ?(plan = Plan.none) ?(sinks = []
   in
   let protected_advice = Oracles.Protect.advice protect raw_advice in
   let corrupted, tampered = Corrupt.apply plan protected_advice in
-  with_scratch @@ fun scratch ->
-  let recorder = Sim.Runner.recorder scratch in
+  with_recorder @@ fun recorder ->
   (* The harness's own events join the recorded stream where they
      happen, and reach the caller's sinks like the runner's. *)
   let emit ev =
@@ -140,7 +139,7 @@ let run ?(scheduler = Sim.Scheduler.Async_fifo) ?(plan = Plan.none) ?(sinks = []
     | Broadcast -> Oracle_core.Broadcast.hardened_scheme ~protect ~on_fallback ~on_corrected ()
   in
   let result =
-    Sim.Runner.run ~scheduler ?max_messages ~sinks ~faults:plan ~retry ~scratch
+    Sim.Runner.run ~scheduler ?max_messages ~sinks ~faults:plan ~retry ~recorder
       ~advice:(Advice.get corrupted) g ~source factory
   in
   (* The verdict is judged from the run's own counters and informed

@@ -17,16 +17,18 @@
     crashed/dead set.  The harness never raises on any plan: every
     outcome is a structured verdict.
 
-    The recording lives in one {!Sim.Runner.scratch} per domain, kept
-    in a slot and reused run after run: its {!Obs.Recorder} is cleared
-    between runs, and the runner's ring and round-stash arrays stay
-    warm, at the size of the largest run the domain has made.  With no
-    caller sinks the runner packs its per-message events into the
+    The recording lives in one {!Obs.Recorder} per domain, kept in a
+    slot and reused run after run: it is cleared between runs and its
+    buffer stays warm, at the size of the largest run the domain has
+    made.  The engine's buffers (ring, round stash, start-up table) are
+    not the harness's: every {!Sim.Runner.run} draws them from its
+    domain's pool, so a domain keeps one set of engine buffers.  With
+    no caller sinks the runner packs its per-message events into the
     recorder without building them; {!outcome.events} is built from the
     recording last, after the verdict.  A run nested inside another on
-    the same domain (from a user sink, say) gets a fresh scratch, and a
-    run that raises releases the domain's, so neither corrupts the next
-    run. *)
+    the same domain (from a user sink, say) gets a fresh recorder, and
+    a run that raises releases the domain's, so neither corrupts the
+    next run. *)
 
 type protocol =
   | Wakeup  (** Theorem 2.1 wakeup, hardened ({!Wakeup.hardened_scheme}) *)

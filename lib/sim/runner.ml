@@ -23,10 +23,12 @@ type in_flight = {
   f_depth : int;
 }
 
-(* The engine buffers a run may inherit: the scheduler queue, a
-   struct-of-arrays ring buffer (one array per message field, see
-   [run]), and the synchronous loop's per-slot stash of one round.  A
-   run grows them in place, so a [scratch] keeps the largest run's. *)
+(* The engine buffers every run draws from its domain's pool: the
+   scheduler queue, a struct-of-arrays ring buffer (one array per
+   message field, see [run]), the synchronous loop's per-slot stash of
+   one round (with its visiting order), and the start-up table of the
+   nodes' [on_start] closures.  A run grows them in place, so the pool
+   keeps the largest run's. *)
 type buffers = {
   mutable q_src : int array;
   mutable q_sport : int array;
@@ -39,6 +41,8 @@ type buffers = {
   mutable r_dst : int array;
   mutable r_depth : int array;
   mutable r_sends : Scheme.send list array;
+  mutable r_order : int array;
+  mutable starts : (unit -> Scheme.send list) array;
 }
 
 let buffers () =
@@ -55,16 +59,45 @@ let buffers () =
     r_dst = [||];
     r_depth = [||];
     r_sends = [||];
+    r_order = [||];
+    starts = [||];
   }
 
-type scratch = {
-  recorder : Obs.Recorder.t;
+let no_start () = []
+
+(* What a run that raises leaves in its buffers: the start-up closures
+   not walked yet and the responses stashed mid-round.  A finished run
+   clears both as it reads them. *)
+let release b =
+  Array.fill b.starts 0 (Array.length b.starts) no_start;
+  Array.fill b.r_sends 0 (Array.length b.r_sends) []
+
+(* One set of buffers per domain, lent to one run at a time.  A run
+   that starts while its domain's set is lent out (one nested inside a
+   sink) takes a fresh set, and a run that raises returns the set
+   emptied of its closures. *)
+type pool = {
   bufs : buffers;
+  mutable busy : bool;
 }
 
-let scratch () = { recorder = Obs.Recorder.create (); bufs = buffers () }
+let pool_key = Domain.DLS.new_key (fun () -> { bufs = buffers (); busy = false })
 
-let recorder s = s.recorder
+let with_buffers f =
+  let p = Domain.DLS.get pool_key in
+  if p.busy then f (buffers ())
+  else begin
+    p.busy <- true;
+    match f p.bufs with
+    | r ->
+      p.busy <- false;
+      r
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      release p.bufs;
+      p.busy <- false;
+      Printexc.raise_with_backtrace e bt
+  end
 
 let msg_class = function
   | Message.Source -> Obs.Event.Source
@@ -105,11 +138,12 @@ let default_max_messages g = max 1_000_000 (4 * (Graph.n g + Graph.m g))
 let order_free ~sinks ~faults = sinks = [] && Fault_plan.is_none faults
 
 let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(sinks = []) ?(faults = Fault_plan.none)
-    ?(retry = 0) ?scratch ~advice g ~source factory =
+    ?(retry = 0) ?recorder ~advice g ~source factory =
   let max_messages = match max_messages with Some m -> m | None -> default_max_messages g in
   let n = Graph.n g in
   if source < 0 || source >= n then invalid_arg "Runner.run: source out of range";
   if retry < 0 then invalid_arg "Runner.run: negative retry budget";
+  with_buffers @@ fun b ->
   (* Raw CSR adjacency for the emit hot loop: one offset read plus two
      flat int reads per send, no tuple allocation, no bounds recheck
      inside [Graph.endpoint]. *)
@@ -128,13 +162,12 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(sinks = []) ?(faults
      without an [Obs.Event.t] ever being built (the scale tests assert
      the bit-identity across the fault/retry grid).
 
-     A run given a [scratch] also records its stream there: [observe]
+     A run given a [recorder] also records its stream there: [observe]
      pushes each event it builds, and the [note_*] path appends the
      per-message and per-node kinds straight from their fields, so
      recording builds no event either. *)
   let counts = Obs.Counting.create () in
   let sinks_empty = sinks = [] in
-  let recorder = Option.map recorder scratch in
   let record ev = match recorder with Some r -> Obs.Recorder.push r ev | None -> () in
   let observe ev =
     Obs.Counting.observe counts ev;
@@ -150,12 +183,12 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(sinks = []) ?(faults
      The pass fills a flat closure table: a delivery loads its
      receiver's [on_receive] straight from [recv] instead of going node
      table → [Scheme.node] record → closure, one dependent load fewer
-     per message to a random node.  The [on_start] closures ride a
-     short-lived list to the start-up loop: a second n-word array would
-     be one more major-heap allocation per run, which cost 1000-node
-     wakeup runs 8-20% (E30). *)
+     per message to a random node.  The [on_start] closures wait in the
+     pool's start-up table, which a run allocates only when it is the
+     largest the domain has made (E40). *)
   let recv = Array.make n (fun _ ~port:_ -> []) in
-  let starts = ref [] in
+  if Array.length b.starts < n then b.starts <- Array.make n no_start;
+  let starts = b.starts in
   for v = 0 to n - 1 do
     let a = advice v in
     let bits = Bitstring.Bitbuf.length a in
@@ -176,7 +209,7 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(sinks = []) ?(faults
         }
     in
     Array.unsafe_set recv v node.Scheme.on_receive;
-    starts := node.Scheme.on_start :: !starts
+    Array.unsafe_set starts v node.Scheme.on_start
   done;
   informed.(source) <- true;
   if sinks_empty then begin
@@ -197,7 +230,6 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(sinks = []) ?(faults
      [head]/[tail] are virtual (monotone) indices; the storage slot is
      [index land mask].  Steady state costs eight scalar writes per push
      and eight reads per pop: no list cells, no records. *)
-  let b = match scratch with Some s -> s.bufs | None -> buffers () in
   let cap = ref (Array.length b.q_src) in
   let mask = ref (!cap - 1) in
   let head = ref 0 in
@@ -560,10 +592,14 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(sinks = []) ?(faults
         end)
       p.Fault_plan.dead);
   process_crashes 0;
-  (* Start-up: the paper's scheme on the empty history, at every node. *)
-  List.iteri
-    (fun v on_start -> if not (is_failed v) then emit v 0 ~depth:1 (on_start ()))
-    (List.rev !starts);
+  (* Start-up: the paper's scheme on the empty history, at every node,
+     in node order.  Each slot is cleared as it is read, so the pool
+     keeps no closure of a finished run. *)
+  for v = 0 to n - 1 do
+    let on_start = Array.unsafe_get starts v in
+    Array.unsafe_set starts v no_start;
+    if not (is_failed v) then emit v 0 ~depth:1 (on_start ())
+  done;
   let deliver ~src ~src_port ~dst ~dst_port ~msg ~inf ~sq ~depth round =
     if is_failed dst then begin
       (* Swallowed by a failed receiver: recorded as a drop so replay's
@@ -620,9 +656,8 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(sinks = []) ?(faults
     (* Per-slot stash of the round being delivered, indexed by batch
        position and grown with the largest batch seen.  A run that
        records is observed in stream order, so it is not order-free. *)
-    let r_order = ref [||] in
     let visit_by_block =
-      order_free ~sinks ~faults && Option.is_none scratch && n > 1 lsl block_bits
+      order_free ~sinks ~faults && Option.is_none recorder && n > 1 lsl block_bits
     in
     let blocks = blocks n in
     let block_start = Array.make (if visit_by_block then blocks + 1 else 0) 0 in
@@ -665,9 +700,9 @@ let run ?(scheduler = Scheduler.Async_fifo) ?max_messages ?(sinks = []) ?(faults
           b.r_depth <- Array.make len 0;
           b.r_sends <- Array.make len []
         end;
-        if visit_by_block && batch > Array.length !r_order then
-          r_order := Array.make (Array.length b.r_dst) 0;
-        let r_dst = b.r_dst and r_depth = b.r_depth and r_sends = b.r_sends and r_order = !r_order in
+        if visit_by_block && batch > Array.length b.r_order then
+          b.r_order <- Array.make (Array.length b.r_dst) 0;
+        let r_dst = b.r_dst and r_depth = b.r_depth and r_sends = b.r_sends and r_order = b.r_order in
         let h0 = !head in
         head := h0 + batch;
         let q_dst = b.q_dst and mask = !mask in

@@ -23,29 +23,13 @@ type result = {
   per_node_sent : int array;  (** transmissions per node (load profile) *)
 }
 
-type scratch
-(** What one run may hand to the next on the same domain: the recorder
-    a run appends its stream to, and the engine buffers — the scheduler
-    queue's ring arrays and the synchronous round's stash — a run
-    reuses instead of allocating and regrowing them from 256 slots.  A
-    run grows the buffers in place, so a scratch keeps the largest run's.
-    Not synchronized: one run at a time may use a scratch (a run nested
-    inside another, from a sink, needs its own). *)
-
-val scratch : unit -> scratch
-(** An empty recorder and fresh 256-slot buffers. *)
-
-val recorder : scratch -> Obs.Recorder.t
-(** The recorder runs given this scratch append to.  The runner never
-    clears it: the caller does, between runs. *)
-
 val run :
   ?scheduler:Scheduler.t ->
   ?max_messages:int ->
   ?sinks:Obs.Sink.t list ->
   ?faults:Fault_plan.t ->
   ?retry:int ->
-  ?scratch:scratch ->
+  ?recorder:Obs.Recorder.t ->
   advice:(int -> Bitstring.Bitbuf.t) ->
   Netgraph.Graph.t ->
   source:int ->
@@ -78,18 +62,29 @@ val run :
     [DESIGN.md] §"Performance model" has the inventory;
     [dune build @perf] tracks the numbers.
 
-    [scratch] (default: none) makes the run record and reuse buffers.
-    Its stream — the one [sinks] receive, in the same order — is
-    appended to [recorder scratch]: with no sinks the run stays on its
-    [note_*] path and appends the [Send], [Deliver], [Wake] and
-    [Advice_read] records as packed ints straight from the fields it
-    holds (the rarer kinds are built and pushed), and with sinks each
-    event it builds is pushed there too.  The run takes its ring and
-    round-stash arrays from the scratch and leaves them there, grown.
+    [recorder] (default: none) makes the run record.  Its stream — the
+    one [sinks] receive, in the same order — is appended to it: with no
+    sinks the run stays on its [note_*] path and appends the [Send],
+    [Deliver], [Wake] and [Advice_read] records as packed ints straight
+    from the fields it holds (the rarer kinds are built and pushed),
+    and with sinks each event it builds is pushed there too.  The
+    runner never clears the recorder: the caller does, between runs.
     A run that records is not {!order_free}: its deliveries are visited
-    in batch order.  A run with no [scratch] records nothing and
-    allocates its buffers afresh.  Every field of [result] is the same
-    with or without a scratch.
+    in batch order.  Every field of [result] is the same with or
+    without a recorder.
+
+    Every run draws its engine buffers from a pool that its domain
+    keeps ([Domain.DLS]): the scheduler queue's ring arrays, the
+    synchronous round's stash and an n-slot table of the nodes'
+    [on_start] closures.  A run grows them in place and leaves them
+    grown, so a run no larger than an earlier one on its domain
+    allocates none of them; the pool keeps the largest run's arrays for
+    the life of the domain.  A run clears every closure slot it fills
+    as it reads it, and a run that raises clears the rest, so the pool
+    keeps no node's state alive after its run.  A run that starts while
+    its domain's buffers are lent out (one nested inside a sink, say)
+    takes a fresh set.  The pool is invisible: every field of [result],
+    and every event, is the same as on a fresh domain.
 
     [retry] (default [0]: recovery off) arms the ack/retransmit channel:
     when a copy of a message is destroyed in flight (plan drop), the
@@ -162,7 +157,7 @@ val default_max_messages : Netgraph.Graph.t -> int
 
 val order_free : sinks:Obs.Sink.t list -> faults:Fault_plan.t -> bool
 (** Whether a run with these arguments is observed in no global order:
-    no sinks and no fault plan ({!run} also requires no [scratch]).  Then
+    no sinks and no fault plan ({!run} also requires no [recorder]).  Then
     the deliveries of one synchronous round commute, because a node's
     scheme state is its own and every counter is a sum or a maximum:
     [run] may visit them in any order that keeps each node's own

@@ -1521,6 +1521,155 @@ let test_warm_buffers_match_fresh_domain () =
   same "small after large" small (run small);
   same "large again" large (run large)
 
+(* {1 The engine's buffer pool}
+
+   Every plain [Sim.Runner.run] draws its ring, round stash and
+   start-up table from its domain's pool.  The pool must be invisible:
+   each run below, whatever ran before it on the domain, equals the
+   same run in a freshly spawned domain, whose pool is empty. *)
+
+let pool_schedulers =
+  Sim.Scheduler.[ Synchronous; Async_fifo; Async_lifo; Async_random 5 ]
+
+(* A protocol, with a graph on which some moment holds more than 256
+   messages in flight, and its advice on any graph. *)
+let pool_protocols () =
+  let advised oracle g = Advice.get (oracle.Oracles.Oracle.advise g ~source:0) in
+  [
+    ("wakeup", Gen.star 300, advised (Oracle_core.Wakeup.oracle ()), Oracle_core.Wakeup.scheme ());
+    ( "broadcast",
+      big_graph (),
+      advised (Oracle_core.Broadcast.oracle ()),
+      Oracle_core.Broadcast.scheme () );
+    ("flooding", big_graph (), (fun _ -> no_advice), Sim.Scheme.flooding);
+  ]
+
+(* One run untraced and once traced: the untraced result, the traced
+   result and the traced stream. *)
+let pool_run ?(sinks = []) ~scheduler (advice, factory) g =
+  let untraced = Sim.Runner.run ~scheduler ~advice g ~source:0 factory in
+  let sink, events = Obs.Sink.collect () in
+  let traced = Sim.Runner.run ~scheduler ~sinks:(sink :: sinks) ~advice g ~source:0 factory in
+  (untraced, traced, events ())
+
+let in_domain f = Domain.join (Domain.spawn f)
+
+let max_in_flight events =
+  let live = ref 0 and peak = ref 0 in
+  List.iter
+    (fun ev ->
+      match ev.Event.kind with
+      | Event.Send _ ->
+        incr live;
+        peak := max !peak !live
+      | Event.Deliver _ -> decr live
+      | _ -> ())
+    events;
+  !peak
+
+let check_same label got want = check_bool (label ^ " = fresh domain") true (got = want)
+
+let test_pool_matches_fresh_domain () =
+  let small = tree24 () in
+  List.iter
+    (fun (name, large, advise, factory) ->
+      let advice = advise large and small_advice = advise small in
+      List.iter
+        (fun scheduler ->
+          let label what = Printf.sprintf "%s/%s: %s" name (Sim.Scheduler.name scheduler) what in
+          let run ?sinks g advice = pool_run ?sinks ~scheduler (advice, factory) g in
+          let fresh g advice = in_domain (fun () -> run g advice) in
+          let want_large = fresh large advice and want_small = fresh small small_advice in
+          let _, _, events = want_large in
+          check_bool (label "over 256 in flight") true (max_in_flight events > 256);
+          (* A grown run, then a small one. *)
+          check_same (label "large") (run large advice) want_large;
+          check_same (label "small after large") (run small small_advice) want_small;
+          (* A grown run nested in a sink at mid-stream, and its outer run. *)
+          let half = List.length events / 2 and k = ref 0 and inner = ref None in
+          let nesting =
+            Obs.Sink.make (fun _ ->
+                incr k;
+                if !k = half then inner := Some (run large advice))
+          in
+          let _, outer_traced, outer_events = run ~sinks:[ nesting ] large advice in
+          let _, want_traced, want_events = want_large in
+          check_same (label "outer run") (outer_traced, outer_events) (want_traced, want_events);
+          check_same (label "run nested at mid-stream") !inner (Some want_large);
+          (* A run that raises mid-run, then clean ones. *)
+          let last = Graph.n large - 1 in
+          let bad static =
+            let node = factory static in
+            if static.Sim.History.id <> Graph.label large last then node
+            else
+              {
+                node with
+                Sim.Scheme.on_receive = (fun _ ~port:_ -> [ (Sim.Message.Hello, static.degree) ]);
+              }
+          in
+          (match Sim.Runner.run ~scheduler ~advice large ~source:0 bad with
+          | _ -> Alcotest.fail (label "a bad port did not raise")
+          | exception Invalid_argument _ -> ());
+          check_same (label "small after a raise") (run small small_advice) want_small;
+          check_same (label "large after a raise") (run large advice) want_large)
+        pool_schedulers)
+    (pool_protocols ())
+
+(* A weak pointer to the state one node's closures share. *)
+let watched_factory ~watch factory =
+  let w = Weak.create 1 in
+  let wrapped static =
+    let node = factory static in
+    if static.Sim.History.id <> watch then node
+    else begin
+      let st = ref 0 in
+      Weak.set w 0 (Some st);
+      {
+        Sim.Scheme.on_start =
+          (fun () ->
+            incr st;
+            node.Sim.Scheme.on_start ());
+        on_receive =
+          (fun msg ~port ->
+            incr st;
+            node.Sim.Scheme.on_receive msg ~port);
+      }
+    end
+  in
+  (w, wrapped)
+
+let[@inline never] run_watched ~raising g =
+  let n = Graph.n g in
+  let w, factory = watched_factory ~watch:(Graph.label g (n - 1)) Sim.Scheme.flooding in
+  (* The source's start-up sends on a port past its degree, so the run
+     raises while the watched node's start-up slot is still full. *)
+  let factory =
+    if not raising then factory
+    else fun static ->
+      if not static.Sim.History.is_source then factory static
+      else
+        {
+          (factory static) with
+          Sim.Scheme.on_start = (fun () -> [ (Sim.Message.Source, static.degree) ]);
+        }
+  in
+  (match Sim.Runner.run ~advice:no_advice g ~source:0 factory with
+  | _ -> check_bool "the run raised as planned" false raising
+  | exception Invalid_argument _ -> check_bool "the run raised as planned" true raising);
+  w
+
+let test_pool_keeps_no_closure () =
+  let g = big_graph () in
+  List.iter
+    (fun raising ->
+      let w = run_watched ~raising g in
+      Gc.full_major ();
+      let how = if raising then "raised" else "finished" in
+      check_bool
+        (Printf.sprintf "node state collected after a %s run" how)
+        false (Weak.check w 0))
+    [ false; true ]
+
 let test_raw_run_leaves_cached_advice () =
   let g = sparse24 () in
   List.iter
@@ -1812,6 +1961,9 @@ let suite =
       test_recorder_survives_nesting_and_raises;
     Alcotest.test_case "warm buffers: large, small, large = fresh domain" `Quick
       test_warm_buffers_match_fresh_domain;
+    Alcotest.test_case "engine pool: warm runs = fresh domain" `Quick
+      test_pool_matches_fresh_domain;
+    Alcotest.test_case "engine pool keeps no closure alive" `Quick test_pool_keeps_no_closure;
     Alcotest.test_case "raw run leaves cached advice unchanged" `Quick
       test_raw_run_leaves_cached_advice;
     Alcotest.test_case "verdict: a boxed send breaks wakeup silence" `Quick

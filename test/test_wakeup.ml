@@ -77,6 +77,58 @@ let test_encodings_roundtrip () =
     [ Wakeup.Paper; Wakeup.Paper_minimal; Wakeup.Gamma ];
   ignore ports
 
+(* The plain scheme decodes its advice when it wakes, straight into
+   its sends: in advice stream order (not sorted), once, in every
+   encoding; a malformed width header raises at wake, not when the node
+   is built, with the decoder's own message. *)
+let test_sends_in_stream_order () =
+  let module Bitbuf = Bitstring.Bitbuf in
+  let module Codes = Bitstring.Codes in
+  let ports = [ 5; 2; 7; 0; 6 ] in
+  let advice enc =
+    let buf = Bitbuf.create () in
+    (match enc with
+    | Wakeup.Paper -> Codes.write_port_list buf ~width:4 ports
+    | Wakeup.Paper_minimal -> Codes.write_port_list buf ~width:3 ports
+    | Wakeup.Gamma -> List.iter (Codes.write_gamma buf) ports);
+    buf
+  in
+  let static ?(is_source = false) advice = { Sim.History.advice; is_source; id = 1; degree = 8 } in
+  let sends = Alcotest.(list (pair (of_pp Sim.Message.pp) int)) in
+  let expected = List.map (fun p -> (Sim.Message.Source, p)) ports in
+  List.iter
+    (fun enc ->
+      let name = Wakeup.encoding_name enc in
+      let node = Wakeup.scheme ~encoding:enc () (static (advice enc)) in
+      Alcotest.check sends (name ^ ": silent at start") [] (node.Sim.Scheme.on_start ());
+      Alcotest.check sends (name ^ ": a Hello does not wake") []
+        (node.Sim.Scheme.on_receive Sim.Message.Hello ~port:0);
+      Alcotest.check sends (name ^ ": woken, in stream order") expected
+        (node.Sim.Scheme.on_receive Sim.Message.Source ~port:3);
+      Alcotest.check sends (name ^ ": woken once") []
+        (node.Sim.Scheme.on_receive Sim.Message.Source ~port:1);
+      let source = Wakeup.scheme ~encoding:enc () (static ~is_source:true (advice enc)) in
+      Alcotest.check sends (name ^ ": the source starts in stream order") expected
+        (source.Sim.Scheme.on_start ());
+      Alcotest.check sends (name ^ ": and stays quiet after") []
+        (source.Sim.Scheme.on_receive Sim.Message.Source ~port:0);
+      Alcotest.check Alcotest.(list int) (name ^ ": decode_ports reads the same order") ports
+        (Wakeup.decode_ports enc (advice enc)))
+    [ Wakeup.Paper; Wakeup.Paper_minimal; Wakeup.Gamma ];
+  let malformed = Invalid_argument "Codes.read_port_list: malformed width header" in
+  List.iter
+    (fun enc ->
+      let node = Wakeup.scheme ~encoding:enc () (static (Bitbuf.of_string "0110")) in
+      Alcotest.check_raises (Wakeup.encoding_name enc ^ ": malformed header raises at wake")
+        malformed (fun () -> ignore (node.Sim.Scheme.on_receive Sim.Message.Source ~port:0)))
+    [ Wakeup.Paper; Wakeup.Paper_minimal ];
+  (* The same error out of a run: node 1 of a path wakes on bad advice. *)
+  let g = Netgraph.Gen.path 4 in
+  let good = (Wakeup.oracle ()).Oracles.Oracle.advise g ~source:0 in
+  let advice v = if v = 1 then Bitbuf.of_string "0110" else Oracles.Advice.get good v in
+  Alcotest.check_raises "a run raises it when node 1 wakes" malformed (fun () ->
+      ignore (Sim.Runner.run ~advice g ~source:0 (Wakeup.scheme ())))
+
 let test_encodings_all_work () =
   let g = Families.build Families.Dense_random ~n:32 ~seed:9 in
   List.iter
@@ -161,6 +213,7 @@ let suite =
     Alcotest.test_case "two nodes" `Quick test_two_nodes;
     Alcotest.test_case "encodings decode children" `Quick test_encodings_roundtrip;
     Alcotest.test_case "all encodings wake everyone" `Quick test_encodings_all_work;
+    Alcotest.test_case "sends in advice stream order" `Quick test_sends_in_stream_order;
     Alcotest.test_case "minimal width never larger" `Quick test_minimal_never_larger;
     Alcotest.test_case "alternate spanning trees" `Quick test_alternate_trees;
     Alcotest.test_case "respects the wakeup restriction" `Quick test_scheme_is_a_wakeup_scheme;
