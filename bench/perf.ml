@@ -7,7 +7,8 @@
    it at 10^4).  The checked-in copy at the repository root is the
    baseline future PRs regress against: --baseline=FILE fails the run
    (exit 1) if any matching row's messages/sec drops more than 25%
-   below the recorded value.
+   below the recorded value, or if its minor or major words per
+   message rise more than 5% and more than one word above it.
 
    Schema ("oracle-size/perf/v3"): a top-level object with "schema",
    "max_n", "jobs", "wall_seconds", "cpu_seconds" and "rows"; each row
@@ -241,9 +242,19 @@ let strip_quotes s =
   let s = String.trim s in
   if String.length s >= 2 && s.[0] = '"' then String.sub s 1 (String.length s - 2) else s
 
+(* A baseline row's gated columns; a v2 file has no major words. *)
+type base = {
+  b_msgs_per_sec : float;
+  b_minor : float option;
+  b_major : float option;
+}
+
 let read_baseline file =
   let ic = open_in file in
   let rows = ref [] in
+  let float_field line key =
+    Option.bind (find_field line key) (fun v -> float_of_string_opt (String.trim v))
+  in
   (try
      while true do
        let line = input_line ic in
@@ -251,23 +262,38 @@ let read_baseline file =
          ( find_field line "protocol",
            find_field line "family",
            find_field line "n",
-           find_field line "msgs_per_sec" )
+           float_field line "msgs_per_sec" )
        with
        | Some p, Some f, Some n, Some mps -> (
-         match (int_of_string_opt (String.trim n), float_of_string_opt (String.trim mps)) with
-         | Some n, Some mps -> rows := ((strip_quotes p, strip_quotes f, n), mps) :: !rows
-         | _ -> ())
+         match int_of_string_opt (String.trim n) with
+         | Some n ->
+           let base =
+             {
+               b_msgs_per_sec = mps;
+               b_minor = float_field line "minor_words_per_msg";
+               b_major = float_field line "major_words_per_msg";
+             }
+           in
+           rows := ((strip_quotes p, strip_quotes f, n), base) :: !rows
+         | None -> ())
        | _ -> ()
      done
    with End_of_file -> ());
   close_in ic;
   !rows
 
+(* Words per message do not depend on the host: a rise past both
+   margins is an allocation regression on any machine.  Only a rise
+   fails; the two margins keep rounding and tiny rows from tripping it. *)
+let words_regressed ~base words = words > base *. 1.05 && words > base +. 1.0
+
 (* The regression gate: more than 25% below the recorded msgs/sec at
    any matching (protocol, family, n) point fails the run.  The margin
    absorbs the CPU-time jitter of a shared machine (measured at well
    under 10% for best-of-three CPU-time rows) while still catching any
-   real hot-path regression worth a review comment. *)
+   real hot-path regression worth a review comment.  Minor and major
+   words per message are gated too ({!words_regressed}): they read the
+   same on every host, where the time gate does not. *)
 let check_baseline file rows =
   if not (Sys.file_exists file) then
     Printf.printf "perf: baseline %s not found, skipping regression check\n" file
@@ -279,16 +305,32 @@ let check_baseline file rows =
         match List.assoc_opt (r.protocol, r.family, r.n) baseline with
         | None -> ()
         | Some base ->
-          if r.msgs_per_sec < base *. 0.75 then begin
-            incr failures;
+          let failed = ref false in
+          if r.msgs_per_sec < base.b_msgs_per_sec *. 0.75 then begin
+            failed := true;
             Printf.eprintf
               "perf: REGRESSION %s/%s n=%d: %.0f msgs/s is more than 25%% below the baseline \
                %.0f\n"
-              r.protocol r.family r.n r.msgs_per_sec base
-          end
+              r.protocol r.family r.n r.msgs_per_sec base.b_msgs_per_sec
+          end;
+          List.iter
+            (fun (column, words, base) ->
+              match base with
+              | Some base when words_regressed ~base words ->
+                failed := true;
+                Printf.eprintf
+                  "perf: REGRESSION %s/%s n=%d: %.2f %s is more than 5%% and 1 word above the \
+                   baseline %.2f\n"
+                  r.protocol r.family r.n words column base
+              | Some _ | None -> ())
+            [
+              ("minor_words_per_msg", r.minor_words_per_msg, base.b_minor);
+              ("major_words_per_msg", r.major_words_per_msg, base.b_major);
+            ];
+          if !failed then incr failures
           else
             Printf.printf "perf: %s/%s n=%d ok vs baseline (%.0f vs %.0f msgs/s)\n" r.protocol
-              r.family r.n r.msgs_per_sec base)
+              r.family r.n r.msgs_per_sec base.b_msgs_per_sec)
       rows;
     if !failures > 0 then exit 1
   end
