@@ -52,8 +52,6 @@ type error =
       (** the reserved top bits of the key field are set *)
   | Bad_crc of { offset : int; stored : int; computed : int }
 
-val pp_error : Format.formatter -> error -> unit
-
 val error_to_string : error -> string
 
 val encode : t -> string

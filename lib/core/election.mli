@@ -20,8 +20,6 @@
 
 type role = Leader | Follower | Undecided
 
-val role_name : role -> string
-
 type outcome = {
   result : Sim.Runner.result;
   advice_bits : int;

@@ -14,8 +14,8 @@ type label_index = Identity | Table of (int, int) Hashtbl.t
    order that is a cache miss per message and was the measured wakeup
    throughput cliff (3.1M → 0.47M msgs/s).  Flat int arrays make a hop
    two reads from (usually) one cache line, and let the runner's emit
-   loop avoid allocating a tuple per send via {!endpoint_node} /
-   {!endpoint_port}. *)
+   loop read both ends of a send straight from the arrays
+   ({!csr_offsets}, {!csr_neighbors}, {!csr_ports}) without a tuple. *)
 type t = {
   size : int;
   node_labels : int array;
@@ -182,14 +182,6 @@ let endpoint t u p =
   check_port t u p;
   let i = t.off.(u) + p in
   (t.nbr.(i), t.prt.(i))
-
-let endpoint_node t u p =
-  check_port t u p;
-  t.nbr.(t.off.(u) + p)
-
-let endpoint_port t u p =
-  check_port t u p;
-  t.prt.(t.off.(u) + p)
 
 let csr_offsets t = t.off
 

@@ -70,14 +70,6 @@ val endpoint : t -> int -> int -> int * int
     node [v], arriving on [v]'s port [q].  Raises [Invalid_argument] on a
     bad port. *)
 
-val endpoint_node : t -> int -> int -> int
-(** [endpoint_node g u p] is [fst (endpoint g u p)] without allocating
-    the pair — the per-send hot path in the runner. *)
-
-val endpoint_port : t -> int -> int -> int
-(** [endpoint_port g u p] is [snd (endpoint g u p)] without allocating
-    the pair. *)
-
 val csr_offsets : t -> int array
 (** The physical CSR offset array (length [n+1]); see {!of_csr} for the
     layout.  Shared with the graph, {b not} a copy — callers must treat

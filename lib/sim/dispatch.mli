@@ -21,7 +21,7 @@
       remote worker has its connection closed.  Either way the not-yet-
       answered indices of its batch are requeued at the {e front} of
       the work queue with capped exponential backoff
-      (≈ 50 ms · 2{^ streak−1}, capped at {!default_backoff_cap}, where the
+      (≈ 50 ms · 2{^ streak−1}, capped at 1 s, where the
       streak is the dead worker's count of consecutive condemnations —
       a worker that completed a batch since its last death restarts at
       the base delay, so one early crash never permanently taxes a
@@ -147,9 +147,6 @@ val default_heartbeat_timeout : float
     scheduling noise: a worker beats before each task, so the timeout
     must exceed the slowest single task, not the whole batch. *)
 
-val default_backoff_cap : float
-(** [1.] second — the ceiling on reassignment backoff. *)
-
 val backoff_delay : base:float -> cap:float -> attempt:int -> float
 (** [min cap (base * 2^(attempt-1))], and [0.] for [attempt < 1] — the
     reassignment release delay after a worker's [attempt]-th
@@ -159,15 +156,6 @@ val default_max_rejoin : int
 (** [16] — remote reconnections accepted beyond the first
     [expect_remote]. *)
 
-val default_accept_rate : float
-(** [4.0] — token-bucket refill, accepted connections per second per
-    peer address. *)
-
-val default_accept_burst : int
-(** [32] — token-bucket capacity per peer address.  Generous enough
-    that a full fleet plus its entire bounded-rejoin budget connecting
-    from one address never trips the limiter; a tight reconnect loop
-    does. *)
 
 val create :
   workers:int ->
@@ -199,8 +187,10 @@ val create :
     sweep), and up to [max_rejoin] further connections beyond
     [expect_remote] are accepted over the dispatch's lifetime —
     the bounded-rejoin budget.  Accepts are rate-limited per peer
-    address by a token bucket of capacity [accept_burst] refilling at
-    [accept_rate] tokens/second; an over-limit connection is closed
+    address by a token bucket of capacity [accept_burst] (default 32:
+    a full fleet plus its whole rejoin budget connecting from one
+    address never trips it, a tight reconnect loop does) refilling at
+    [accept_rate] tokens/second (default 4); an over-limit connection is closed
     before any byte is read and does not consume accept budget.  Every
     peer must announce with [auth] equal to [token] (default [""]) or
     it is condemned before any frame is sent to it.

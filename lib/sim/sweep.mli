@@ -131,10 +131,6 @@ type journal_stats = {
       (** what {!Journal.open_} found on disk; [None] when unjournaled *)
 }
 
-val default_chunk : int
-(** [64] — the append granularity (tasks per chunk), deliberately
-    independent of the job count. *)
-
 val map_journaled_via :
   ?journal:string * Journal.context ->
   ?chunk:int ->
@@ -146,7 +142,8 @@ val map_journaled_via :
   (journal_stats, string) result
 (** The executor-agnostic core behind {!map_journaled}.  [run idx] must
     evaluate the tasks at indices [idx] — a slice of the canonical
-    to-do order, at most [chunk] long — and return an index-aligned
+    to-do order, at most [chunk] long (default 64, whatever the job
+    count) — and return an index-aligned
     array of entries or failure strings; how it does so (domain pool,
     subprocess workers via {!Dispatch}, inline) is its business, as long
     as each entry is a pure function of its task.  Everything that makes

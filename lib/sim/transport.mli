@@ -110,5 +110,3 @@ val connect :
 val write_all : Unix.file_descr -> Bytes.t -> int -> int -> unit
 (** Write the whole range, restarting on partial writes and [EINTR]. *)
 
-val read_some : Unix.file_descr -> Bytes.t -> int
-(** One read into the whole buffer, restarting on [EINTR]. *)

@@ -15,7 +15,7 @@
     Fragments at least halve in number per phase: [O(log n)] phases,
     [O(m log n)] messages — versus {e zero} messages when a
     [Θ(n log Δ)]-bit oracle hands every node its MST ports
-    ({!advised_build}, {!mst_ports_oracle}). *)
+    ({!advised_build}). *)
 
 type outcome = {
   result : Model.result;
@@ -27,14 +27,6 @@ type outcome = {
 
 val distributed_build : ?max_rounds:int -> Netgraph.Graph.t -> outcome
 (** Run the synchronous Borůvka protocol with zero advice. *)
-
-val protocol_node : (int -> (unit -> int list) -> unit) -> Model.factory
-(** The raw protocol node (exposed for instrumented runs and tests).  The
-    first argument is a sink receiving, per node label, a thunk that
-    reads the node's current MST ports. *)
-
-val mst_ports_oracle : Oracles.Oracle.t
-(** Advice: each node's MST-incident ports, marked-bit coded. *)
 
 val advised_build : Netgraph.Graph.t -> outcome
 (** Read the tree straight out of the oracle: zero messages. *)
