@@ -1544,7 +1544,7 @@ let pool_protocols () =
     ("flooding", big_graph (), (fun _ -> no_advice), Sim.Scheme.flooding);
   ]
 
-(* One run untraced and once traced: the untraced result, the traced
+(* One run, untraced and then traced: the untraced result, the traced
    result and the traced stream. *)
 let pool_run ?(sinks = []) ~scheduler (advice, factory) g =
   let untraced = Sim.Runner.run ~scheduler ~advice g ~source:0 factory in
